@@ -9,40 +9,64 @@ With L_a the left multiplication by a, the construction goes
 
 which makes (A, +, ∘) a left brace sharing the addition of A.  The
 formal unit behind W is never materialized; W is summed directly.
-``to_brace`` extracts the graded multilinear form of a*b = a∘b - a - b
-by exact interpolation in a scaling parameter followed by polarization.
+
+The series are written once and run on two kinds of elements: vectors
+of A, and elements of A ⊗ F[x_1..x_d]/(deg >= s), s the nilpotency
+class.  ``to_brace`` evaluates the star once at the generic element
+a = sum_i x_i e_i of the second kind; the coefficient of x^alpha in
+a*e_j is multinomial(alpha) L_|alpha|(e^alpha; e_j), which is the graded
+brace.  Cutting monomials of degree >= s loses nothing, because every
+product of s elements of A is zero.
 """
 
-import itertools
-
-from .brace import GradedBrace, SymmetricMap
+from .brace import GradedBrace, SymmetricMap, _multinomial
 from .errors import ConvergenceFailure, InternalInconsistency
-from .linalg import Vec, polynomial_curve_coefficients
 from .sampling import random_vec, rng_from
+
+
+def _exp_series(alg, mul, a, b):
+    acc = cur = b
+    for k in range(1, alg.nilpotency_class):
+        cur = mul(a, cur)
+        if cur.is_zero():
+            break
+        acc = acc + cur * alg.field.inv_factorial(k)
+    return acc
+
+
+def _w_series(alg, mul, a):
+    acc = cur = a
+    for k in range(2, alg.nilpotency_class + 1):
+        cur = mul(a, cur)
+        if cur.is_zero():
+            break
+        acc = acc + cur * alg.field.inv_factorial(k)
+    return acc
+
+
+def _omega_fixed_point(alg, w, a):
+    x = a
+    for _ in range(alg.nilpotency_class + 1):
+        wx = w(x)
+        nxt = a - (wx - x)
+        if nxt == x:
+            break
+        x = nxt
+    else:
+        wx = w(x)  # the last W was taken at the previous x
+    if wx != a:
+        raise ConvergenceFailure("Omega iteration did not stabilize")
+    return x
 
 
 def exp_L(alg, a, b):
     """exp of left multiplication: sum_k (1/k!) L_a^k(b), exact."""
-    acc = b
-    cur = b
-    for k in range(1, alg.nilpotency_class):
-        cur = alg.multiply(a, cur)
-        if cur.is_zero():
-            break
-        acc = acc + cur * alg.field.inv_factorial(k)
-    return acc
+    return _exp_series(alg, alg.multiply, a, b)
 
 
 def w_map(alg, a):
     """W(a) = sum_{k>=1} (1/k!) L_a^{k-1}(a); bijective on a nilpotent algebra."""
-    acc = a
-    cur = a
-    for k in range(2, alg.nilpotency_class + 1):
-        cur = alg.multiply(a, cur)
-        if cur.is_zero():
-            break
-        acc = acc + cur * alg.field.inv_factorial(k)
-    return acc
+    return _w_series(alg, alg.multiply, a)
 
 
 def omega(alg, a):
@@ -51,15 +75,7 @@ def omega(alg, a):
     Fixed-point iteration x <- a - (W(x) - x); every step corrects one
     more degree, so at most the nilpotency class many iterations are
     needed.  The result is verified against W before returning."""
-    x = a
-    for _ in range(alg.nilpotency_class + 1):
-        nxt = a - (w_map(alg, x) - x)
-        if nxt == x:
-            break
-        x = nxt
-    if w_map(alg, x) != a:
-        raise ConvergenceFailure("Omega iteration did not stabilize")
-    return x
+    return _omega_fixed_point(alg, lambda x: w_map(alg, x), a)
 
 
 def circ(alg, a, b):
@@ -72,54 +88,77 @@ def star(alg, a, b):
     return circ(alg, a, b) - a - b
 
 
+class _Generic:
+    """Element of A ⊗ F[x_1..x_d]/(deg >= s): a map from monomials (sorted
+    tuples of variable indices) to nonzero coefficient vectors."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = {m: v for m, v in terms.items() if not v.is_zero()}
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for m, v in other.terms.items():
+            terms[m] = terms[m] + v if m in terms else v
+        return _Generic(terms)
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, scalar):
+        return _Generic({m: v * scalar for m, v in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+
+def _generic_product(alg, x, y):
+    """x.y in A ⊗ F[x]/(deg >= s), products taken coefficientwise."""
+    s = alg.nilpotency_class
+    terms = {}
+    for mx, vx in x.terms.items():
+        for my, vy in y.terms.items():
+            if len(mx) + len(my) < s:
+                m = tuple(sorted(mx + my))
+                v = alg.multiply(vx, vy)
+                terms[m] = terms[m] + v if m in terms else v
+    return _Generic(terms)
+
+
 def to_brace(alg, trials=20, seed=None):
     """Extract the graded brace of the group of flows.
 
-    For each direction x the curve t -> star(t*x, b) is a polynomial
-    with zero constant term; exact interpolation gives its graded
-    diagonal pieces, and polarization over subset sums recovers the full
-    symmetric multilinear maps.  The result is checked against ∘ on a
-    full basis-pair sweep plus ``trials`` seeded random pairs.
+    Omega is computed once at the generic element a = sum_i x_i e_i,
+    then a*e_j = exp_L(Omega(a), e_j) - e_j for each j; dividing the
+    coefficient of x^alpha by multinomial(alpha) gives the value of the
+    symmetric multilinear map L_|alpha| on (e^alpha; e_j).  The result is
+    checked against ∘ on a full basis-pair sweep plus ``trials`` seeded
+    random pairs.
     """
-    field, d, s = alg.field, alg.dim, alg.nilpotency_class
-    deg = s - 1
+    field, d = alg.field, alg.dim
 
-    diag_cache = {}
+    def mul(x, y):
+        return _generic_product(alg, x, y)
 
-    def diag(x, j):
-        # graded pieces c_1..c_{s-1} of t -> star(t*x, e_j)
-        key = (x.entries, j)
-        if key not in diag_cache:
-            ej = alg.basis_vector(j)
-            coeffs = polynomial_curve_coefficients(
-                lambda t: star(alg, x * t, ej), field, deg)
-            if not coeffs[0].is_zero():
-                raise InternalInconsistency("star curve has a nonzero constant term")
-            diag_cache[key] = coeffs[1:]
-        return diag_cache[key]
+    generic = _Generic({(i,): alg.basis_vector(i) for i in range(d)})
+    om = _omega_fixed_point(alg, lambda x: _w_series(alg, mul, x), generic)
+    entries = {}
+    for j in range(d):
+        ej = _Generic({(): alg.basis_vector(j)})
+        graded = _exp_series(alg, mul, om, ej) - ej
+        if () in graded.terms:
+            raise InternalInconsistency("generic star has a nonzero constant term")
+        for m, v in graded.terms.items():
+            k = len(m)
+            counts = [m.count(i) for i in set(m)]
+            entries.setdefault(k, {})[(m, j)] = v * field.inv_int(_multinomial(k, counts))
+    lambdas = {k: SymmetricMap(field, d, k, e) for k, e in entries.items()}
 
-    lambdas = {}
-    for k in range(1, s):
-        inv_kfact = field.inv_factorial(k)
-        entries = {}
-        for tup in itertools.combinations_with_replacement(range(d), k):
-            for j in range(d):
-                val = Vec.zero(field, d)
-                for m in range(1, k + 1):
-                    for positions in itertools.combinations(range(k), m):
-                        x = Vec.zero(field, d)
-                        for p in positions:
-                            x = x + Vec.basis(field, d, tup[p])
-                        piece = diag(x, j)[k - 1]
-                        val = val + piece if (k - m) % 2 == 0 else val - piece
-                val = val * inv_kfact
-                if not val.is_zero():
-                    entries[(tup, j)] = val
-        lam = SymmetricMap(field, d, k, entries)
-        if not lam.is_zero():
-            lambdas[k] = lam
-
-    B = GradedBrace(field, d, lambdas, class_bound=s,
+    B = GradedBrace(field, d, lambdas, class_bound=alg.nilpotency_class,
                     basis_names=alg.basis_names, trials=trials, seed=seed)
 
     rng = rng_from(seed)

@@ -11,16 +11,35 @@ from fractions import Fraction
 from .errors import CharacteristicTooSmall, FieldMismatch
 
 
+# Miller-Rabin with these bases is exact below this bound
+# (Sorenson and Webster 2015, psi_13 = 3317044064679887385961981).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin primality test for n < PRIME_BOUND."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"characteristic {n} exceeds the supported bound {PRIME_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for q in _MR_BASES:
+        x = pow(q, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

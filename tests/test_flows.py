@@ -1,13 +1,21 @@
+import hashlib
 import itertools
+import json
 import random
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from braceflow.corpus import corpus, f4, n2, zero_algebra
-from braceflow.flows import circ, exp_L, omega, star, to_brace, w_map
+from braceflow import fileio
+from braceflow.corpus import corpus, corpus_dir, f4, n2, zero_algebra
+from braceflow.errors import ConvergenceFailure
+from braceflow.flows import (_omega_fixed_point, circ, exp_L, omega, star,
+                             to_brace, w_map)
+from braceflow.limits import to_prelie
 from braceflow.linalg import Vec, span
+from braceflow.prelie import PreLieAlgebra
 from braceflow.sampling import random_vec
 from braceflow.scalars import GF, Q
 
@@ -63,6 +71,18 @@ def test_w_omega_mutually_inverse(field, name):
         a = random_vec(field, alg.dim, rng)
         assert omega(alg, w_map(alg, a)) == a
         assert w_map(alg, omega(alg, a)) == a
+
+
+def test_omega_check_uses_w_at_the_last_iterate():
+    # with one iteration allowed, the iterate on n2 is already Omega(a) but
+    # the loop cannot see it stabilize; the final check must evaluate W there
+    one_step = SimpleNamespace(nilpotency_class=0)
+    alg = n2()
+    a = Vec(Q, (3, 5))
+    assert _omega_fixed_point(one_step, lambda x: w_map(alg, x), a) == omega(alg, a)
+    alg = f4()
+    with pytest.raises(ConvergenceFailure):
+        _omega_fixed_point(one_step, lambda x: w_map(alg, x), alg.basis_vector(0))
 
 
 def test_w_omega_zero_algebra():
@@ -183,3 +203,75 @@ def test_to_brace_prime_field(field):
         a, b = random_vec(field, 4, rng), random_vec(field, 4, rng)
         assert B.star(a, b) == star(alg, a, b)
         assert B.circ(a, b) == circ(alg, a, b)
+
+
+# SHA-256 of fileio.dumps(to_brace(alg)) keyed by (algebra, characteristic),
+# recorded from an independent extraction: exact interpolation of
+# t -> star(t x, e_j) at sampled nodes, then polarization over subset sums.
+EXTRACTED_SHA256 = {
+    ("zero1", 0): "a6ecd1972339349a5c6bd0194909a12def19620e8135e9b17181b2f2c8e14859",
+    ("zero1", 7): "2591fc7526d70694d6582f0ccd16c1b8956957040bb2c6b4f83333e07d86a128",
+    ("zero1", 11): "965ceba358fd74359f29c40f3b702de1990e4d71ae6f5eb6bcd662fd5174c23d",
+    ("zero2", 0): "63cf5aad09b5781fc562dc818d8c2ae24b753255c7eaf8acf027d346b3b6bff5",
+    ("zero2", 7): "588be230609106e0d844b4e8ec77b16c4429a58302e3540a541d12fd6b145c76",
+    ("zero2", 11): "505fc0e354a55f457da1bdd61effea55ff36bf94095223065262fb29c61f545d",
+    ("zero3", 0): "9b4a29c70ed0e73ab15245950677dba58de7476ad6f342b5b84f9ac2090444c3",
+    ("zero3", 7): "a1a4aba22b08189a96940ca2e4c21b7a15dc7794aa525de38f0aa6e2f7f1f203",
+    ("zero3", 11): "f60edce4f140a48982d31f5afff7ff6426ef60b63374ac5233443e5aa161b96c",
+    ("n2", 0): "5aaa3ac618f3d964b3f9810e2ab498a8dfe35ba5e1699907eab7714944ff28e2",
+    ("n2", 7): "f4746db2389b6a54acac498c2c81b869a2f43f0c0f530fd418c741f28b166921",
+    ("n2", 11): "22cefe355314b358d9bd4a13fad196a53f7cab7086311da17e1faf2ed60259e3",
+    ("h3", 0): "4bbd53e943097532414d219bdb0949fdde6cfca3e425c5e00b9df900de78804c",
+    ("h3", 7): "229d1f34cd7fd9cf57fd7b84937b3642a364a51d025409fcfb37263b046cc79e",
+    ("h3", 11): "f43e569bb4604aa1355e195f0628feb5eacfadfa601fc31fcc5b09b73bae805e",
+    ("f4", 0): "44df5a315dd7004c50b05bf2a8e26a169f514e1d021fc3e134f35e9a3374dc34",
+    ("f4", 7): "f59e7603d2a8ff45126d717077db63fc10b438c3f6699d65b8c7326c874f9eda",
+    ("f4", 11): "fcfb07019005c820479de1fd8afc3c5876879aeb1fdac6eceec75a21fbc1398e",
+    ("v5", 0): "f6edd64240064ad45a5726286e73e70b5f019a5f3a93dbb3330cb88ccd619b32",
+    ("v5", 7): "a7345504183a4328164e6a85b0f5f3378b808658e67fea6cec3a3179d82ad649",
+    ("v5", 11): "00048e70a5d42860166651299ce15ec19c2487237f7f6e897b67b26fb9780f16",
+    ("v_3", 5): "9839e7dfddfc040febdfa2fd52dcd8e197a7b41b41dc3be46794a45453a6761d",
+    ("v_5", 0): "8fb0d8e84c62375080fc3d9d0f19322527031474d406af2fae56bb8f98337e0f",
+    ("v_5", 7): "9a9e1442c1405a7559bb8f794a74d86bdf0b141041c367fac333767e1fbcac2b",
+}
+
+CORPUS_FILES = sorted(p.name[:-len(".json")] for p in corpus_dir().iterdir()
+                      if p.name.endswith(".json"))
+
+
+def _extracted_sha256(alg):
+    return hashlib.sha256(fileio.dumps(to_brace(alg)).encode()).hexdigest()
+
+
+def _v(n, field):
+    """v_n: e_i * e_j = j e_{i+j} for i + j <= n (basis e_1..e_n); class n + 1."""
+    return PreLieAlgebra(field, n, {
+        (i - 1, j - 1): {i + j - 1: j}
+        for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n})
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_to_brace_bytes_pinned_on_corpus_files(name):
+    doc = json.loads((corpus_dir() / f"{name}.json").read_text())
+    own = fileio.loads(json.dumps(doc))
+    chars = {own.field.characteristic}
+    chars |= {p for p in (7, 11) if p > own.nilpotency_class}
+    for p in sorted(chars):
+        doc["field"] = {"p": p} if p else "Q"
+        alg = fileio.loads(json.dumps(doc))
+        assert _extracted_sha256(alg) == EXTRACTED_SHA256[(name.split("_")[0], p)]
+
+
+def test_to_brace_bytes_pinned_at_characteristic_class_plus_one():
+    alg = _v(3, GF(5))
+    assert alg.nilpotency_class == 4
+    assert _extracted_sha256(alg) == EXTRACTED_SHA256[("v_3", 5)]
+
+
+@pytest.mark.parametrize("field", [Q, GF(7)])
+def test_v5_dim5_round_trip(field):
+    alg = _v(5, field)
+    B = to_brace(alg)
+    assert hashlib.sha256(fileio.dumps(B).encode()).hexdigest() == \
+        EXTRACTED_SHA256[("v_5", field.characteristic)]
+    assert to_prelie(B).structure_equal(alg)

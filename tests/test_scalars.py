@@ -1,11 +1,14 @@
 import random
+import time
 
 from fractions import Fraction
 
 import pytest
 
+from braceflow.cli import main
+from braceflow.corpus import corpus_path
 from braceflow.errors import CharacteristicTooSmall, FieldMismatch
-from braceflow.scalars import GF, Fp, Q, ScalarField
+from braceflow.scalars import GF, PRIME_BOUND, Fp, Q, ScalarField, _is_prime
 
 
 def test_field_construction():
@@ -82,3 +85,40 @@ def test_prime_field_string_round_trip():
     F = GF(11)
     for r in range(11):
         assert F.from_str(F.to_str(F.of(r))) == F.of(r)
+
+
+def test_is_prime_matches_trial_division():
+    def by_division(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(3000) if _is_prime(n)] == \
+        [n for n in range(3000) if by_division(n)]
+
+
+@pytest.mark.parametrize("n", [561, 1105, 3215031751, 2 ** 61 + 1])
+def test_composite_characteristics_rejected(n):
+    # 561 and 1105 are Carmichael numbers; 3215031751 is a strong
+    # pseudoprime to the bases 2, 3, 5 and 7
+    with pytest.raises(ValueError):
+        ScalarField(n)
+
+
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 1000000000000000003, 2 ** 79 - 67])
+def test_large_prime_characteristics_accepted(p):
+    assert ScalarField(p).characteristic == p
+
+
+def test_characteristic_beyond_primality_bound_rejected(capsys):
+    assert 2 ** 89 - 1 >= PRIME_BOUND  # a Mersenne prime
+    with pytest.raises(ValueError):
+        ScalarField(2 ** 89 - 1)
+    assert main(["validate", str(corpus_path("n2")), "--field", str(2 ** 89 - 1)]) == 1
+    assert "exceeds the supported bound" in capsys.readouterr().err
+
+
+def test_cli_large_prime_field_is_fast(capsys):
+    start = time.perf_counter()
+    code = main(["validate", str(corpus_path("n2")), "--field", "1000000000000000003"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "field: GF(1000000000000000003)" in capsys.readouterr().out
+    assert elapsed < 1.0
