@@ -126,8 +126,10 @@ class GradedBrace:
 
     ``lambdas`` maps each degree k >= 1 to the SymmetricMap L_k of arity
     k; identically zero maps are dropped.  Unless disabled, construction
-    verifies the brace laws, the group laws and strong nilpotency, and
-    sets ``class_bound`` to the strong nilpotency index.
+    runs ``validation_stages``: the brace laws, the group laws and strong
+    nilpotency.  ``class_bound`` is either declared (and then checked
+    against the strong nilpotency index) or proven (set to that index);
+    it is None on an unvalidated brace that declares none.
     """
 
     __slots__ = ("field", "dim", "lambdas", "class_bound", "basis_names")
@@ -151,22 +153,8 @@ class GradedBrace:
             f"e{i + 1}" for i in range(dim))
         self.class_bound = class_bound
         if validate:
-            viol = check_left_brace(self, trials=trials, seed=seed)
-            if viol is None:
-                viol = check_group(self, trials=trials, seed=seed)
-            if viol is not None:
-                raise ValidationFailure(str(viol), viol)
-            report = radical_chains(self)
-            if not report.strongly_nilpotent:
-                raise ValidationFailure("brace is not strongly nilpotent")
-            if class_bound is not None and report.strong_index > class_bound:
-                raise ValidationFailure(
-                    f"strong nilpotency index {report.strong_index} exceeds "
-                    f"declared class bound {class_bound}")
-            if class_bound is None:
-                self.class_bound = report.strong_index
-        elif class_bound is None:
-            self.class_bound = 1 + max(clean, default=1)
+            for _ in validation_stages(self, trials=trials, seed=seed):
+                pass
 
     @classmethod
     def trivial(cls, field, dim, basis_names=None):
@@ -299,6 +287,30 @@ def check_fbrace(B, trials=50, seed=None):
     return None
 
 
+def validation_stages(B, extra_laws=(), trials=20, seed=None):
+    """Run the checks that admit ``B`` to the correspondence, in order:
+    left-brace laws, group laws, the (name, check) pairs of
+    ``extra_laws``, radical chains, strong nilpotency, declared
+    ``class_bound`` (set to the strong index when none is declared).
+    Yields one line per passed law and chain; raises at the first failure."""
+    laws = (("left-brace laws", check_left_brace), ("group laws", check_group))
+    for name, check in laws + tuple(extra_laws):
+        viol = check(B, trials=trials, seed=seed)
+        if viol is not None:
+            raise ValidationFailure(str(viol), viol)
+        yield f"{name}: PASS"
+    report = radical_chains(B)
+    yield from report.lines()
+    if not report.strongly_nilpotent:
+        raise ValidationFailure("brace is not strongly nilpotent")
+    if B.class_bound is None:
+        B.class_bound = report.strong_index
+    elif report.strong_index > B.class_bound:
+        raise ValidationFailure(
+            f"strong nilpotency index {report.strong_index} exceeds "
+            f"declared class bound {B.class_bound}")
+
+
 def star_subspaces(B, left, right):
     """Span of all star(a, b) with a in ``left`` and b in ``right``.
 
@@ -341,6 +353,16 @@ class ChainReport:
 
     def dims(self, chain):
         return tuple(s.dim for s in chain)
+
+    def lines(self):
+        """One line per chain: its dimensions and its nilpotency verdict."""
+        rows = (("left", self.left, self.left_index, "nilpotent"),
+                ("right", self.right, self.right_index, "nilpotent"),
+                ("strong", self.strong, self.strong_index, "strongly nilpotent"))
+        for name, chain, index, label in rows:
+            dims = ",".join(str(d) for d in self.dims(chain))
+            verdict = f"{label} index {index}" if index else f"not {label}"
+            yield f"{name}: {dims} {verdict}"
 
 
 def radical_chains(B):

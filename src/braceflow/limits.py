@@ -1,44 +1,29 @@
 """From a strongly nilpotent brace back to its pre-Lie algebra.
 
 The product is the limit of 2^n (a/2^n) * b.  Over an exact field that
-limit is never reached at finite n, but t -> star(t*a, b) is a
-polynomial with zero constant term, so the limit is exactly its
-degree-one coefficient; ``dot`` extracts it by interpolation and checks
-it against the degree-one graded map.  ``limit_witness`` keeps the
-sequence view as a verifiable certificate: the deviation from the limit
-scales componentwise by 2^(1-k) per halving step.
+limit is never reached at finite n, but t -> star(t*a, b) is the
+polynomial sum_k t^k L_k(a, ..., a; b) with zero constant term, so the
+limit is exactly its degree-one coefficient: ``dot`` is the degree-one
+graded map L_1.  ``limit_witness`` keeps the sequence view as a
+verifiable certificate: the deviation from the limit scales
+componentwise by 2^(1-k) per halving step.
 """
 
 from .errors import InternalInconsistency, NotPreLie, Violation, ValidationFailure
 from .flows import to_brace
 from .free_expansion import (StarExpr, StarWord, X, Y, Z, evaluate,
                              expand_sum_star)
-from .linalg import Vec, polynomial_curve_coefficients
+from .linalg import Vec
 from .prelie import PreLieAlgebra
 from .sampling import random_scalar, random_vec, rng_from
 
 
-def _star_curve(B, a, b):
-    """Graded coefficients c_0..c_{s-1} of t -> star(t*a, b)."""
-    deg = max(B.class_bound - 1, 1)
-    return polynomial_curve_coefficients(
-        lambda t: B.star(a * t, b), B.field, deg)
-
-
 def dot(B, a, b):
-    """The limit product: degree-one coefficient of t -> star(t*a, b).
-
-    Computed twice (interpolation and the stored degree-one map) and
-    compared; the interpolated constant term must come out exactly zero.
-    """
-    coeffs = _star_curve(B, a, b)
-    if not coeffs[0].is_zero():
-        raise InternalInconsistency("star curve has a nonzero constant term")
-    direct = B.lambda_map(1).apply_diagonal(a, b)
-    if coeffs[1] != direct:
-        raise InternalInconsistency(
-            "interpolated limit disagrees with the degree-one map")
-    return coeffs[1]
+    """The limit product: the degree-one graded map L_1(a; b), which is
+    the degree-one coefficient of t -> star(t*a, b)."""
+    B._check_vec(a)
+    B._check_vec(b)
+    return B.lambda_map(1).apply_diagonal(a, b)
 
 
 def limit_witness(B, a, b, n_max):

@@ -69,17 +69,8 @@ class PreLieAlgebra:
             for i in range(dim) for j in range(dim) if not self.products[i][j].is_zero())
         self._class = None
         if validate:
-            viol = check_prelie_identity(self)
-            if viol is not None:
-                raise ValidationFailure(str(viol), viol)
-            s = nilpotency_index(self)
-            if s is None:
-                raise ValidationFailure("algebra is not nilpotent")
-            self._class = s
-            p = field.characteristic
-            if p and p <= s:
-                raise CharacteristicTooSmall(
-                    f"characteristic {p} must exceed the nilpotency class {s}")
+            for _ in validation_stages(self):
+                pass
 
     @classmethod
     def zero(cls, field, dim, basis_names=None):
@@ -122,6 +113,26 @@ class PreLieAlgebra:
 
     def __repr__(self):
         return f"PreLieAlgebra(dim {self.dim} over {self.field})"
+
+
+def validation_stages(alg):
+    """Run the checks that admit ``alg`` to the correspondence, in order:
+    pre-Lie identity, nilpotency (sets the class), characteristic above
+    the class.  Yields one line per passed stage; raises at the first
+    failure."""
+    viol = check_prelie_identity(alg)
+    if viol is not None:
+        raise ValidationFailure(str(viol), viol)
+    yield "pre-Lie identity: PASS"
+    s = nilpotency_index(alg)
+    if s is None:
+        raise ValidationFailure("algebra is not nilpotent")
+    alg._class = s
+    yield f"nilpotent: class {s}"
+    p = alg.field.characteristic
+    if p and p <= s:
+        raise CharacteristicTooSmall(
+            f"characteristic {p} must exceed the nilpotency class {s}")
 
 
 def check_prelie_identity(alg):

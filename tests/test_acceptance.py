@@ -99,7 +99,7 @@ def test_criterion_05_limit_certificate(braces_cache):
         vecs += [(random_vec(Q, B.dim, rng), random_vec(Q, B.dim, rng))
                  for _ in range(5)]
         for a, b in vecs:
-            limit = dot(B, a, b)  # internally checked against L_1
+            limit = dot(B, a, b)  # L_1(a; b); the sequence below certifies it
             seq = limit_witness(B, a, b, 6)
             pieces = {k: lam.apply_diagonal(a, b)
                       for k, lam in B.lambdas.items() if k >= 2}

@@ -1,0 +1,60 @@
+"""The benchmark tracer (bench/tracing.py) names library functions by
+their dotted path; a rename or deletion in the library would crash a
+traced benchmark run.  These tests load the tracer by path and check
+that every name it patches still resolves, and that the validation
+stages reach the traced checks."""
+
+import importlib
+import importlib.util
+
+from pathlib import Path
+
+import pytest
+
+from braceflow import fileio
+from braceflow.cli import main
+from braceflow.corpus import corpus_path
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    names = [n for ns in module.LAYERS.values() for n in ns]
+    names += list(module.COUNTED.values())
+    for dotted in names:
+        importlib.import_module("braceflow." + dotted.split(".")[0])
+    return module
+
+
+def test_every_traced_name_resolves(tracing):
+    names = [n for ns in tracing.LAYERS.values() for n in ns]
+    assert "cli.main" in names
+    for dotted in names + list(tracing.COUNTED.values()):
+        owner, attr, original = tracing._resolve(dotted)
+        assert callable(original), dotted
+
+
+def _traced_calls(tracing, *argv):
+    with tracing.SpanTracer() as tracer:
+        code = main(list(argv))
+    per_name, _ = tracer.summary()
+    return code, {name: calls for name, (calls, _) in per_name.items()}
+
+
+def test_validate_stages_reach_traced_checks(tracing, tmp_path, capsys, braces_q):
+    code, calls = _traced_calls(tracing, "validate", str(corpus_path("h3")))
+    assert code == 0
+    for name in ("prelie.check_prelie_identity", "prelie.nilpotency_index"):
+        assert calls[name] == 1, name
+    path = tmp_path / "n2_brace.json"
+    fileio.write_file(braces_q["n2"], path)
+    code, calls = _traced_calls(tracing, "validate", str(path))
+    assert code == 0
+    for name in ("brace.check_left_brace", "brace.check_group",
+                 "brace.check_fbrace", "brace.radical_chains"):
+        assert calls[name] == 1, name
+    capsys.readouterr()

@@ -21,9 +21,8 @@ def run(capsys, *argv):
 def test_validate_prelie_ok(capsys):
     code, out, _ = run(capsys, "validate", corpus_file("f4"))
     assert code == 0
-    assert "pre-Lie identity: PASS" in out
-    assert "nilpotent: class 4" in out
-    assert out.endswith("VALID\n")
+    assert out == ("kind: prelie\nfield: Q\ndim: 4\n"
+                   "pre-Lie identity: PASS\nnilpotent: class 4\nVALID\n")
 
 
 def test_validate_brace_ok(capsys, tmp_path, braces_q):
@@ -31,8 +30,12 @@ def test_validate_brace_ok(capsys, tmp_path, braces_q):
     fileio.write_file(braces_q["n2"], path)
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 0
-    assert "left-brace laws: PASS" in out
-    assert "strong: 2,1,0 strongly nilpotent index 3" in out
+    assert out == ("kind: brace\nfield: Q\ndim: 2\n"
+                   "left-brace laws: PASS\ngroup laws: PASS\nF-linearity: PASS\n"
+                   "left: 2,1,0 nilpotent index 3\n"
+                   "right: 2,1,0 nilpotent index 3\n"
+                   "strong: 2,1,0 strongly nilpotent index 3\n"
+                   "VALID\n")
 
 
 def test_validate_corrupted_exit_2(capsys, tmp_path):
@@ -42,7 +45,54 @@ def test_validate_corrupted_exit_2(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 2
-    assert "FAIL" in out and "(0, 1, 0)" in out
+    assert out == ("kind: prelie\nfield: Q\ndim: 4\n"
+                   "FAIL: pre-Lie identity violated at (0, 1, 0) "
+                   "residual (0, -1, 0, 0)\n")
+
+
+def _brace_file(tmp_path, B, **changes):
+    """B written to a file, with top-level keys replaced (None removes)."""
+    doc = json.loads(fileio.dumps(B))
+    for key, value in changes.items():
+        if value is None:
+            doc.pop(key)
+        else:
+            doc[key] = value
+    path = tmp_path / "brace.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_validate_rejects_low_class_bound_like_loading(capsys, tmp_path, braces_q):
+    # f4's brace has strong index 4; a declared bound of 2 is a lie that
+    # every command must reject the same way
+    path = _brace_file(tmp_path, braces_q["f4"], class_bound=2)
+    code, chains_out, _ = run(capsys, "chains", path)
+    assert code == 2
+    assert chains_out == ("FAIL: strong nilpotency index 4 exceeds "
+                          "declared class bound 2\n")
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 2
+    assert out.endswith("strong: 4,3,2,0 strongly nilpotent index 4\n" + chains_out)
+
+
+def test_validate_without_class_bound(capsys, tmp_path, braces_q):
+    path = _brace_file(tmp_path, braces_q["f4"], class_bound=None)
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 0
+    assert out.endswith("strong: 4,3,2,0 strongly nilpotent index 4\nVALID\n")
+
+
+def test_validate_small_characteristic_like_loading(capsys, tmp_path):
+    code, out, _ = run(capsys, "validate", corpus_file("f4"), "--field", "3")
+    assert code == 2
+    assert out.startswith("kind: prelie\nfield: GF(3)\ndim: 4\n"
+                          "pre-Lie identity: PASS\nnilpotent: class 4\n")
+    code, load_out, _ = run(capsys, "to-brace", corpus_file("f4"), "--field", "3",
+                            "--out", str(tmp_path / "unused.json"))
+    assert code == 2
+    assert load_out == "FAIL: characteristic 3 must exceed the nilpotency class 4\n"
+    assert out.splitlines()[-1] + "\n" == load_out
 
 
 def test_validate_malformed_exit_1(capsys, tmp_path):

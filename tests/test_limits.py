@@ -6,11 +6,11 @@ import pytest
 
 from braceflow.brace import GradedBrace, SymmetricMap
 from braceflow.corpus import corpus, f4, n2
-from braceflow.errors import NotPreLie
+from braceflow.errors import DimensionMismatch, FieldMismatch, NotPreLie
 from braceflow.limits import (check_associator_correction_identity,
                               check_bilinearity, dot, limit_witness,
                               roundtrip_brace, roundtrip_prelie, to_prelie)
-from braceflow.linalg import Vec
+from braceflow.linalg import Vec, polynomial_curve_coefficients
 from braceflow.sampling import random_vec
 from braceflow.scalars import GF, Q
 
@@ -32,6 +32,34 @@ def test_dot_recovers_f4_structure(braces_q):
         for j in range(4):
             assert dot(B, B.basis_vector(i), B.basis_vector(j)) == \
                 alg.products[i][j]
+
+
+@pytest.mark.parametrize("field", [Q, GF(7)], ids=str)
+def test_dot_is_degree_one_coefficient_of_star_curve(field, braces_cache):
+    # reference: interpolate t -> star(t*a, b) through its top degree
+    rng = random.Random(23)
+    for name in corpus(field):
+        B = braces_cache(name, field)
+        pairs = [(B.basis_vector(i), B.basis_vector(j))
+                 for i in range(B.dim) for j in range(B.dim)]
+        pairs += [(random_vec(field, B.dim, rng), random_vec(field, B.dim, rng))
+                  for _ in range(5)]
+        for a, b in pairs:
+            coeffs = polynomial_curve_coefficients(
+                lambda t: B.star(a * t, b), field, max(B.lambdas, default=1))
+            assert coeffs[0].is_zero(), name
+            assert dot(B, a, b) == coeffs[1], name
+
+
+def test_dot_rejects_foreign_vectors(braces_q):
+    B = braces_q["f4"]
+    e1 = B.basis_vector(0)
+    with pytest.raises(DimensionMismatch):
+        dot(B, Vec(Q, (1, 0, 0, 0, 5)), e1)
+    with pytest.raises(DimensionMismatch):
+        dot(B, e1, Vec(Q, (1, 0, 0, 0, 5)))
+    with pytest.raises(FieldMismatch):
+        dot(B, e1, Vec(GF(7), (1, 0, 0, 0)))
 
 
 def test_limit_witness_constant_cases(braces_q):
