@@ -25,7 +25,7 @@ from .limits import (check_associator_correction_identity, check_bilinearity,
                      dot, limit_witness, roundtrip_brace, roundtrip_prelie,
                      to_prelie)
 from .linalg import (Mat, Subspace, Vec, interpolate_coefficients,
-                     interpolation_nodes, solve_linear, span)
+                     interpolation_nodes, span)
 from .prelie import PreLieAlgebra, check_prelie_identity, nilpotency_index
 from .scalars import GF, Fp, Q, ScalarField
 

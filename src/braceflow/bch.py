@@ -102,9 +102,6 @@ class TruncatedSeries:
     def degree_part(self, k):
         return {w: c for w, c in self.terms.items() if len(w) == k}
 
-    def max_degree(self):
-        return max((len(w) for w in self.terms), default=0)
-
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries) and other.field == self.field
                 and other.bound == self.bound and other.terms == self.terms)

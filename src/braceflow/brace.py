@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (ConvergenceFailure, DimensionMismatch, FieldMismatch,
-                     ValidationFailure, Violation)
+                     PreconditionViolated, ValidationFailure, Violation)
 from .linalg import Subspace, Vec, span
 from .sampling import random_vec, rng_from
 
@@ -129,10 +129,11 @@ class GradedBrace:
     runs ``validation_stages``: the brace laws, the group laws and strong
     nilpotency.  ``class_bound`` is either declared (and then checked
     against the strong nilpotency index) or proven (set to that index);
-    it is None on an unvalidated brace that declares none.
+    it is None on an unvalidated brace that declares none.  ``chains`` is
+    the ChainReport that validation proved, None on an unvalidated brace.
     """
 
-    __slots__ = ("field", "dim", "lambdas", "class_bound", "basis_names")
+    __slots__ = ("field", "dim", "lambdas", "class_bound", "basis_names", "chains")
 
     def __init__(self, field, dim, lambdas, class_bound=None, basis_names=None,
                  validate=True, trials=20, seed=None):
@@ -152,6 +153,7 @@ class GradedBrace:
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             f"e{i + 1}" for i in range(dim))
         self.class_bound = class_bound
+        self.chains = None
         if validate:
             for _ in validation_stages(self, trials=trials, seed=seed):
                 pass
@@ -233,13 +235,13 @@ def check_left_brace(B, trials=50, seed=None):
     first law is where a corrupted star tensor shows up.
     """
     for site, a, b, c in _triple_stream(B, trials, seed):
-        ab = B.star(a, b)
+        ab, ac, bc = B.star(a, b), B.star(a, c), B.star(b, c)
         lhs = B.star(a + b + ab, c)
-        rhs = B.star(a, c) + B.star(b, c) + B.star(a, B.star(b, c))
+        rhs = ac + bc + B.star(a, bc)
         if lhs != rhs:
             return Violation("left-brace law (a+b+a*b)*c", site, lhs - rhs)
         lhs = B.star(a, b + c)
-        rhs = B.star(a, b) + B.star(a, c)
+        rhs = ab + ac
         if lhs != rhs:
             return Violation("left-brace law a*(b+c)", site, lhs - rhs)
     return None
@@ -292,7 +294,8 @@ def validation_stages(B, extra_laws=(), trials=20, seed=None):
     left-brace laws, group laws, the (name, check) pairs of
     ``extra_laws``, radical chains, strong nilpotency, declared
     ``class_bound`` (set to the strong index when none is declared).
-    Yields one line per passed law and chain; raises at the first failure."""
+    Yields one line per passed law and chain; raises at the first failure.
+    Once every stage has passed, ``B.chains`` holds the chain report."""
     laws = (("left-brace laws", check_left_brace), ("group laws", check_group))
     for name, check in laws + tuple(extra_laws):
         viol = check(B, trials=trials, seed=seed)
@@ -309,6 +312,19 @@ def validation_stages(B, extra_laws=(), trials=20, seed=None):
         raise ValidationFailure(
             f"strong nilpotency index {report.strong_index} exceeds "
             f"declared class bound {B.class_bound}")
+    B.chains = report
+
+
+def class_bound_of(B):
+    """B's declared or proven class bound; on an unvalidated brace that
+    declares none, its strong nilpotency index, proven here.  Raises
+    PreconditionViolated if B is not strongly nilpotent."""
+    if B.class_bound is not None:
+        return B.class_bound
+    index = radical_chains(B).strong_index
+    if index is None:
+        raise PreconditionViolated("brace is not strongly nilpotent")
+    return index
 
 
 def star_subspaces(B, left, right):

@@ -7,12 +7,11 @@ are written with sorted keys.
 """
 
 import argparse
-import json
 import sys
 
 from . import bch as bch_mod
 from . import brace, fileio, flows, limits, prelie
-from .brace import GradedBrace, check_fbrace, radical_chains
+from .brace import check_fbrace
 from .errors import AlgebraError, AlgebraFileError
 from .free_expansion import doubling_matrix
 from .prelie import PreLieAlgebra
@@ -34,22 +33,28 @@ def _field_spec(text):
         raise argparse.ArgumentTypeError(f"expected Q or a prime, got {text!r}")
 
 
-def _load(path, field_override, validate=True):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise AlgebraFileError(f"cannot read {path}: {exc}") from None
-    if field_override is not None:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise AlgebraFileError(f"not valid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise AlgebraFileError("top level must be an object")
-        doc["field"] = field_override
-        text = json.dumps(doc)
-    return fileio.loads(text, validate=validate)
+def _read(args, extra_laws=()):
+    """Read ``args.path`` unvalidated, over ``--field`` when given.
+
+    Returns its kind ("prelie" or "brace"), the object, and the lazy
+    generator of that kind's validation stages: braces are checked with
+    the command's ``--trials`` and ``--seed``, plus ``extra_laws``."""
+    obj = fileio.read_file(args.path, validate=False, field=args.field)
+    if isinstance(obj, PreLieAlgebra):
+        return "prelie", obj, prelie.validation_stages(obj)
+    return "brace", obj, brace.validation_stages(
+        obj, extra_laws, trials=args.trials, seed=args.seed)
+
+
+def _load(args, kind=None):
+    """The validated object of ``args.path``; with ``kind``, a file of the
+    other kind is a usage error, reported after a validation failure."""
+    found, obj, stages = _read(args)
+    for _ in stages:
+        pass
+    if kind is not None and found != kind:
+        raise AlgebraFileError(f"{args.command} expects a {kind} file")
+    return obj
 
 
 def _fail(violation):
@@ -58,12 +63,7 @@ def _fail(violation):
 
 
 def cmd_validate(args):
-    obj = _load(args.path, args.field, validate=False)
-    if isinstance(obj, PreLieAlgebra):
-        kind, stages = "prelie", prelie.validation_stages(obj)
-    else:
-        kind, stages = "brace", brace.validation_stages(
-            obj, (("F-linearity", check_fbrace),), trials=args.trials, seed=args.seed)
+    kind, obj, stages = _read(args, (("F-linearity", check_fbrace),))
     print(f"kind: {kind}")
     print(f"field: {obj.field}")
     print(f"dim: {obj.dim}")
@@ -74,9 +74,7 @@ def cmd_validate(args):
 
 
 def cmd_to_brace(args):
-    alg = _load(args.path, args.field)
-    if not isinstance(alg, PreLieAlgebra):
-        raise AlgebraFileError("to-brace expects a prelie file")
+    alg = _load(args, "prelie")
     B = flows.to_brace(alg, trials=args.trials, seed=args.seed)
     fileio.write_file(B, args.out)
     print(f"wrote {args.out} (brace, dim {B.dim}, class {B.class_bound})")
@@ -84,9 +82,7 @@ def cmd_to_brace(args):
 
 
 def cmd_to_prelie(args):
-    B = _load(args.path, args.field)
-    if not isinstance(B, GradedBrace):
-        raise AlgebraFileError("to-prelie expects a brace file")
+    B = _load(args, "brace")
     alg = limits.to_prelie(B)
     fileio.write_file(alg, args.out)
     print(f"wrote {args.out} (prelie, dim {alg.dim}, class {alg.nilpotency_class})")
@@ -94,7 +90,7 @@ def cmd_to_prelie(args):
 
 
 def cmd_roundtrip(args):
-    obj = _load(args.path, args.field)
+    obj = _load(args)
     if isinstance(obj, PreLieAlgebra):
         viol = limits.roundtrip_prelie(obj, trials=args.trials, seed=args.seed)
         label = "pre-Lie round trip"
@@ -108,18 +104,16 @@ def cmd_roundtrip(args):
 
 
 def cmd_chains(args):
-    obj = _load(args.path, args.field)
+    obj = _load(args)
     if isinstance(obj, PreLieAlgebra):
-        obj = flows.to_brace(obj, seed=args.seed)
-    for line in radical_chains(obj).lines():
+        obj = flows.to_brace(obj, trials=args.trials, seed=args.seed)
+    for line in obj.chains.lines():
         print(line)
     return 0
 
 
 def cmd_bch(args):
-    alg = _load(args.path, args.field)
-    if not isinstance(alg, PreLieAlgebra):
-        raise AlgebraFileError("bch expects a prelie file")
+    alg = _load(args, "prelie")
     viol = bch_mod.verify_flows_bch(alg, trials=args.trials, seed=args.seed)
     if viol is not None:
         return _fail(viol)
@@ -130,14 +124,13 @@ def cmd_bch(args):
 
 def cmd_doubling_matrix(args):
     m, words = doubling_matrix(args.degree)
-    field = Q
     print(f"degree bound: {args.degree}")
     print("words: " + " ".join(str(w) for w in words))
     for i, row in enumerate(m.rows):
-        print(f"row {i}: " + " ".join(field.to_str(e) for e in row))
+        print(f"row {i}: " + " ".join(Q.to_str(e) for e in row))
     print(f"upper triangular: {'yes' if m.is_upper_triangular() else 'NO'}")
     diag = m.diagonal()
-    print("diagonal: " + " ".join(field.to_str(e) for e in diag))
+    print("diagonal: " + " ".join(Q.to_str(e) for e in diag))
     print(f"diagonal entries equal to 2: {sum(1 for e in diag if e == 2)}")
     expected = all(e == 2 ** w.count('x') for e, w in zip(diag, words))
     print(f"diagonal matches 2^(x count): {'yes' if expected else 'NO'}")
@@ -151,22 +144,17 @@ def build_parser():
                      description="exact pre-Lie algebra / brace correspondence")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, *, path=True, out=False, degree=False):
+    def add(name, func, *, out=False):
         p = sub.add_parser(name)
-        if path:
-            p.add_argument("path", help="algebra or brace file")
+        p.add_argument("path", help="algebra or brace file")
         if out:
             p.add_argument("--out", required=True, help="output file")
-        if degree:
-            p.add_argument("--degree", type=int, required=True,
-                           help="degree bound (>= 2)")
         p.add_argument("--field", type=_field_spec, default=None,
                        help="reinterpret scalars over Q or GF(p)")
         p.add_argument("--trials", type=int, default=20,
                        help="seeded random trials for checks")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.set_defaults(func=func)
-        return p
 
     add("validate", cmd_validate)
     add("to-brace", cmd_to_brace, out=True)
@@ -174,7 +162,9 @@ def build_parser():
     add("roundtrip", cmd_roundtrip)
     add("chains", cmd_chains)
     add("bch", cmd_bch)
-    add("doubling-matrix", cmd_doubling_matrix, path=False, degree=True)
+    p = sub.add_parser("doubling-matrix")
+    p.add_argument("--degree", type=int, required=True, help="degree bound (>= 2)")
+    p.set_defaults(func=cmd_doubling_matrix)
     return parser
 
 

@@ -130,14 +130,21 @@ def _parse_scalar(field, s):
         raise AlgebraFileError(f"bad scalar {s!r}") from None
 
 
-def loads(text, validate=True):
+def loads(text, validate=True, field=None):
     """Parse a pre-Lie or brace file; structural errors raise
     AlgebraFileError, mathematical validation (unless disabled) raises
-    ValidationFailure as usual."""
+    ValidationFailure as usual.
+
+    ``field``, a field spec in the file format (``"Q"`` or ``{"p": 7}``),
+    replaces the file's own field before parsing, so the file's scalars
+    are read over that field instead."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AlgebraFileError(f"not valid JSON: {exc}") from None
+    if field is not None:
+        _require(isinstance(doc, dict), "top level must be an object")
+        doc["field"] = field
     _require(isinstance(doc, dict) and "kind" in doc, "missing field 'kind'")
     kind = doc["kind"]
     if kind == "prelie":
@@ -185,10 +192,12 @@ def loads(text, validate=True):
     raise AlgebraFileError(f"unknown kind {kind!r}")
 
 
-def read_file(path, validate=True):
+def read_file(path, validate=True, field=None):
+    """``loads`` on the contents of ``path``; an unreadable file raises
+    AlgebraFileError."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
     except OSError as exc:
         raise AlgebraFileError(f"cannot read {path}: {exc}") from None
-    return loads(text, validate=validate)
+    return loads(text, validate=validate, field=field)

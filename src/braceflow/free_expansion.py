@@ -24,6 +24,7 @@ import itertools
 
 from fractions import Fraction
 
+from .brace import class_bound_of
 from .errors import PreconditionViolated, UnboundSymbol, Violation
 from .linalg import Mat, Vec
 from .scalars import Q
@@ -425,8 +426,10 @@ def evaluate(expr, bindings, B):
 
 def scaling_matrix_check(B, a, b, n_max):
     """Verify 2^n V_{a/2^n, b} = (2 M^{-1})^n V_{a,b} exactly for
-    n = 1..n_max in the concrete brace B."""
-    bound = max(B.class_bound, 2)
+    n = 1..n_max in the concrete brace B.  Without a class bound, B's
+    strong nilpotency index is proven first (PreconditionViolated if
+    none)."""
+    bound = max(class_bound_of(B), 2)
     m, basis = doubling_matrix(bound)
     field = B.field
     n_words = len(basis)

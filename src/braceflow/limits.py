@@ -9,6 +9,7 @@ verifiable certificate: the deviation from the limit scales
 componentwise by 2^(1-k) per halving step.
 """
 
+from .brace import class_bound_of
 from .errors import InternalInconsistency, NotPreLie, Violation, ValidationFailure
 from .flows import to_brace
 from .free_expansion import (StarExpr, StarWord, X, Y, Z, evaluate,
@@ -66,20 +67,15 @@ def check_bilinearity(B, trials=50, seed=None):
 
 
 def to_prelie(B):
-    """Pre-Lie algebra with structure constants dot(e_i, e_j).
+    """Pre-Lie algebra with structure constants dot(e_i, e_j), read off
+    the table of L_1: its value on (e_i; e_j) is e_i * e_j.
 
     Validation of the result (identity plus nilpotency) is part of the
     contract: a failure means the input was not a genuine strongly
     nilpotent brace and surfaces as NotPreLie."""
-    d = B.dim
-    structure = {}
-    for i in range(d):
-        for j in range(d):
-            v = dot(B, B.basis_vector(i), B.basis_vector(j))
-            if not v.is_zero():
-                structure[(i, j)] = v
+    structure = {(tup[0], j): v for (tup, j), v in B.lambda_map(1).table.items()}
     try:
-        return PreLieAlgebra(B.field, d, structure, basis_names=B.basis_names)
+        return PreLieAlgebra(B.field, B.dim, structure, basis_names=B.basis_names)
     except ValidationFailure as exc:
         raise NotPreLie(str(exc)) from exc
 
@@ -116,8 +112,9 @@ def check_associator_correction_identity(B, trials=20, seed=None):
         x*(y*z) - (x*y)*z - y*(x*z) + (y*x)*z = d(y,x,z) - d(x,y,z)
 
     where d collects everything the expansion of (x+y)*z adds beyond
-    x*z + y*z + x*(y*z) - (x*y)*z."""
-    bound = max(B.class_bound, 3)
+    x*z + y*z + x*(y*z) - (x*y)*z.  Without a class bound, B's strong
+    nilpotency index is proven first (PreconditionViolated if none)."""
+    bound = max(class_bound_of(B), 3)
     full = expand_sum_star(X, Y, Z, bound)
     display = (StarExpr.word(StarWord.product(X, Z))
                + StarExpr.word(StarWord.product(Y, Z))

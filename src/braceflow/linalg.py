@@ -152,9 +152,6 @@ class Mat:
             raise ZeroDivisionError("singular matrix")
         return Mat(self.field, tuple(tuple(row[n:]) for row in rows))
 
-    def transpose(self):
-        return Mat(self.field, tuple(zip(*self.rows)) if self.rows else ())
-
     def is_upper_triangular(self):
         return all(not self.rows[i][j] for i in range(self.nrows) for j in range(min(i, self.ncols)))
 
@@ -195,27 +192,6 @@ def _rref(field, rows):
         if r == nrows:
             break
     return rows, pivots
-
-
-def solve_linear(m, rhs):
-    """Solve m*x = rhs exactly.
-
-    Returns the solution with all free variables set to zero, or None if
-    the system is inconsistent.
-    """
-    if rhs.field != m.field:
-        raise FieldMismatch(f"{m.field} vs {rhs.field}")
-    if m.nrows != rhs.dim:
-        raise DimensionMismatch(f"{m.nrows} rows vs rhs of dim {rhs.dim}")
-    aug = [list(row) + [b] for row, b in zip(m.rows, rhs.entries)]
-    rows, pivots = _rref(m.field, aug)
-    n = m.ncols
-    if any(c == n for c in pivots):
-        return None
-    x = [m.field.zero] * n
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][n]
-    return Vec(m.field, x)
 
 
 class Subspace:

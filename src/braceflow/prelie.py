@@ -16,9 +16,8 @@ from .linalg import Subspace, Vec, span
 class PreLieAlgebra:
     """Algebra on basis e_0..e_{d-1} with products e_i*e_j stored as vectors.
 
-    ``structure`` may be a dense d x d x d nested sequence of scalars
-    (c[i][j][k] is the e_k coordinate of e_i*e_j) or a sparse mapping
-    {(i, j): {k: value}} with omitted products zero.
+    ``structure`` is a sparse mapping {(i, j): {k: value}} or
+    {(i, j): Vec} giving e_i*e_j; omitted products are zero.
     """
 
     __slots__ = ("field", "dim", "products", "basis_names", "_pairs", "_class")
@@ -28,37 +27,21 @@ class PreLieAlgebra:
         self.dim = dim
         zero = Vec.zero(field, dim)
         table = [[zero] * dim for _ in range(dim)]
-        if isinstance(structure, dict):
-            for (i, j), out in structure.items():
-                if not (0 <= i < dim and 0 <= j < dim):
-                    raise DimensionMismatch(f"product index ({i},{j}) out of range")
-                if isinstance(out, Vec):
-                    v = out
-                elif isinstance(out, dict):
-                    ent = [field.zero] * dim
-                    for k, val in out.items():
-                        if not 0 <= k < dim:
-                            raise DimensionMismatch(f"output index {k} out of range")
-                        ent[k] = field.of(val)
-                    v = Vec(field, ent)
-                else:
-                    v = Vec(field, out)
-                if v.dim != dim:
-                    raise DimensionMismatch("product vector has wrong dimension")
-                table[i][j] = v
-        else:
-            rows = list(structure)
-            if len(rows) != dim:
-                raise DimensionMismatch("structure tensor must be d x d x d")
-            for i, row in enumerate(rows):
-                row = list(row)
-                if len(row) != dim:
-                    raise DimensionMismatch("structure tensor must be d x d x d")
-                for j, out in enumerate(row):
-                    v = out if isinstance(out, Vec) else Vec(field, out)
-                    if v.dim != dim:
-                        raise DimensionMismatch("structure tensor must be d x d x d")
-                    table[i][j] = v
+        for (i, j), out in structure.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise DimensionMismatch(f"product index ({i},{j}) out of range")
+            if isinstance(out, Vec):
+                v = out
+            else:
+                ent = [field.zero] * dim
+                for k, val in out.items():
+                    if not 0 <= k < dim:
+                        raise DimensionMismatch(f"output index {k} out of range")
+                    ent[k] = field.of(val)
+                v = Vec(field, ent)
+            if v.dim != dim:
+                raise DimensionMismatch("product vector has wrong dimension")
+            table[i][j] = v
         self.products = tuple(tuple(row) for row in table)
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             f"e{i + 1}" for i in range(dim))

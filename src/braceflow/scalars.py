@@ -149,10 +149,6 @@ class ScalarField:
             raise ValueError(f"characteristic must be 0 or a prime, got {characteristic}")
         self.characteristic = characteristic
 
-    @property
-    def is_prime_field(self):
-        return self.characteristic != 0
-
     def of(self, value):
         """Coerce an int, Fraction, decimal-free string, or element into
         a canonical scalar of this field.  Floats are rejected."""

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from braceflow import fileio, flows
+from braceflow import brace, fileio
 from braceflow.cli import main
 from braceflow.corpus import corpus, corpus_path
 from braceflow.scalars import Q
@@ -101,6 +102,15 @@ def test_validate_malformed_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(path))
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("flags, err", [
+    ((), "error: missing field 'kind'\n"),
+    (("--field", "7"), "error: top level must be an object\n")])
+def test_top_level_list_exit_1(capsys, tmp_path, flags, err):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]\n")
+    assert run(capsys, "validate", str(path), *flags) == (1, "", err)
 
 
 def test_usage_error_exit_1(capsys):
@@ -203,3 +213,58 @@ def test_repeated_runs_byte_identical(capsys, tmp_path, braces_q):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+@pytest.mark.parametrize("command", ["to-prelie", "chains", "roundtrip"])
+def test_brace_load_checks_take_trials(capsys, tmp_path, monkeypatch, braces_q, command):
+    path = _brace_file(tmp_path, braces_q["h3"])
+    random_vec, drawn = brace.random_vec, []
+
+    def counting_random_vec(*args):
+        drawn.append(args)
+        return random_vec(*args)
+
+    monkeypatch.setattr(brace, "random_vec", counting_random_vec)
+    out = ["--out", str(tmp_path / "out.json")] if command == "to-prelie" else []
+    code, _, _ = run(capsys, command, path, "--trials", "0", *out)
+    assert code == 0
+    assert drawn == []
+    code, _, _ = run(capsys, command, path, "--trials", "1", *out)
+    assert code == 0
+    assert drawn
+
+
+def _calls(func, thunk):
+    """Number of calls of ``func`` while ``thunk`` runs, under any name."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is func.__code__:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["prelie", "brace"])
+def test_chains_computes_chains_once(capsys, tmp_path, braces_q, kind):
+    path = corpus_file("f4") if kind == "prelie" else _brace_file(tmp_path, braces_q["f4"])
+    result = []
+    assert _calls(brace.radical_chains,
+                  lambda: result.append(run(capsys, "chains", path))) == 1
+    assert result[0][:2] == (0, "left: 4,3,1,0 nilpotent index 4\n"
+                                "right: 4,3,1,0 nilpotent index 4\n"
+                                "strong: 4,3,2,0 strongly nilpotent index 4\n")
+
+
+@pytest.mark.parametrize("flag", [("--field", "7"), ("--trials", "3"), ("--seed", "5")])
+def test_doubling_matrix_takes_only_degree(capsys, flag):
+    code, out, err = run(capsys, "doubling-matrix", "--degree", "3", *flag)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from braceflow.brace import GradedBrace
 from braceflow.errors import PreconditionViolated, UnboundSymbol
 from braceflow.free_expansion import (StarExpr, StarWord, X, Y, Z,
                                       doubling_matrix, double_substitution,
@@ -180,6 +181,19 @@ def test_scaling_matrix_check(name, braces_q):
     rng = random.Random(41)
     a, b = random_vec(Q, B.dim, rng), random_vec(Q, B.dim, rng)
     assert scaling_matrix_check(B, a, b, 4) is None
+
+
+def test_scaling_matrix_check_proves_missing_class_bound(braces_q):
+    rng = random.Random(41)
+    a, b = random_vec(Q, 4, rng), random_vec(Q, 4, rng)
+    for B in (GradedBrace(Q, 4, {}, validate=False),
+              GradedBrace(Q, 4, braces_q["f4"].lambdas, validate=False)):
+        assert B.class_bound is None
+        assert scaling_matrix_check(B, a, b, 3) is None
+    # star(a, b) = a_0 b_0 e_0 never vanishes on A * A: not strongly nilpotent
+    loop = GradedBrace(Q, 1, {1: {((0,), 0): (1,)}}, validate=False)
+    with pytest.raises(PreconditionViolated):
+        scaling_matrix_check(loop, Vec(Q, (1,)), Vec(Q, (1,)), 1)
 
 
 @pytest.mark.parametrize("name", ["f4", "v5"])

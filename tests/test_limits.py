@@ -6,7 +6,8 @@ import pytest
 
 from braceflow.brace import GradedBrace, SymmetricMap
 from braceflow.corpus import corpus, f4, n2
-from braceflow.errors import DimensionMismatch, FieldMismatch, NotPreLie
+from braceflow.errors import (DimensionMismatch, FieldMismatch, NotPreLie,
+                              PreconditionViolated)
 from braceflow.limits import (check_associator_correction_identity,
                               check_bilinearity, dot, limit_witness,
                               roundtrip_brace, roundtrip_prelie, to_prelie)
@@ -148,3 +149,14 @@ def test_roundtrip_prime_field():
 @pytest.mark.parametrize("name", ["zero2", "n2", "f4", "v5"])
 def test_associator_correction_identity(name, braces_q):
     assert check_associator_correction_identity(braces_q[name], trials=15) is None
+
+
+def test_associator_correction_identity_proves_missing_class_bound(braces_q):
+    for B in (GradedBrace(Q, 2, {}, validate=False),
+              GradedBrace(Q, 4, braces_q["f4"].lambdas, validate=False)):
+        assert B.class_bound is None
+        assert check_associator_correction_identity(B, trials=5) is None
+    # star(a, b) = a_0 b_0 e_0 never vanishes on A * A: not strongly nilpotent
+    loop = GradedBrace(Q, 1, {1: {((0,), 0): (1,)}}, validate=False)
+    with pytest.raises(PreconditionViolated):
+        check_associator_correction_identity(loop)

@@ -6,7 +6,7 @@ import pytest
 
 from braceflow.errors import DuplicateNode, FieldMismatch
 from braceflow.linalg import (Mat, Subspace, Vec, interpolate_coefficients,
-                              interpolation_nodes, span, solve_linear)
+                              interpolation_nodes, span)
 from braceflow.sampling import random_vec
 from braceflow.scalars import GF, Q
 
@@ -25,27 +25,6 @@ def test_vec_arithmetic():
     assert Vec.zero(Q, 2).is_zero()
     with pytest.raises(FieldMismatch):
         a + Vec(GF(7), (1, 2))
-
-
-def test_solve_identity():
-    m = Mat.identity(Q, 3)
-    assert solve_linear(m, v(1, 2, 3)) == v(1, 2, 3)
-
-
-def test_solve_diagonal_scaling():
-    m = Mat(Q, [[2, 0], [0, 2]])
-    assert solve_linear(m, v(1, 1)) == v(Fraction(1, 2), Fraction(1, 2))
-
-
-def test_solve_inconsistent():
-    m = Mat(Q, [[1, 1], [1, 1]])
-    assert solve_linear(m, v(1, 0)) is None
-
-
-def test_solve_underdetermined_deterministic():
-    # one pivot, one free variable set to zero
-    m = Mat(Q, [[1, 1], [2, 2]])
-    assert solve_linear(m, v(3, 6)) == v(3, 0)
 
 
 def test_mat_inverse():
