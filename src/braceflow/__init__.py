@@ -13,10 +13,9 @@ from .brace import (ChainReport, GradedBrace, SymmetricMap, check_fbrace,
 from .bch import (BracketTerm, TruncatedSeries, bch_series, dsw_project,
                   ts_exp, ts_log, verify_flows_bch)
 from .errors import (AlgebraError, AlgebraFileError, CharacteristicTooSmall,
-                     ConvergenceFailure, DimensionMismatch, DuplicateNode,
-                     FieldMismatch, InternalInconsistency, NotLieElement,
-                     NotPreLie, PreconditionViolated, ValidationFailure,
-                     Violation)
+                     ConvergenceFailure, DimensionMismatch, FieldMismatch,
+                     InternalInconsistency, NotLieElement, NotPreLie,
+                     PreconditionViolated, ValidationFailure, Violation)
 from .flows import circ, exp_L, omega, star, to_brace, w_map
 from .free_expansion import (StarExpr, StarWord, doubling_matrix, evaluate,
                              expand_sum_star, scaling_matrix_check,
@@ -24,8 +23,7 @@ from .free_expansion import (StarExpr, StarWord, doubling_matrix, evaluate,
 from .limits import (check_associator_correction_identity, check_bilinearity,
                      dot, limit_witness, roundtrip_brace, roundtrip_prelie,
                      to_prelie)
-from .linalg import (Mat, Subspace, Vec, interpolate_coefficients,
-                     interpolation_nodes, span)
+from .linalg import Mat, Subspace, Vec, span
 from .prelie import PreLieAlgebra, check_prelie_identity, nilpotency_index
 from .scalars import GF, Fp, Q, ScalarField
 

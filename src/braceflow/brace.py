@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (ConvergenceFailure, DimensionMismatch, FieldMismatch,
                      PreconditionViolated, ValidationFailure, Violation)
-from .linalg import Subspace, Vec, span
+from .linalg import Subspace, Vec, span, strong_chain
 from .sampling import random_vec, rng_from
 
 
@@ -187,11 +187,12 @@ class GradedBrace:
 
     def circ_inverse(self, a):
         """The unique x with a∘x = 0, by the fixed-point iteration
-        x <- -a - star(a, x); verifies x is a two-sided inverse."""
+        x <- -a - star(a, x); verifies x is a two-sided inverse.  Each step
+        applies the nilpotent map b -> -star(a, b) to the error, so dim + 1
+        steps reach the fixed point."""
         self._check_vec(a)
-        bound = (self.class_bound or (1 + max(self.lambdas, default=1))) + 1
         x = -a
-        for _ in range(bound + 1):
+        for _ in range(self.dim + 1):
             nxt = -a - self.star(a, x)
             if nxt == x:
                 break
@@ -399,16 +400,6 @@ def radical_chains(B):
     left, left_index = one_sided(lambda s: star_subspaces(B, full, s))
     right, right_index = one_sided(lambda s: star_subspaces(B, s, full))
 
-    strong = [full]
-    strong_index = None
-    cap = 2 * B.dim + 3
-    for i in range(2, cap + 1):
-        gens = []
-        for j in range(1, i):
-            gens.extend(star_subspaces(B, strong[j - 1], strong[i - j - 1]).basis)
-        nxt = span(gens, field=B.field, dim=B.dim)
-        strong.append(nxt)
-        if nxt.is_zero():
-            strong_index = i
-            break
-    return ChainReport(left, right, tuple(strong), left_index, right_index, strong_index)
+    strong, strong_index = strong_chain(
+        full, lambda u, v: star_subspaces(B, u, v).basis, 2 * B.dim + 3)
+    return ChainReport(left, right, strong, left_index, right_index, strong_index)

@@ -33,6 +33,16 @@ def _field_spec(text):
         raise argparse.ArgumentTypeError(f"expected Q or a prime, got {text!r}")
 
 
+def _degree_bound(text):
+    try:
+        degree = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if degree < 2:
+        raise argparse.ArgumentTypeError(f"degree bound must be at least 2, got {degree}")
+    return degree
+
+
 def _read(args, extra_laws=()):
     """Read ``args.path`` unvalidated, over ``--field`` when given.
 
@@ -163,7 +173,7 @@ def build_parser():
     add("chains", cmd_chains)
     add("bch", cmd_bch)
     p = sub.add_parser("doubling-matrix")
-    p.add_argument("--degree", type=int, required=True, help="degree bound (>= 2)")
+    p.add_argument("--degree", type=_degree_bound, required=True, help="degree bound (>= 2)")
     p.set_defaults(func=cmd_doubling_matrix)
     return parser
 

@@ -20,10 +20,6 @@ class CharacteristicTooSmall(AlgebraError):
     exist because the prime characteristic is too small."""
 
 
-class DuplicateNode(AlgebraError):
-    """Two interpolation nodes coincide."""
-
-
 class ConvergenceFailure(AlgebraError):
     """A fixed-point iteration failed to stabilize within its degree bound.
 

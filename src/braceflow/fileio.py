@@ -142,6 +142,8 @@ def loads(text, validate=True, field=None):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AlgebraFileError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise AlgebraFileError("not valid JSON: nested too deeply") from None
     if field is not None:
         _require(isinstance(doc, dict), "top level must be an object")
         doc["field"] = field
@@ -193,11 +195,11 @@ def loads(text, validate=True, field=None):
 
 
 def read_file(path, validate=True, field=None):
-    """``loads`` on the contents of ``path``; an unreadable file raises
-    AlgebraFileError."""
+    """``loads`` on the contents of ``path``; an unreadable file, or one
+    with a byte outside ASCII, raises AlgebraFileError."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise AlgebraFileError(f"cannot read {path}: {exc}") from None
     return loads(text, validate=validate, field=field)

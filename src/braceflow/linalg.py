@@ -5,8 +5,7 @@ Subspaces are kept in reduced row-echelon form so that equal subspaces
 compare equal as objects.
 """
 
-from .errors import (CharacteristicTooSmall, DimensionMismatch, DuplicateNode,
-                     FieldMismatch)
+from .errors import CharacteristicTooSmall, DimensionMismatch, FieldMismatch
 
 
 class Vec:
@@ -101,44 +100,9 @@ class Mat:
     def entry(self, i, j):
         return self.rows[i][j]
 
-    def matvec(self, v):
-        if not isinstance(v, Vec):
-            raise TypeError("matvec expects a Vec")
-        if v.field != self.field:
-            raise FieldMismatch(f"{self.field} vs {v.field}")
-        if v.dim != self.ncols:
-            raise DimensionMismatch(f"{self.ncols} cols vs vector of dim {v.dim}")
-        return Vec(self.field, tuple(
-            sum((a * x for a, x in zip(row, v.entries)), self.field.zero)
-            for row in self.rows))
-
-    def __mul__(self, other):
-        if isinstance(other, Vec):
-            return self.matvec(other)
-        if isinstance(other, Mat):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            if other.nrows != self.ncols:
-                raise DimensionMismatch(f"{self.ncols} vs {other.nrows}")
-            cols = list(zip(*other.rows)) if other.rows else []
-            return Mat(self.field, tuple(
-                tuple(sum((a * b for a, b in zip(row, col)), self.field.zero) for col in cols)
-                for row in self.rows))
-        c = self.field.of(other)
+    def __mul__(self, scalar):
+        c = self.field.of(scalar)
         return Mat(self.field, tuple(tuple(a * c for a in row) for row in self.rows))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if other.field != self.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        if (other.nrows, other.ncols) != (self.nrows, self.ncols):
-            raise DimensionMismatch("shape mismatch")
-        return Mat(self.field, tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
-
-    def __sub__(self, other):
-        return self + (other * self.field.of(-1))
 
     def inverse(self):
         """Exact inverse by Gauss-Jordan; raises on singular input."""
@@ -157,13 +121,6 @@ class Mat:
 
     def diagonal(self):
         return tuple(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
-
-    def __eq__(self, other):
-        return (isinstance(other, Mat) and other.field == self.field
-                and other.rows == self.rows)
-
-    def __hash__(self):
-        return hash((self.field, self.rows))
 
     def __repr__(self):
         return "[" + "; ".join(
@@ -204,14 +161,11 @@ class Subspace:
         self.ambient_dim = ambient_dim
         rows = []
         for v in vectors:
-            if isinstance(v, Vec):
-                if v.field != field:
-                    raise FieldMismatch(f"{field} vs {v.field}")
-                if v.dim != ambient_dim:
-                    raise DimensionMismatch(f"{ambient_dim} vs {v.dim}")
-                rows.append(list(v.entries))
-            else:
-                rows.append([field.of(e) for e in v])
+            if v.field != field:
+                raise FieldMismatch(f"{field} vs {v.field}")
+            if v.dim != ambient_dim:
+                raise DimensionMismatch(f"{ambient_dim} vs {v.dim}")
+            rows.append(list(v.entries))
         if rows:
             rows, pivots = _rref(field, rows)
             rows = rows[:len(pivots)]
@@ -242,11 +196,6 @@ class Subspace:
     def __le__(self, other):
         return all(other.contains(b) for b in self.basis)
 
-    def sum(self, other):
-        if other.field != self.field or other.ambient_dim != self.ambient_dim:
-            raise FieldMismatch("subspace sum over mismatched spaces")
-        return Subspace(self.field, self.ambient_dim, self.basis + other.basis)
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.field == self.field
                 and other.ambient_dim == self.ambient_dim and other.basis == self.basis)
@@ -274,52 +223,40 @@ def span(vectors, field=None, dim=None):
     return Subspace(field, dim, vectors)
 
 
-def interpolation_nodes(field, degree_bound):
-    """Nodes for exact polynomial interpolation of a degree-bounded curve.
-
-    Over Q the nodes are 1, 1/2, ..., 2^-degree_bound, mirroring the
-    halving scheme used by the limit construction; over GF(p) they are
-    1, 2, ..., degree_bound + 1 (distinct because the characteristic
-    exceeds the degree bound wherever this is used).
-    """
-    if field.characteristic == 0:
-        return [field.of(1) / field.of(2 ** k) for k in range(degree_bound + 1)]
-    if degree_bound + 1 >= field.characteristic:
-        raise CharacteristicTooSmall(
-            f"need {degree_bound + 1} distinct nonzero nodes in {field}")
-    return [field.of(k) for k in range(1, degree_bound + 2)]
-
-
-def interpolate_coefficients(points, degree_bound):
-    """Coefficient vectors c_0..c_degree_bound of the unique polynomial
-    curve f(t) = sum c_k t^k through the given (t, f(t)) samples.
-
-    Requires exactly degree_bound + 1 samples with pairwise distinct t.
-    """
-    points = list(points)
-    if len(points) != degree_bound + 1:
-        raise ValueError(f"need {degree_bound + 1} points, got {len(points)}")
-    first_vec = points[0][1]
-    field, d = first_vec.field, first_vec.dim
-    ts = [field.of(t) for t, _ in points]
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            if ts[i] == ts[j]:
-                raise DuplicateNode(f"node {field.to_str(ts[i])} repeated")
-    n = degree_bound + 1
-    aug = []
-    for t, f_t in zip(ts, (p[1] for p in points)):
-        powers = [field.one]
-        for _ in range(degree_bound):
-            powers.append(powers[-1] * t)
-        aug.append(powers + list(f_t.entries))
-    rows, pivots = _rref(field, aug)
-    assert pivots == list(range(n)), "Vandermonde system must be nonsingular"
-    return [Vec(field, rows[k][n:]) for k in range(n)]
+def strong_chain(full, products, cap):
+    """The chain D_1 = full, D_i = span of products(D_j, D_{i-j}) over
+    0 < j < i for i <= cap, with ``products`` yielding spanning vectors.
+    Returns (chain, 1-based index of its first zero term or None)."""
+    chain = [full]
+    for i in range(2, cap + 1):
+        gens = []
+        for j in range(1, i):
+            gens.extend(products(chain[j - 1], chain[i - j - 1]))
+        chain.append(span(gens, field=full.field, dim=full.ambient_dim))
+        if chain[-1].is_zero():
+            return tuple(chain), i
+    return tuple(chain), None
 
 
 def polynomial_curve_coefficients(curve, field, degree_bound):
-    """Sample a polynomial curve t -> Vec at canonical nodes and return
-    its exact coefficient vectors c_0..c_degree_bound."""
-    nodes = interpolation_nodes(field, degree_bound)
-    return interpolate_coefficients([(t, curve(t)) for t in nodes], degree_bound)
+    """Exact coefficient vectors c_0..c_degree_bound of the polynomial
+    curve t -> sum_k c_k t^k, by one Vandermonde solve on its values at
+    the nodes 2^-k over Q and 1..degree_bound+1 over GF(p), which raises
+    CharacteristicTooSmall unless p is above them."""
+    if field.characteristic == 0:
+        nodes = [field.one / field.of(2 ** k) for k in range(degree_bound + 1)]
+    elif degree_bound + 1 >= field.characteristic:
+        raise CharacteristicTooSmall(
+            f"need {degree_bound + 1} distinct nonzero nodes in {field}")
+    else:
+        nodes = [field.of(k) for k in range(1, degree_bound + 2)]
+    n = degree_bound + 1
+    aug = []
+    for t in nodes:
+        powers = [field.one]
+        for _ in range(degree_bound):
+            powers.append(powers[-1] * t)
+        aug.append(powers + list(curve(t).entries))
+    rows, pivots = _rref(field, aug)
+    assert pivots == list(range(n)), "Vandermonde system must be nonsingular"
+    return [Vec(field, rows[k][n:]) for k in range(n)]

@@ -10,7 +10,7 @@ broken fixtures in tests).
 
 from .errors import (CharacteristicTooSmall, DimensionMismatch, FieldMismatch,
                      ValidationFailure, Violation)
-from .linalg import Subspace, Vec, span
+from .linalg import Subspace, Vec, strong_chain
 
 
 class PreLieAlgebra:
@@ -121,20 +121,19 @@ def validation_stages(alg):
 def check_prelie_identity(alg):
     """Exact check of (xy)z - x(yz) = (yx)z - y(xz) on all basis triples.
 
-    Bilinearity makes the basis sweep sufficient for all elements.
-    Returns None on success, else a Violation at the first failing triple
-    with residual (e_i e_j)e_k - e_i(e_j e_k) - (e_j e_i)e_k + e_j(e_i e_k).
+    Bilinearity makes the basis sweep sufficient for all elements.  The
+    residual is antisymmetric in (i, j), so only i < j is swept.  Returns
+    None on success, else a Violation at the first failing triple with
+    residual (e_i e_j - e_j e_i)e_k - e_i(e_j e_k) + e_j(e_i e_k).
     """
     d = alg.dim
     basis = [alg.basis_vector(i) for i in range(d)]
     for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue  # the residual is identically zero for i = j
+        for j in range(i + 1, d):
+            commutator = alg.products[i][j] - alg.products[j][i]
             for k in range(d):
-                r = (alg.multiply(alg.products[i][j], basis[k])
+                r = (alg.multiply(commutator, basis[k])
                      - alg.multiply(basis[i], alg.products[j][k])
-                     - alg.multiply(alg.products[j][i], basis[k])
                      + alg.multiply(basis[j], alg.products[i][k]))
                 if not r.is_zero():
                     return Violation("pre-Lie identity", (i, j, k), r)
@@ -144,22 +143,13 @@ def check_prelie_identity(alg):
 def nilpotency_index(alg):
     """Smallest s with every product of s elements zero, or None.
 
-    Computes the descending chain D_1 = A, D_{i+1} = span of all
-    products D_j * D_{i+1-j} (0 < j < i+1), i.e. the span of all
-    products of exactly i+1 elements with any bracketing.  The chain is
-    monotone, so for a nilpotent algebra it reaches zero within d+1
-    steps; the loop runs to d+2 before giving up.
+    Computes the descending chain D_1 = A, D_i = span of all products
+    D_j * D_{i-j} (0 < j < i), i.e. the span of all products of exactly
+    i elements with any bracketing.  The chain is monotone, so for a
+    nilpotent algebra it reaches zero within d+1 steps; it is built up
+    to D_{d+2} before giving up.
     """
-    d = alg.dim
-    chain = [None, Subspace.full(alg.field, d)]
-    for i in range(2, d + 3):
-        gens = []
-        for j in range(1, i):
-            for u in chain[j].basis:
-                for v in chain[i - j].basis:
-                    gens.append(alg.multiply(u, v))
-        nxt = span(gens, field=alg.field, dim=d)
-        chain.append(nxt)
-        if nxt.is_zero():
-            return i
-    return None
+    def products(left, right):
+        return (alg.multiply(u, v) for u in left.basis for v in right.basis)
+
+    return strong_chain(Subspace.full(alg.field, alg.dim), products, alg.dim + 2)[1]

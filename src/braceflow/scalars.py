@@ -111,13 +111,6 @@ class Fp:
     def __neg__(self):
         return Fp(self.p, -self.r)
 
-    def __pow__(self, k):
-        if k < 0:
-            if self.r == 0:
-                raise ZeroDivisionError(f"division by zero in GF({self.p})")
-            return Fp(self.p, pow(self.r, k, self.p))
-        return Fp(self.p, pow(self.r, k, self.p))
-
     def __bool__(self):
         return self.r != 0
 
@@ -201,11 +194,6 @@ class ScalarField:
             f *= i
         return self.inv_int(f) if k >= 2 else self.one
 
-    def contains(self, x):
-        if self.characteristic == 0:
-            return isinstance(x, Fraction) or isinstance(x, int)
-        return isinstance(x, Fp) and x.p == self.characteristic
-
     def to_str(self, x):
         """Canonical printing: "num/den" in lowest terms over Q (bare
         integer when the denominator is 1), the residue over GF(p)."""
@@ -215,9 +203,6 @@ class ScalarField:
                 return str(x.numerator)
             return f"{x.numerator}/{x.denominator}"
         return str(x.r)
-
-    def from_str(self, s):
-        return self.of(s)
 
     def __eq__(self, other):
         return isinstance(other, ScalarField) and self.characteristic == other.characteristic

@@ -84,6 +84,33 @@ def test_validate_without_class_bound(capsys, tmp_path, braces_q):
     assert out.endswith("strong: 4,3,2,0 strongly nilpotent index 4\nVALID\n")
 
 
+def _ring_brace_file(tmp_path, class_bound):
+    """The adjoint brace a*b = ab of x Q[x]/(x^8), basis x..x^7: dim 7,
+    only a degree-1 part, strong index 8."""
+    doc = {"format_version": 1, "kind": "brace", "field": "Q", "dim": 7,
+           "entries": [[1, [i], j, i + j + 1, "1"]
+                       for i in range(7) for j in range(7) if i + j + 1 < 7]}
+    if class_bound is not None:
+        doc["class_bound"] = class_bound
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("class_bound, last", [
+    (None, "strong: 7,6,5,4,3,2,1,0 strongly nilpotent index 8\nVALID\n"),
+    (8, "strong: 7,6,5,4,3,2,1,0 strongly nilpotent index 8\nVALID\n"),
+    (2, "FAIL: strong nilpotency index 8 exceeds declared class bound 2\n")],
+    ids=["none", "8", "2"])
+def test_circ_inverse_needs_no_class_bound(capsys, tmp_path, class_bound, last):
+    # the circ inverse iteration converges within dim + 1 steps whatever
+    # the file declares, so only the declared bound itself can fail
+    code, out, _ = run(capsys, "validate", _ring_brace_file(tmp_path, class_bound))
+    assert code == (0 if class_bound != 2 else 2)
+    assert "group laws: PASS\n" in out
+    assert out.endswith(last)
+
+
 def test_validate_small_characteristic_like_loading(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", corpus_file("f4"), "--field", "3")
     assert code == 2
@@ -111,6 +138,18 @@ def test_top_level_list_exit_1(capsys, tmp_path, flags, err):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]\n")
     assert run(capsys, "validate", str(path), *flags) == (1, "", err)
+
+
+@pytest.mark.parametrize("content, err", [
+    (b'{"kind": "prelie", "basis": ["\xc3\xa9"]}\n', "codec can't decode byte 0xc3"),
+    (b"[" * 100000, "error: not valid JSON: nested too deeply\n")],
+    ids=["non-ascii", "nested"])
+def test_hostile_file_exit_1(capsys, tmp_path, content, err):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    code, out, stderr = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert stderr.startswith("error: ") and err in stderr
 
 
 def test_usage_error_exit_1(capsys):
@@ -193,6 +232,14 @@ def test_doubling_matrix_degree_4(capsys):
     code, out, _ = run(capsys, "doubling-matrix", "--degree", "4")
     assert code == 0
     assert "upper triangular: yes" in out
+
+
+@pytest.mark.parametrize("degree", ["1", "0", "-3"])
+def test_doubling_matrix_degree_below_two_is_usage_error(capsys, degree):
+    code, out, err = run(capsys, "doubling-matrix", "--degree", degree)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"argument --degree: degree bound must be at least 2, "
+                        f"got {degree}\n")
 
 
 def test_field_override(capsys, tmp_path):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from braceflow import fileio
+from braceflow import fileio, flows
 from braceflow.corpus import corpus, corpus_dir, f4, n2, zero_algebra
 from braceflow.errors import ConvergenceFailure
 from braceflow.flows import (_omega_fixed_point, circ, exp_L, omega, star,
@@ -237,6 +237,20 @@ EXTRACTED_SHA256 = {
 
 CORPUS_FILES = sorted(p.name[:-len(".json")] for p in corpus_dir().iterdir()
                       if p.name.endswith(".json"))
+
+
+@pytest.mark.parametrize("trials", [0, 5])
+def test_to_brace_cross_check_computes_omega_once_per_left_argument(monkeypatch, trials):
+    calls = []
+
+    def counted(alg, a):
+        calls.append(a)
+        return omega(alg, a)
+
+    monkeypatch.setattr(flows, "omega", counted)
+    alg = f4()
+    to_brace(alg, trials=trials)
+    assert len(calls) == alg.dim + trials
 
 
 def _extracted_sha256(alg):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from braceflow.corpus import corpus, f4, h3, n2, v5, zero_algebra
-from braceflow.errors import CharacteristicTooSmall, ValidationFailure
+from braceflow.errors import CharacteristicTooSmall, ValidationFailure, Violation
 from braceflow.linalg import Vec
 from braceflow.prelie import (PreLieAlgebra, check_prelie_identity,
                               nilpotency_index)
@@ -58,6 +58,35 @@ def test_identity_violation_site():
     assert viol is not None
     assert viol.site == (0, 1, 0)
     assert viol.residual == Vec(Q, (0, -1, 0, 0))
+
+
+def _full_sweep_identity(alg):
+    """check_prelie_identity as a sweep of all ordered (i, j, k), i != j."""
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    for i, j, k in itertools.product(range(alg.dim), repeat=3):
+        if i != j:
+            r = (alg.multiply(alg.products[i][j], basis[k])
+                 - alg.multiply(basis[i], alg.products[j][k])
+                 - alg.multiply(alg.products[j][i], basis[k])
+                 + alg.multiply(basis[j], alg.products[i][k]))
+            if not r.is_zero():
+                return Violation("pre-Lie identity", (i, j, k), r)
+    return None
+
+
+@pytest.mark.parametrize("field", [Q, GF(7), GF(11)], ids=str)
+def test_identity_matches_full_sweep(field):
+    # v_n (e_i * e_j = j e_{i+j}), intact and with random extra products
+    rng = random.Random(41)
+    for n in range(3, 7):
+        for corruptions in range(4):
+            structure = {(i - 1, j - 1): {i + j - 1: j}
+                         for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n}
+            for _ in range(corruptions):
+                i, j, k = (rng.randrange(n) for _ in range(3))
+                structure.setdefault((i, j), {})[k] = random_scalar(field, rng)
+            alg = PreLieAlgebra(field, n, structure, validate=False)
+            assert check_prelie_identity(alg) == _full_sweep_identity(alg)
 
 
 def test_constructor_rejects_invalid():
