@@ -12,8 +12,9 @@ import itertools
 
 from dataclasses import dataclass
 
-from .errors import (ConvergenceFailure, DimensionMismatch, FieldMismatch,
-                     PreconditionViolated, ValidationFailure, Violation)
+from .errors import (CharacteristicTooSmall, ConvergenceFailure, DimensionMismatch,
+                     FieldMismatch, PreconditionViolated, ValidationFailure,
+                     Violation)
 from .linalg import Subspace, Vec, span, strong_chain
 from .sampling import random_vec, rng_from
 
@@ -34,9 +35,14 @@ class SymmetricMap:
     Stored sparsely: table[(i_1 <= ... <= i_k, j)] is the value on the
     basis tuple (e_{i_1}, ..., e_{i_k}; e_j); zero values are dropped.
     Keying by sorted tuples makes left-slot symmetry structural.
+
+    ``_rows`` is the table precompiled for diagonal evaluation: per entry
+    (tup, j, ((k, c * multinomial), ...)) in table order, where the
+    multinomial counts the arrangements of tup; entries whose product is
+    zero are dropped.
     """
 
-    __slots__ = ("field", "dim", "arity", "table")
+    __slots__ = ("field", "dim", "arity", "table", "_rows")
 
     def __init__(self, field, dim, arity, entries=()):
         self.field = field
@@ -58,6 +64,13 @@ class SymmetricMap:
             else:
                 table[key] = v
         self.table = table
+        rows = []
+        for (tup, j), val in table.items():
+            m = field.of(_multinomial(arity, [tup.count(i) for i in set(tup)]))
+            if m:  # zero in GF(p) when p divides the multinomial
+                out = tuple((k, c * m) for k, c in enumerate(val.entries) if c)
+                rows.append((tup, j, out))
+        self._rows = tuple(rows)
 
     def is_zero(self):
         return not self.table
@@ -87,26 +100,11 @@ class SymmetricMap:
                 for k, c in enumerate(val.entries):
                     if c:
                         acc[k] = acc[k] + coeff * c
-        return Vec(self.field, acc)
+        return Vec._trusted(self.field, tuple(acc))
 
     def apply_diagonal(self, a, b):
         """Evaluation with every left slot equal to a."""
-        acc = [self.field.zero] * self.dim
-        for (tup, j), val in self.table.items():
-            coeff = b.entries[j]
-            if not coeff:
-                continue
-            for idx in tup:
-                coeff = coeff * a.entries[idx]
-                if not coeff:
-                    break
-            else:
-                counts = [tup.count(i) for i in set(tup)]
-                coeff = coeff * self.field.of(_multinomial(self.arity, counts))
-                for k, c in enumerate(val.entries):
-                    if c:
-                        acc[k] = acc[k] + coeff * c
-        return Vec(self.field, acc)
+        return _diagonal(self.field, self.dim, self._rows, a, b)
 
     def __eq__(self, other):
         return (isinstance(other, SymmetricMap) and other.field == self.field
@@ -121,6 +119,26 @@ class SymmetricMap:
         return f"SymmetricMap(arity {self.arity}, {len(self.table)} entries)"
 
 
+def _diagonal(field, dim, rows, a, b):
+    """sum over rows (tup, j, out) of b_j * prod_{i in tup} a_i * out,
+    accumulated into one vector in row order."""
+    a, b = a.entries, b.entries
+    acc = [field.zero] * dim
+    for tup, j, out in rows:
+        coeff = b[j]
+        if not coeff:
+            continue
+        for idx in tup:
+            x = a[idx]
+            if not x:
+                break
+            coeff = coeff * x
+        else:
+            for k, c in out:
+                acc[k] = acc[k] + coeff * c
+    return Vec._trusted(field, tuple(acc))
+
+
 class GradedBrace:
     """Brace with star(a, b) = sum_k L_k(a, ..., a; b).
 
@@ -133,7 +151,8 @@ class GradedBrace:
     the ChainReport that validation proved, None on an unvalidated brace.
     """
 
-    __slots__ = ("field", "dim", "lambdas", "class_bound", "basis_names", "chains")
+    __slots__ = ("field", "dim", "lambdas", "class_bound", "basis_names", "chains",
+                 "_rows")
 
     def __init__(self, field, dim, lambdas, class_bound=None, basis_names=None,
                  validate=True, trials=20, seed=None):
@@ -150,6 +169,7 @@ class GradedBrace:
             if not lam.is_zero():
                 clean[k] = lam
         self.lambdas = clean
+        self._rows = tuple(row for lam in clean.values() for row in lam._rows)
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             f"e{i + 1}" for i in range(dim))
         self.class_bound = class_bound
@@ -177,10 +197,7 @@ class GradedBrace:
     def star(self, a, b):
         self._check_vec(a)
         self._check_vec(b)
-        out = Vec.zero(self.field, self.dim)
-        for lam in self.lambdas.values():
-            out = out + lam.apply_diagonal(a, b)
-        return out
+        return _diagonal(self.field, self.dim, self._rows, a, b)
 
     def circ(self, a, b):
         return a + b + self.star(a, b)
@@ -215,10 +232,11 @@ class GradedBrace:
 
 def _triple_stream(B, trials, seed):
     d = B.dim
+    basis = [B.basis_vector(i) for i in range(d)]
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                yield ((i, j, k), B.basis_vector(i), B.basis_vector(j), B.basis_vector(k))
+                yield ((i, j, k), basis[i], basis[j], basis[k])
     rng = rng_from(seed)
     for t in range(trials):
         yield (("random", t), random_vec(B.field, d, rng),
@@ -294,8 +312,9 @@ def validation_stages(B, extra_laws=(), trials=20, seed=None):
     """Run the checks that admit ``B`` to the correspondence, in order:
     left-brace laws, group laws, the (name, check) pairs of
     ``extra_laws``, radical chains, strong nilpotency, declared
-    ``class_bound`` (set to the strong index when none is declared).
-    Yields one line per passed law and chain; raises at the first failure.
+    ``class_bound`` (set to the strong index when none is declared),
+    characteristic above the strong index.  Yields one line per passed
+    law and chain; raises at the first failure.
     Once every stage has passed, ``B.chains`` holds the chain report."""
     laws = (("left-brace laws", check_left_brace), ("group laws", check_group))
     for name, check in laws + tuple(extra_laws):
@@ -313,6 +332,10 @@ def validation_stages(B, extra_laws=(), trials=20, seed=None):
         raise ValidationFailure(
             f"strong nilpotency index {report.strong_index} exceeds "
             f"declared class bound {B.class_bound}")
+    p = B.field.characteristic
+    if p and p <= report.strong_index:
+        raise CharacteristicTooSmall(
+            f"characteristic {p} must exceed the nilpotency class {report.strong_index}")
     B.chains = report
 
 
@@ -332,14 +355,63 @@ def star_subspaces(B, left, right):
     """Span of all star(a, b) with a in ``left`` and b in ``right``.
 
     Because a -> star(a, b) is polynomial with symmetric multilinear
-    graded parts, this span equals the span of the graded maps over
-    basis tuples of the left subspace, which is what gets computed."""
+    graded parts, this span equals the span of L_k(u_1, ..., u_k; y) over
+    multisets {u_1, ..., u_k} of left basis vectors and y in the right
+    basis.  The symmetric product of the u_i is built one slot at a time
+    as a sparse map from sorted index tuples to coefficients, and a
+    partial tuple that is no sub-multiset of a table key is pruned with
+    everything that extends it.  The products are then contracted with
+    the table by left tuple, and only the nonzero generators are spanned.
+    """
+    field, d = B.field, B.dim
+    lefts = [tuple((i, x) for i, x in enumerate(u.entries) if x) for u in left.basis]
+    rights = [y.entries for y in right.basis]
     gens = []
     for k, lam in B.lambdas.items():
-        for tup in itertools.combinations_with_replacement(left.basis, k):
-            for y in right.basis:
-                gens.append(lam.apply(list(tup), y))
-    return span(gens, field=B.field, dim=B.dim)
+        by_left = {}
+        for (tup, j), val in lam.table.items():
+            by_left.setdefault(tup, []).append(
+                (j, tuple((o, c) for o, c in enumerate(val.entries) if c)))
+        # sub-tuples of a sorted tuple are sorted: these are the sub-multisets
+        live = {sub for tup in by_left for m in range(k + 1)
+                for sub in itertools.combinations(tup, m)}
+        stack = [(0, 0, {(): field.one})]  # (first slot, slots filled, product)
+        while stack:
+            first, filled, poly = stack.pop()
+            if filled == k:
+                gens.extend(_contract(field, d, poly, by_left, rights))
+                continue
+            for s in range(first, len(lefts)):
+                nxt = {}
+                for t, c in poly.items():
+                    for i, x in lefts[s]:
+                        u = tuple(sorted(t + (i,)))
+                        if u in live:
+                            nxt[u] = nxt[u] + c * x if u in nxt else c * x
+                nxt = {u: c for u, c in nxt.items() if c}
+                if nxt:
+                    stack.append((s, filled + 1, nxt))
+    return span(gens, field=field, dim=d)
+
+
+def _contract(field, d, poly, by_left, rights):
+    """The nonzero vectors sum_t poly[t] * L(e^t; y) for y in ``rights``."""
+    cols = {}  # j -> the image of e_j
+    for t, c in poly.items():
+        for j, out in by_left.get(t, ()):
+            col = cols.setdefault(j, [field.zero] * d)
+            for o, v in out:
+                col[o] = col[o] + c * v
+    for y in rights:
+        g = [field.zero] * d
+        for j, col in cols.items():
+            w = y[j]
+            if w:
+                for o, v in enumerate(col):
+                    if v:
+                        g[o] = g[o] + w * v
+        if any(g):
+            yield Vec._trusted(field, tuple(g))
 
 
 @dataclass(frozen=True)

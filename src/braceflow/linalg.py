@@ -3,13 +3,28 @@
 Everything is immutable after construction and all operations are pure.
 Subspaces are kept in reduced row-echelon form so that equal subspaces
 compare equal as objects.
+
+Every ``Vec`` holds canonical scalars of its field (``Fraction`` over Q,
+``Fp`` residues of the field's prime over GF(p)).  The public
+constructor ``Vec(field, entries)`` coerces each entry through
+``ScalarField.of``, so it accepts ints, strings and foreign input.
+Field arithmetic on canonical scalars yields canonical scalars, so the
+results of vector arithmetic, row reduction and the structure-constant
+kernels are wrapped by ``Vec._trusted`` without coercing them again.
 """
 
 from .errors import CharacteristicTooSmall, DimensionMismatch, FieldMismatch
 
 
 class Vec:
-    """Immutable coordinate vector over a ScalarField."""
+    """Immutable coordinate vector over a ScalarField.
+
+    ``Vec(field, entries)`` coerces every entry into a canonical scalar of
+    ``field``; use it for anything that comes from outside the library.
+    ``Vec._trusted(field, entries)`` takes a tuple whose entries already
+    are canonical scalars of ``field`` (the result of field arithmetic on
+    such scalars) as it is.
+    """
 
     __slots__ = ("field", "entries")
 
@@ -18,14 +33,20 @@ class Vec:
         self.entries = tuple(field.of(e) for e in entries)
 
     @classmethod
+    def _trusted(cls, field, entries):
+        v = object.__new__(cls)
+        v.field = field
+        v.entries = entries
+        return v
+
+    @classmethod
     def zero(cls, field, dim):
-        z = field.zero
-        return cls(field, (z,) * dim)
+        return cls._trusted(field, (field.zero,) * dim)
 
     @classmethod
     def basis(cls, field, dim, i):
         z, o = field.zero, field.one
-        return cls(field, tuple(o if k == i else z for k in range(dim)))
+        return cls._trusted(field, tuple(o if k == i else z for k in range(dim)))
 
     @property
     def dim(self):
@@ -44,18 +65,20 @@ class Vec:
 
     def __add__(self, other):
         self._check(other)
-        return Vec(self.field, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return Vec._trusted(self.field, tuple(  # no arithmetic with a zero side
+            a + b if a and b else a or b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other):
         self._check(other)
-        return Vec(self.field, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return Vec._trusted(self.field, tuple(
+            a - b if b else a for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self):
-        return Vec(self.field, tuple(-a for a in self.entries))
+        return Vec._trusted(self.field, tuple(-a for a in self.entries))
 
     def __mul__(self, scalar):
         c = self.field.of(scalar)
-        return Vec(self.field, tuple(a * c for a in self.entries))
+        return Vec._trusted(self.field, tuple(a * c for a in self.entries))
 
     __rmul__ = __mul__
 
@@ -169,7 +192,7 @@ class Subspace:
         if rows:
             rows, pivots = _rref(field, rows)
             rows = rows[:len(pivots)]
-        self.basis = tuple(Vec(field, r) for r in rows)
+        self.basis = tuple(Vec._trusted(field, tuple(r)) for r in rows)
 
     @classmethod
     def full(cls, field, dim):

@@ -84,7 +84,7 @@ class PreLieAlgebra:
             if c:
                 for k, val in out:
                     acc[k] = acc[k] + c * val
-        return Vec(self.field, acc)
+        return Vec._trusted(self.field, tuple(acc))
 
     def lie_bracket(self, x, y):
         """[x, y] = x*y - y*x, the associated Lie bracket."""

@@ -132,15 +132,19 @@ class ScalarField:
 
     Prime characteristics must strictly exceed the nilpotency class of
     whatever structure they scalar; that is checked at the point of use
-    (algebra/brace validation), not here.
+    (algebra/brace validation), not here.  ``zero`` and ``one`` are the
+    field's canonical 0 and 1, shared by every caller (scalars are
+    immutable).
     """
 
-    __slots__ = ("characteristic",)
+    __slots__ = ("characteristic", "zero", "one")
 
     def __init__(self, characteristic=0):
         if characteristic != 0 and not _is_prime(characteristic):
             raise ValueError(f"characteristic must be 0 or a prime, got {characteristic}")
         self.characteristic = characteristic
+        self.zero = self.of(0)
+        self.one = self.of(1)
 
     def of(self, value):
         """Coerce an int, Fraction, decimal-free string, or element into
@@ -167,14 +171,6 @@ class ScalarField:
         if isinstance(value, Fraction):
             return Fp(p, 0)._coerce(value)
         raise TypeError(f"cannot coerce {value!r} to GF({p})")
-
-    @property
-    def zero(self):
-        return self.of(0)
-
-    @property
-    def one(self):
-        return self.of(1)
 
     def inv_int(self, n):
         """1/n in this field; CharacteristicTooSmall if p divides n."""

@@ -1,16 +1,19 @@
+import itertools
 import random
 
 from fractions import Fraction
 
 import pytest
 
+from braceflow import brace
 from braceflow.brace import (GradedBrace, SymmetricMap, check_fbrace,
                              check_group, check_left_brace, radical_chains,
                              star_subspaces)
+from braceflow.corpus import corpus
 from braceflow.errors import ValidationFailure
 from braceflow.linalg import Subspace, Vec, span
 from braceflow.sampling import random_vec
-from braceflow.scalars import Q
+from braceflow.scalars import GF, Fp, Q
 
 
 def test_trivial_brace_star_and_circ():
@@ -144,7 +147,40 @@ def test_chain_containments_and_equivalence(name, braces_q):
         report.left_nilpotent and report.right_nilpotent)
 
 
-def test_star_subspaces_matches_direct_span(braces_q):
+def _reference_star_span(B, left, right):
+    """star_subspaces written out: every graded map on every multiset of
+    left basis vectors and every right basis vector, by ``apply``."""
+    gens = [lam.apply(list(tup), y) for k, lam in B.lambdas.items()
+            for tup in itertools.combinations_with_replacement(left.basis, k)
+            for y in right.basis]
+    return span(gens, field=B.field, dim=B.dim)
+
+
+def _ring_brace():
+    """The adjoint brace a*b = ab of x Q[x]/(x^8), basis x..x^7."""
+    table = {((i,), j): Vec.basis(Q, 7, i + j + 1)
+             for i in range(7) for j in range(7) if i + j + 1 < 7}
+    return GradedBrace(Q, 7, {1: SymmetricMap(Q, 7, 1, table)}, validate=False)
+
+
+def _chain_inputs(braces_cache):
+    """Corpus braces over Q and GF(7), the ring brace, and one corrupted
+    copy of v5 and f4 per degree over both fields."""
+    out = []
+    for field in (Q, GF(7)):
+        for name in corpus(field):
+            B = braces_cache(name, field)
+            out.append((f"{name}/{field}", B))
+            if name in ("f4", "v5"):
+                for k, lam in B.lambdas.items():
+                    key = next(iter(lam.table))
+                    out.append((f"{name}/{field} corrupt L_{k} at {key}",
+                                _corrupt(B, k, key, 0)))
+    out.append(("x Q[x]/(x^8)", _ring_brace()))
+    return out
+
+
+def test_star_subspaces_matches_direct_span(braces_q, braces_cache, monkeypatch):
     # polarization turns the span of star(a, b) over subspaces into a
     # finite computation; cross-check against random sampling
     B = braces_q["v5"]
@@ -156,3 +192,57 @@ def test_star_subspaces_matches_direct_span(braces_q):
     assert sampled <= computed
     for b in computed.basis:
         assert computed.contains(b)
+    # the support-pruned expansion spans exactly what the full sweep of
+    # the graded maps spans, on every pair of chain terms, and so gives
+    # the same chain report
+    inputs = _chain_inputs(braces_cache)
+    reports = {where: radical_chains(B) for where, B in inputs}
+    monkeypatch.setattr(brace, "star_subspaces", _reference_star_span)
+    for where, B in inputs:
+        assert radical_chains(B) == reports[where], where
+        rep = reports[where]
+        terms = set(rep.left + rep.right + rep.strong)
+        for left in terms:
+            for right in terms:
+                assert (star_subspaces(B, left, right)
+                        == _reference_star_span(B, left, right)), where
+    assert any(not rep.strongly_nilpotent for rep in reports.values())
+
+
+def _odd_degree_three_brace():
+    """Unvalidated GF(3) brace with degree-3 entries whose multinomial
+    (3 or 3! = 6) is zero mod 3, next to one whose multinomial is 1."""
+    F = GF(3)
+    lambdas = {1: {((0,), 1): (0, 0, 1)},
+               3: {((0, 1, 2), 0): (0, 1, 2), ((0, 0, 1), 2): (1, 0, 0),
+                   ((2, 2, 2), 1): (2, 2, 0)}}
+    return GradedBrace(F, 3, lambdas, validate=False)
+
+
+def test_star_kernel_matches_apply(braces_cache):
+    # the precompiled one-pass star equals the sum of the graded maps
+    # evaluated in full, and hands back canonical scalars
+    braces = [braces_cache(name, field) for field in (Q, GF(7))
+              for name in ("n2", "h3", "f4", "v5")]
+    braces.append(_odd_degree_three_brace())
+    rng = random.Random(41)
+    for B in braces:
+        kind = Fraction if B.field.characteristic == 0 else Fp
+        for _ in range(15):
+            a, b = random_vec(B.field, B.dim, rng), random_vec(B.field, B.dim, rng)
+            got = B.star(a, b)
+            want = Vec.zero(B.field, B.dim)
+            for k, lam in B.lambdas.items():
+                want = want + lam.apply([a] * k, b)
+            assert got == want, B
+            for r in (got, B.lambda_map(1).apply_diagonal(a, b), a + b, a - b, -a, a * 3):
+                assert Vec(B.field, r.entries) == r
+                assert all(type(e) is kind for e in r.entries)
+                assert kind is Fraction or all(e.p == B.field.characteristic
+                                               for e in r.entries)
+    # at a = e1 + e2 + e3 only the degree-3 entry with multinomial 1 survives
+    B = braces[-1]
+    a = Vec(B.field, (1, 1, 1))
+    assert B.star(a, B.basis_vector(0)).is_zero()
+    assert B.star(a, B.basis_vector(1)) == Vec(B.field, (2, 2, 1))
+    assert B.star(a, B.basis_vector(2)).is_zero()

@@ -111,6 +111,22 @@ def test_circ_inverse_needs_no_class_bound(capsys, tmp_path, class_bound, last):
     assert out.endswith(last)
 
 
+@pytest.mark.parametrize("class_bound", [None, 8], ids=["none", "8"])
+def test_brace_characteristic_must_exceed_strong_index(capsys, tmp_path, class_bound):
+    # over GF(3) the ring brace passes its laws and chains, but its strong
+    # index 8 is not below the characteristic: every command fails alike
+    path = _ring_brace_file(tmp_path, class_bound)
+    line = "FAIL: characteristic 3 must exceed the nilpotency class 8\n"
+    code, out, _ = run(capsys, "to-prelie", path, "--field", "3",
+                       "--out", str(tmp_path / "unused.json"))
+    assert (code, out) == (2, line)
+    code, out, _ = run(capsys, "validate", path, "--field", "3")
+    assert code == 2
+    assert out.endswith("strong: 7,6,5,4,3,2,1,0 strongly nilpotent index 8\n" + line)
+    code, out, _ = run(capsys, "chains", path, "--field", "3")
+    assert (code, out) == (2, line)
+
+
 def test_validate_small_characteristic_like_loading(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", corpus_file("f4"), "--field", "3")
     assert code == 2
