@@ -143,8 +143,11 @@ class GradedBrace:
     """Brace with star(a, b) = sum_k L_k(a, ..., a; b).
 
     ``lambdas`` maps each degree k >= 1 to the SymmetricMap L_k of arity
-    k; identically zero maps are dropped.  Unless disabled, construction
-    runs ``validation_stages``: the brace laws, the group laws and strong
+    k; identically zero maps are dropped.  Because every L_k has k >= 1
+    and is linear in its right slot, right distributivity and the
+    identity 0 hold by construction, and associativity of ∘ on a triple
+    is the left-brace law on it.  Unless disabled, construction runs
+    ``validation_stages``: the left-brace law, inverses and strong
     nilpotency.  ``class_bound`` is either declared (and then checked
     against the strong nilpotency index) or proven (set to that index);
     it is None on an unvalidated brace that declares none.  ``chains`` is
@@ -244,43 +247,37 @@ def _triple_stream(B, trials, seed):
 
 
 def check_left_brace(B, trials=50, seed=None):
-    """Exact check of the left-brace laws on all basis triples plus
+    """Exact check of the left-brace law on all basis triples plus
     seeded random triples:
 
         (a + b + a*b) * c = a*c + b*c + a*(b*c)
-        a * (b + c)       = a*b + a*c
 
-    Together with the group laws these characterize a left brace; the
-    first law is where a corrupted star tensor shows up.
+    The other star law, a*(b+c) = a*b + a*c, holds for every GradedBrace
+    and is not checked: each L_k is linear in its right slot.  This law
+    is where a corrupted star tensor shows up.
     """
     for site, a, b, c in _triple_stream(B, trials, seed):
-        ab, ac, bc = B.star(a, b), B.star(a, c), B.star(b, c)
-        lhs = B.star(a + b + ab, c)
-        rhs = ac + bc + B.star(a, bc)
+        bc = B.star(b, c)
+        lhs = B.star(a + b + B.star(a, b), c)
+        rhs = B.star(a, c) + bc + B.star(a, bc)
         if lhs != rhs:
             return Violation("left-brace law (a+b+a*b)*c", site, lhs - rhs)
-        lhs = B.star(a, b + c)
-        rhs = ab + ac
-        if lhs != rhs:
-            return Violation("left-brace law a*(b+c)", site, lhs - rhs)
     return None
 
 
 def check_group(B, trials=50, seed=None):
-    """Group axioms for ∘: associativity on basis triples plus seeded
-    random triples, 0 as two-sided identity, two-sided inverses."""
-    zero = Vec.zero(B.field, B.dim)
-    for site, a, b, c in _triple_stream(B, trials, seed):
-        lhs = B.circ(B.circ(a, b), c)
-        rhs = B.circ(a, B.circ(b, c))
-        if lhs != rhs:
-            return Violation("circ associativity", site, lhs - rhs)
+    """Group laws for ∘ that the graded form leaves open: a two-sided
+    inverse of each basis vector.
+
+    Associativity is not swept: by right linearity, (a∘b)∘c - a∘(b∘c)
+    is the left-brace residual (a+b+a*b)*c - a*c - b*c - a*(b*c), so
+    ``check_left_brace`` decides it on the same triples.  0 is a
+    two-sided identity because every L_k has k >= 1 and is linear in its
+    right slot.  ``trials`` and ``seed`` are unused; every law takes them.
+    """
     for i in range(B.dim):
-        a = B.basis_vector(i)
-        if B.circ(zero, a) != a or B.circ(a, zero) != a:
-            return Violation("circ identity", (i,))
         try:
-            B.circ_inverse(a)
+            B.circ_inverse(B.basis_vector(i))
         except ConvergenceFailure:
             return Violation("circ inverse", (i,))
     return None
@@ -310,11 +307,12 @@ def check_fbrace(B, trials=50, seed=None):
 
 def validation_stages(B, extra_laws=(), trials=20, seed=None):
     """Run the checks that admit ``B`` to the correspondence, in order:
-    left-brace laws, group laws, the (name, check) pairs of
-    ``extra_laws``, radical chains, strong nilpotency, declared
-    ``class_bound`` (set to the strong index when none is declared),
-    characteristic above the strong index.  Yields one line per passed
-    law and chain; raises at the first failure.
+    left-brace law (stage "left-brace laws"), inverses (stage "group
+    laws"; the other brace and group laws hold by the graded form), the
+    (name, check) pairs of ``extra_laws``, radical chains, strong
+    nilpotency, declared ``class_bound`` (set to the strong index when
+    none is declared), characteristic above the strong index.  Yields one
+    line per passed law and chain; raises at the first failure.
     Once every stage has passed, ``B.chains`` holds the chain report."""
     laws = (("left-brace laws", check_left_brace), ("group laws", check_group))
     for name, check in laws + tuple(extra_laws):

@@ -24,23 +24,14 @@ from .errors import ConvergenceFailure, InternalInconsistency
 from .sampling import random_vec, rng_from
 
 
-def _exp_series(alg, mul, a, b):
+def _series(alg, mul, a, b, offset):
+    """sum_{k>=0} L_a^k(b) / (k + offset)!, for offset 0 or 1."""
     acc = cur = b
     for k in range(1, alg.nilpotency_class):
         cur = mul(a, cur)
         if cur.is_zero():
             break
-        acc = acc + cur * alg.field.inv_factorial(k)
-    return acc
-
-
-def _w_series(alg, mul, a):
-    acc = cur = a
-    for k in range(2, alg.nilpotency_class + 1):
-        cur = mul(a, cur)
-        if cur.is_zero():
-            break
-        acc = acc + cur * alg.field.inv_factorial(k)
+        acc = acc + cur * alg.field.inv_factorial(k + offset)
     return acc
 
 
@@ -61,12 +52,12 @@ def _omega_fixed_point(alg, w, a):
 
 def exp_L(alg, a, b):
     """exp of left multiplication: sum_k (1/k!) L_a^k(b), exact."""
-    return _exp_series(alg, alg.multiply, a, b)
+    return _series(alg, alg.multiply, a, b, 0)
 
 
 def w_map(alg, a):
     """W(a) = sum_{k>=1} (1/k!) L_a^{k-1}(a); bijective on a nilpotent algebra."""
-    return _w_series(alg, alg.multiply, a)
+    return _series(alg, alg.multiply, a, a, 1)
 
 
 def omega(alg, a):
@@ -145,11 +136,11 @@ def to_brace(alg, trials=20, seed=None):
         return _generic_product(alg, x, y)
 
     generic = _Generic({(i,): alg.basis_vector(i) for i in range(d)})
-    om = _omega_fixed_point(alg, lambda x: _w_series(alg, mul, x), generic)
+    om = _omega_fixed_point(alg, lambda x: _series(alg, mul, x, x, 1), generic)
     entries = {}
     for j in range(d):
         ej = _Generic({(): alg.basis_vector(j)})
-        graded = _exp_series(alg, mul, om, ej) - ej
+        graded = _series(alg, mul, om, ej, 0) - ej
         if () in graded.terms:
             raise InternalInconsistency("generic star has a nonzero constant term")
         for m, v in graded.terms.items():

@@ -79,9 +79,10 @@ class PreLieAlgebra:
         self._check_vec(x)
         self._check_vec(y)
         acc = [self.field.zero] * self.dim
+        xs, ys = x.entries, y.entries
         for i, j, out in self._pairs:
-            c = x.entries[i] * y.entries[j]
-            if c:
+            if xs[i] and ys[j]:
+                c = xs[i] * ys[j]
                 for k, val in out:
                     acc[k] = acc[k] + c * val
         return Vec._trusted(self.field, tuple(acc))

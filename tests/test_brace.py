@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from braceflow import brace
 from braceflow.brace import (GradedBrace, SymmetricMap, check_fbrace,
                              check_group, check_left_brace, radical_chains,
-                             star_subspaces)
+                             star_subspaces, validation_stages)
 from braceflow.corpus import corpus
-from braceflow.errors import ValidationFailure
+from braceflow.errors import ConvergenceFailure, ValidationFailure, Violation
 from braceflow.linalg import Subspace, Vec, span
-from braceflow.sampling import random_vec
+from braceflow.sampling import random_vec, rng_from
 from braceflow.scalars import GF, Fp, Q
 
 
@@ -246,3 +248,141 @@ def test_star_kernel_matches_apply(braces_cache):
     assert B.star(a, B.basis_vector(0)).is_zero()
     assert B.star(a, B.basis_vector(1)) == Vec(B.field, (2, 2, 1))
     assert B.star(a, B.basis_vector(2)).is_zero()
+
+
+@st.composite
+def _small_brace_and_triple(draw):
+    """An unvalidated brace of dim 1-3 with random tables in degrees 1-3
+    over Q, GF(7) or GF(3), and a triple of vectors."""
+    field = draw(st.sampled_from((Q, GF(7), GF(3))))
+    d = draw(st.integers(1, 3))
+    scalars = (st.fractions(-3, 3, max_denominator=3) if field is Q
+               else st.integers(-3, 3))
+    vec = st.lists(scalars, min_size=d, max_size=d)
+    index = st.integers(0, d - 1)
+    lambdas = {}
+    for k in draw(st.sets(st.integers(1, 3), max_size=3)):
+        key = st.tuples(st.lists(index, min_size=k, max_size=k).map(tuple), index)
+        lambdas[k] = draw(st.dictionaries(key, vec, max_size=4))
+    B = GradedBrace(field, d, lambdas, validate=False)
+    return B, Vec(field, draw(vec)), Vec(field, draw(vec)), Vec(field, draw(vec))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_small_brace_and_triple())
+def test_graded_form_decides_the_laws_left_unchecked(case):
+    # what check_left_brace and check_group no longer sweep holds for
+    # every graded star, corrupted or not: right distributivity, 0 as
+    # identity, and associativity residual = left-brace residual
+    B, a, b, c = case
+    star, circ = B.star, B.circ
+    assoc = circ(circ(a, b), c) - circ(a, circ(b, c))
+    left = star(a + b + star(a, b), c) - star(a, c) - star(b, c) - star(a, star(b, c))
+    assert assoc == left
+    assert star(a, b + c) == star(a, b) + star(a, c)
+    zero = Vec.zero(B.field, B.dim)
+    assert star(zero, a).is_zero() and star(a, zero).is_zero()
+
+
+def _full_law_sweep(B, trials, seed):
+    """Both left-brace laws, then associativity, identity and inverses,
+    swept in full and in this order: the first Violation, or None."""
+    d = B.dim
+    basis = [B.basis_vector(i) for i in range(d)]
+    rng = rng_from(seed)
+    triples = [((i, j, k), basis[i], basis[j], basis[k])
+               for i in range(d) for j in range(d) for k in range(d)]
+    triples += [(("random", t), random_vec(B.field, d, rng),
+                 random_vec(B.field, d, rng), random_vec(B.field, d, rng))
+                for t in range(trials)]
+    for site, a, b, c in triples:
+        lhs = B.star(a + b + B.star(a, b), c)
+        rhs = B.star(a, c) + B.star(b, c) + B.star(a, B.star(b, c))
+        if lhs != rhs:
+            return Violation("left-brace law (a+b+a*b)*c", site, lhs - rhs)
+        lhs, rhs = B.star(a, b + c), B.star(a, b) + B.star(a, c)
+        if lhs != rhs:
+            return Violation("left-brace law a*(b+c)", site, lhs - rhs)
+    for site, a, b, c in triples:
+        lhs, rhs = B.circ(B.circ(a, b), c), B.circ(a, B.circ(b, c))
+        if lhs != rhs:
+            return Violation("circ associativity", site, lhs - rhs)
+    zero = Vec.zero(B.field, d)
+    for i, a in enumerate(basis):
+        if B.circ(zero, a) != a or B.circ(a, zero) != a:
+            return Violation("circ identity", (i,))
+        try:
+            B.circ_inverse(a)
+        except ConvergenceFailure:
+            return Violation("circ inverse", (i,))
+    return None
+
+
+def _law_outcome(B, trials, seed):
+    """The Violation at which validation_stages rejects B's brace and
+    group laws, or None once both law stages have passed."""
+    try:
+        for line in validation_stages(B, trials=trials, seed=seed):
+            if line == "group laws: PASS":
+                return None
+    except ValidationFailure as exc:
+        return exc.violation
+    raise AssertionError("group laws stage never reported")
+
+
+def _law_mutants(braces_cache):
+    """Corpus braces over Q, GF(7) and GF(11); copies with one entry
+    bumped per degree and with entries added; the ring brace; braces
+    whose circ has no inverse."""
+    out = []
+    for field in (Q, GF(7), GF(11)):
+        for name in corpus(field):
+            B = braces_cache(name, field)
+            out.append((f"{name}/{field}", B))
+            for k, lam in B.lambdas.items():
+                for key in (next(iter(lam.table)), list(lam.table)[-1]):
+                    out.append((f"{name}/{field} bump L_{k} {key}",
+                                _corrupt(B, k, key, B.dim - 1, delta=2)))
+            for k in (1, 2, 3):
+                key = ((B.dim - 1,) * k, 0)
+                out.append((f"{name}/{field} add L_{k} {key}",
+                            _corrupt(B, k, key, B.dim - 1)))
+        # a*b = a_0 b_0 e_0: associative and distributive, but 1∘x = 0
+        # has no solution
+        out.append((f"line/{field}", GradedBrace(
+            field, 1, {1: {((0,), 0): (1,)}}, validate=False)))
+        out.append((f"plane/{field}", GradedBrace(
+            field, 2, {1: {((0,), 0): (1, 0), ((0,), 1): (0, 1)}}, validate=False)))
+    out.append(("x Q[x]/(x^8)", _ring_brace()))
+    return out
+
+
+def test_law_stages_match_full_sweep(braces_cache):
+    # dropping the sweeps the graded form decides leaves every verdict,
+    # law, site and residual of the brace and group law stages as it was
+    outcomes = []
+    for where, B in _law_mutants(braces_cache):
+        want = _full_law_sweep(B, 3, 5)
+        got = _law_outcome(B, 3, 5)
+        assert got == want, where
+        outcomes.append(None if want is None else want.check)
+    assert outcomes.count(None) >= 21
+    assert outcomes.count("left-brace law (a+b+a*b)*c") >= 21
+    assert outcomes.count("circ inverse") >= 6
+
+
+def test_law_checks_star_count(braces_q, monkeypatch):
+    # one left-brace sweep of 5 stars per triple, then at most d + 3
+    # stars per basis inverse
+    B = braces_q["f4"]
+    real, calls = GradedBrace.star, []
+
+    def counted(self, a, b):
+        calls.append(None)
+        return real(self, a, b)
+
+    monkeypatch.setattr(GradedBrace, "star", counted)
+    assert check_left_brace(B, trials=0) is None
+    assert check_group(B, trials=0) is None
+    d = B.dim
+    assert 0 < len(calls) <= 5 * d ** 3 + d * (d + 3)
