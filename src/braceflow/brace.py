@@ -57,6 +57,10 @@ class SymmetricMap:
             if any(not 0 <= i < dim for i in tup) or not 0 <= j < dim:
                 raise DimensionMismatch(f"index out of range in ({tup}, {j})")
             v = val if isinstance(val, Vec) else Vec(field, val)
+            if v.field != field:
+                raise FieldMismatch(f"value over {v.field} in a map over {field}")
+            if v.dim != dim:
+                raise DimensionMismatch(f"value of dim {v.dim} in a map of dim {dim}")
             key = (tup, j)
             v = table[key] + v if key in table else v
             if v.is_zero():
@@ -355,17 +359,28 @@ def star_subspaces(B, left, right):
     Because a -> star(a, b) is polynomial with symmetric multilinear
     graded parts, this span equals the span of L_k(u_1, ..., u_k; y) over
     multisets {u_1, ..., u_k} of left basis vectors and y in the right
-    basis.  The symmetric product of the u_i is built one slot at a time
-    as a sparse map from sorted index tuples to coefficients, and a
-    partial tuple that is no sub-multiset of a table key is pruned with
+    basis, which ``map_span`` computes from the table's support.
+    """
+    return map_span(B.lambdas.values(), left, right)
+
+
+def map_span(maps, left, right):
+    """Span of L(u_1, ..., u_k; y) over the SymmetricMaps L in ``maps``,
+    the multisets {u_1, ..., u_k} of ``left`` basis vectors (k the arity
+    of L) and the ``right`` basis vectors y.
+
+    The symmetric product of the u_i is built one slot at a time as a
+    sparse map from sorted index tuples to coefficients, and a partial
+    tuple that is no sub-multiset of a table key is pruned with
     everything that extends it.  The products are then contracted with
     the table by left tuple, and only the nonzero generators are spanned.
     """
-    field, d = B.field, B.dim
+    field, d = left.field, left.ambient_dim
     lefts = [tuple((i, x) for i, x in enumerate(u.entries) if x) for u in left.basis]
     rights = [y.entries for y in right.basis]
     gens = []
-    for k, lam in B.lambdas.items():
+    for lam in maps:
+        k = lam.arity
         by_left = {}
         for (tup, j), val in lam.table.items():
             by_left.setdefault(tup, []).append(

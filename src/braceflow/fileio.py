@@ -40,13 +40,18 @@ def _field_from_json(spec):
     raise AlgebraFileError(f"bad field spec {spec!r}")
 
 
+def _map_entries(field, lam):
+    """(left tuple, j, out, value) for each nonzero coordinate of the
+    SymmetricMap ``lam``, sorted by (left tuple, j), then out."""
+    for tup, j in sorted(lam.table):
+        for out, c in enumerate(lam.table[(tup, j)].entries):
+            if c:
+                yield tup, j, out, field.to_str(c)
+
+
 def algebra_to_json(alg):
-    entries = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            for k, c in enumerate(alg.products[i][j]):
-                if c:
-                    entries.append([i, j, k, alg.field.to_str(c)])
+    entries = [[tup[0], j, k, val]
+               for tup, j, k, val in _map_entries(alg.field, alg.product)]
     return {
         "format_version": FORMAT_VERSION,
         "kind": "prelie",
@@ -58,14 +63,8 @@ def algebra_to_json(alg):
 
 
 def brace_to_json(B):
-    entries = []
-    for k in sorted(B.lambdas):
-        lam = B.lambdas[k]
-        for (tup, j) in sorted(lam.table):
-            val = lam.table[(tup, j)]
-            for out, c in enumerate(val.entries):
-                if c:
-                    entries.append([k, list(tup), j, out, B.field.to_str(c)])
+    entries = [[k, list(tup), j, out, val] for k in sorted(B.lambdas)
+               for tup, j, out, val in _map_entries(B.field, B.lambdas[k])]
     return {
         "format_version": FORMAT_VERSION,
         "kind": "brace",
@@ -181,13 +180,13 @@ def loads(text, validate=True, field=None):
             _require(isinstance(j, int) and 0 <= j < dim
                      and isinstance(out, int) and 0 <= out < dim,
                      f"index out of range in {entry!r}")
-            key = (tuple(tup), j)
-            vec = tables.setdefault(k, {}).setdefault(key, [field.zero] * dim)
-            _require(not vec[out], f"duplicate entry for {entry!r}")
-            vec[out] = _parse_scalar(field, val)
+            row = tables.setdefault(k, {}).setdefault((tuple(tup), j), {})
+            _require(out not in row, f"duplicate entry for {entry!r}")
+            row[out] = _parse_scalar(field, val)
         lambdas = {
-            k: SymmetricMap(field, dim, k,
-                            {key: Vec(field, ent) for key, ent in table.items()})
+            k: SymmetricMap(field, dim, k, {
+                key: Vec(field, [row.get(o, field.zero) for o in range(dim)])
+                for key, row in table.items()})
             for k, table in tables.items()}
         return GradedBrace(field, dim, lambdas, class_bound=class_bound,
                            basis_names=basis, validate=validate)

@@ -366,15 +366,15 @@ def expand_sum_star(a, b, c, degree_bound):
 
 
 def double_substitution(word, degree_bound):
-    """Expansion of the word with the generator x replaced by x + x."""
-    eng = _expander(degree_bound)
+    """Expansion of the word with the generator x replaced by x + x.
 
-    def subst(node):
-        if node.is_leaf:
-            return StarExpr.word(node, 2 if node.symbol == "x" else 1)
-        return eng.star(subst(node.left), subst(node.right))
-
-    return subst(word)
+    Recursive at module level: a nested recursive closure would form a
+    reference cycle that keeps the expander's memo alive after its cache
+    is cleared, until the cyclic collector runs."""
+    if word.is_leaf:
+        return StarExpr.word(word, 2 if word.symbol == "x" else 1)
+    return _expander(degree_bound).star(double_substitution(word.left, degree_bound),
+                                        double_substitution(word.right, degree_bound))
 
 
 @functools.lru_cache(maxsize=None)

@@ -67,15 +67,14 @@ def check_bilinearity(B, trials=50, seed=None):
 
 
 def to_prelie(B):
-    """Pre-Lie algebra with structure constants dot(e_i, e_j), read off
-    the table of L_1: its value on (e_i; e_j) is e_i * e_j.
+    """Pre-Lie algebra with product dot: its stored product is B's L_1,
+    whose value on (e_i; e_j) is e_i * e_j.
 
     Validation of the result (identity plus nilpotency) is part of the
     contract: a failure means the input was not a genuine strongly
     nilpotent brace and surfaces as NotPreLie."""
-    structure = {(tup[0], j): v for (tup, j), v in B.lambda_map(1).table.items()}
     try:
-        return PreLieAlgebra(B.field, B.dim, structure, basis_names=B.basis_names)
+        return PreLieAlgebra(B.field, B.dim, B.lambda_map(1), basis_names=B.basis_names)
     except ValidationFailure as exc:
         raise NotPreLie(str(exc)) from exc
 
@@ -86,9 +85,9 @@ def roundtrip_prelie(alg, trials=20, seed=None):
     back = to_prelie(to_brace(alg, trials=trials, seed=seed))
     for i in range(alg.dim):
         for j in range(alg.dim):
-            if back.products[i][j] != alg.products[i][j]:
-                return Violation("pre-Lie round trip", (i, j),
-                                 back.products[i][j] - alg.products[i][j])
+            diff = back.product.value((i,), j) - alg.product.value((i,), j)
+            if not diff.is_zero():
+                return Violation("pre-Lie round trip", (i, j), diff)
     return None
 
 

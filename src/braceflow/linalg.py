@@ -205,20 +205,6 @@ class Subspace:
     def is_zero(self):
         return not self.basis
 
-    def contains(self, v):
-        if v.dim != self.ambient_dim:
-            raise DimensionMismatch(f"{self.ambient_dim} vs {v.dim}")
-        res = list(v.entries)
-        for b in self.basis:
-            lead = next(i for i, e in enumerate(b.entries) if e)
-            if res[lead]:
-                f = res[lead]
-                res = [a - f * c for a, c in zip(res, b.entries)]
-        return not any(res)
-
-    def __le__(self, other):
-        return all(other.contains(b) for b in self.basis)
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.field == self.field
                 and other.ambient_dim == self.ambient_dim and other.basis == self.basis)

@@ -8,48 +8,44 @@ construction unless explicitly disabled (used only to build deliberately
 broken fixtures in tests).
 """
 
+from .brace import SymmetricMap, map_span
 from .errors import (CharacteristicTooSmall, DimensionMismatch, FieldMismatch,
                      ValidationFailure, Violation)
 from .linalg import Subspace, Vec, strong_chain
 
 
 class PreLieAlgebra:
-    """Algebra on basis e_0..e_{d-1} with products e_i*e_j stored as vectors.
+    """Algebra on basis e_0..e_{d-1} whose product is stored as L_1.
 
-    ``structure`` is a sparse mapping {(i, j): {k: value}} or
-    {(i, j): Vec} giving e_i*e_j; omitted products are zero.
+    ``product`` is the arity-1 SymmetricMap with value e_i*e_j on
+    ((i,), j): the form a GradedBrace uses for its degree-one map L_1,
+    which is the limit product.  ``structure`` is either such a map or a
+    sparse mapping {(i, j): {k: value}} giving e_i*e_j; omitted products
+    are zero.
     """
 
-    __slots__ = ("field", "dim", "products", "basis_names", "_pairs", "_class")
+    __slots__ = ("field", "dim", "product", "basis_names", "_class")
 
     def __init__(self, field, dim, structure, basis_names=None, validate=True):
         self.field = field
         self.dim = dim
-        zero = Vec.zero(field, dim)
-        table = [[zero] * dim for _ in range(dim)]
-        for (i, j), out in structure.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise DimensionMismatch(f"product index ({i},{j}) out of range")
-            if isinstance(out, Vec):
-                v = out
-            else:
+        if not isinstance(structure, SymmetricMap):
+            table = {}
+            for (i, j), out in structure.items():
                 ent = [field.zero] * dim
                 for k, val in out.items():
                     if not 0 <= k < dim:
                         raise DimensionMismatch(f"output index {k} out of range")
                     ent[k] = field.of(val)
-                v = Vec(field, ent)
-            if v.dim != dim:
-                raise DimensionMismatch("product vector has wrong dimension")
-            table[i][j] = v
-        self.products = tuple(tuple(row) for row in table)
+                table[((i,), j)] = Vec._trusted(field, tuple(ent))
+            structure = SymmetricMap(field, dim, 1, table)
+        elif structure.arity != 1 or structure.field != field or structure.dim != dim:
+            raise DimensionMismatch("product map has mismatched shape")
+        self.product = structure
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             f"e{i + 1}" for i in range(dim))
         if len(self.basis_names) != dim:
             raise DimensionMismatch("basis name count != dim")
-        self._pairs = tuple(
-            (i, j, tuple((k, c) for k, c in enumerate(self.products[i][j]) if c))
-            for i in range(dim) for j in range(dim) if not self.products[i][j].is_zero())
         self._class = None
         if validate:
             for _ in validation_stages(self):
@@ -75,17 +71,10 @@ class PreLieAlgebra:
             raise DimensionMismatch(f"dim {self.dim} vs {v.dim}")
 
     def multiply(self, x, y):
-        """Bilinear product x*y from the structure constants."""
+        """Bilinear product x*y: L_1(x; y), by the brace's star kernel."""
         self._check_vec(x)
         self._check_vec(y)
-        acc = [self.field.zero] * self.dim
-        xs, ys = x.entries, y.entries
-        for i, j, out in self._pairs:
-            if xs[i] and ys[j]:
-                c = xs[i] * ys[j]
-                for k, val in out:
-                    acc[k] = acc[k] + c * val
-        return Vec._trusted(self.field, tuple(acc))
+        return self.product.apply_diagonal(x, y)
 
     def lie_bracket(self, x, y):
         """[x, y] = x*y - y*x, the associated Lie bracket."""
@@ -93,7 +82,7 @@ class PreLieAlgebra:
 
     def structure_equal(self, other):
         return (isinstance(other, PreLieAlgebra) and other.field == self.field
-                and other.dim == self.dim and other.products == self.products)
+                and other.dim == self.dim and other.product == self.product)
 
     def __repr__(self):
         return f"PreLieAlgebra(dim {self.dim} over {self.field})"
@@ -129,13 +118,14 @@ def check_prelie_identity(alg):
     """
     d = alg.dim
     basis = [alg.basis_vector(i) for i in range(d)]
+    prod = [[alg.product.value((i,), j) for j in range(d)] for i in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            commutator = alg.products[i][j] - alg.products[j][i]
+            commutator = prod[i][j] - prod[j][i]
             for k in range(d):
                 r = (alg.multiply(commutator, basis[k])
-                     - alg.multiply(basis[i], alg.products[j][k])
-                     + alg.multiply(basis[j], alg.products[i][k]))
+                     - alg.multiply(basis[i], prod[j][k])
+                     + alg.multiply(basis[j], prod[i][k]))
                 if not r.is_zero():
                     return Violation("pre-Lie identity", (i, j, k), r)
     return None
@@ -148,9 +138,10 @@ def nilpotency_index(alg):
     D_j * D_{i-j} (0 < j < i), i.e. the span of all products of exactly
     i elements with any bracketing.  The chain is monotone, so for a
     nilpotent algebra it reaches zero within d+1 steps; it is built up
-    to D_{d+2} before giving up.
+    to D_{d+2} before giving up.  D_j * D_{i-j} is spanned from the
+    support of the product table, as the brace's radical chains are.
     """
     def products(left, right):
-        return (alg.multiply(u, v) for u in left.basis for v in right.basis)
+        return map_span([alg.product], left, right).basis
 
     return strong_chain(Subspace.full(alg.field, alg.dim), products, alg.dim + 2)[1]

@@ -64,6 +64,9 @@ def test_structural_rejections():
     doc = _f4_doc()
     doc["entries"].append(doc["entries"][0])
     _fails(doc, "duplicate")
+    brace = {"format_version": 1, "kind": "brace", "field": "Q", "dim": 2,
+             "entries": [[1, [0], 0, 1, "0"], [1, [0], 0, 1, "5"]]}
+    _fails(brace, "duplicate")  # by key, even after a zero value
     doc = _f4_doc()
     doc["entries"][0][3] = "1.5"
     _fails(doc, "bad scalar")

@@ -1,9 +1,11 @@
+import gc
 import random
 
 from fractions import Fraction
 
 import pytest
 
+from braceflow import free_expansion
 from braceflow.brace import GradedBrace
 from braceflow.errors import PreconditionViolated, UnboundSymbol
 from braceflow.free_expansion import (StarExpr, StarWord, X, Y, Z,
@@ -173,6 +175,23 @@ def test_double_substitution_consistency(braces_q):
         expr = double_substitution(w, B.class_bound)
         direct = evaluate(w, {"x": a + a, "y": b}, B)
         assert evaluate(expr, {"x": a, "y": b}, B) == direct
+
+
+def test_doubling_matrix_leaves_no_reference_cycle():
+    # with its caches cleared, the expander's memo is freed by reference
+    # counting at once, not left for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            doubling_matrix.cache_clear()
+            free_expansion._expander.cache_clear()
+            doubling_matrix(4)
+        doubling_matrix.cache_clear()
+        free_expansion._expander.cache_clear()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", ["zero2", "n2", "f4", "v5"])

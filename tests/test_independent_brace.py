@@ -34,7 +34,7 @@ def bilinear_brace(alg):
     entries = {}
     for i in range(alg.dim):
         for j in range(alg.dim):
-            v = alg.products[i][j]
+            v = alg.product.value((i,), j)
             if not v.is_zero():
                 entries[((i,), j)] = v
     lam1 = SymmetricMap(alg.field, alg.dim, 1, entries)

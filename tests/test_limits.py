@@ -32,7 +32,7 @@ def test_dot_recovers_f4_structure(braces_q):
     for i in range(4):
         for j in range(4):
             assert dot(B, B.basis_vector(i), B.basis_vector(j)) == \
-                alg.products[i][j]
+                alg.product.value((i,), j)
 
 
 @pytest.mark.parametrize("field", [Q, GF(7)], ids=str)
@@ -117,6 +117,14 @@ def test_to_prelie_round_trips(braces_q):
         alg = corpus(Q)[name]
         back = to_prelie(braces_q[name])
         assert back.structure_equal(alg)
+
+
+@pytest.mark.parametrize("field", [Q, GF(7), GF(11)], ids=str)
+def test_product_is_the_degree_one_map(field, braces_cache):
+    for name, alg in corpus(field).items():
+        B = braces_cache(name, field)
+        assert B.lambda_map(1) == alg.product, name
+        assert to_prelie(B).product == B.lambda_map(1), name
 
 
 def test_to_prelie_rejects_non_brace():

@@ -55,13 +55,6 @@ def test_span_order_independent():
     assert span(list(s1.basis)) == s1  # idempotent
 
 
-def test_subspace_relations():
-    s = span([v(1, 0, 0), v(0, 1, 0)])
-    assert s.contains(v(2, -3, 0))
-    assert not s.contains(v(0, 0, 1))
-    assert span([v(1, 0, 0)]) <= s
-
-
 def test_interpolate_recovers_curve():
     # oracle: construct f(t) = t*u + t^2*w explicitly, sample, compare
     u, w = v(3, -1, Fraction(1, 2)), v(0, 2, 5)

@@ -5,7 +5,7 @@ import pytest
 
 from braceflow.corpus import corpus, f4, h3, n2, v5, zero_algebra
 from braceflow.errors import CharacteristicTooSmall, ValidationFailure, Violation
-from braceflow.linalg import Vec
+from braceflow.linalg import Subspace, Vec, span
 from braceflow.prelie import (PreLieAlgebra, check_prelie_identity,
                               nilpotency_index)
 from braceflow.sampling import random_scalar, random_vec
@@ -65,10 +65,10 @@ def _full_sweep_identity(alg):
     basis = [alg.basis_vector(i) for i in range(alg.dim)]
     for i, j, k in itertools.product(range(alg.dim), repeat=3):
         if i != j:
-            r = (alg.multiply(alg.products[i][j], basis[k])
-                 - alg.multiply(basis[i], alg.products[j][k])
-                 - alg.multiply(alg.products[j][i], basis[k])
-                 + alg.multiply(basis[j], alg.products[i][k]))
+            r = (alg.multiply(alg.product.value((i,), j), basis[k])
+                 - alg.multiply(basis[i], alg.product.value((j,), k))
+                 - alg.multiply(alg.product.value((j,), i), basis[k])
+                 + alg.multiply(basis[j], alg.product.value((i,), k)))
             if not r.is_zero():
                 return Violation("pre-Lie identity", (i, j, k), r)
     return None
@@ -118,6 +118,41 @@ def test_nilpotency_index(make, expected):
 def test_nilpotency_index_not_nilpotent():
     bad = PreLieAlgebra(Q, 2, {(0, 0): {0: 1}}, validate=False)
     assert nilpotency_index(bad) is None
+
+
+def _dense_nilpotency_index(alg):
+    """nilpotency_index as a dense sweep: D_i is spanned by the products
+    of all pairs of basis vectors of D_j and D_{i-j}, 0 < j < i."""
+    chain = [Subspace.full(alg.field, alg.dim)]
+    for i in range(2, alg.dim + 3):
+        gens = [alg.multiply(u, v) for j in range(1, i)
+                for u in chain[j - 1].basis for v in chain[i - j - 1].basis]
+        chain.append(span(gens, field=alg.field, dim=alg.dim))
+        if chain[-1].is_zero():
+            return i
+    return None
+
+
+@pytest.mark.parametrize("field", [Q, GF(7), GF(11)], ids=str)
+def test_nilpotency_index_matches_dense_sweep(field):
+    # the corpus, v_3..v_7, v_n with random extra products, and algebras
+    # with an idempotent or a non-nilpotent left multiplication
+    algs = list(corpus(field).values())
+    rng = random.Random(43)
+    for n in range(3, 8):
+        for corruptions in range(3):
+            structure = {(i - 1, j - 1): {i + j - 1: j}
+                         for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n}
+            for _ in range(corruptions):
+                i, j, k = (rng.randrange(n) for _ in range(3))
+                structure.setdefault((i, j), {})[k] = random_scalar(field, rng)
+            algs.append(PreLieAlgebra(field, n, structure, validate=False))
+    algs += [PreLieAlgebra(field, 1, {(0, 0): {0: 1}}, validate=False),
+             PreLieAlgebra(field, 2, {(0, 1): {1: 1}}, validate=False),
+             PreLieAlgebra(field, 3, {(0, 1): {2: 1}, (2, 0): {1: 1}}, validate=False)]
+    indices = [nilpotency_index(alg) for alg in algs]
+    assert indices == [_dense_nilpotency_index(alg) for alg in algs]
+    assert None in indices and 8 in indices
 
 
 def _products_of(alg, factors):
