@@ -32,9 +32,11 @@ def _multinomial(k, counts):
 class SymmetricMap:
     """Multilinear map with ``arity`` symmetric left slots and one right slot.
 
-    Stored sparsely: table[(i_1 <= ... <= i_k, j)] is the value on the
-    basis tuple (e_{i_1}, ..., e_{i_k}; e_j); zero values are dropped.
-    Keying by sorted tuples makes left-slot symmetry structural.
+    Stored sparsely: table[(i_1 <= ... <= i_k, j)] holds the value on
+    (e_{i_1}, ..., e_{i_k}; e_j) as its nonzero (out, c) pairs, sorted by
+    out; zero values are dropped, and sorted keys make left-slot symmetry
+    structural.  A value is given as a Vec, a dense sequence or a mapping
+    {out: c}; values given twice for one key are added.
 
     ``_rows`` is the table precompiled for diagonal evaluation: per entry
     (tup, j, ((k, c * multinomial), ...)) in table order, where the
@@ -56,38 +58,43 @@ class SymmetricMap:
                 raise DimensionMismatch(f"left tuple {tup} has arity != {arity}")
             if any(not 0 <= i < dim for i in tup) or not 0 <= j < dim:
                 raise DimensionMismatch(f"index out of range in ({tup}, {j})")
-            v = val if isinstance(val, Vec) else Vec(field, val)
-            if v.field != field:
-                raise FieldMismatch(f"value over {v.field} in a map over {field}")
-            if v.dim != dim:
-                raise DimensionMismatch(f"value of dim {v.dim} in a map of dim {dim}")
-            key = (tup, j)
-            v = table[key] + v if key in table else v
-            if v.is_zero():
-                table.pop(key, None)
+            if isinstance(val, dict):
+                if any(not 0 <= out < dim for out in val):
+                    raise DimensionMismatch(f"output index out of range in {val}")
+                coords = [(out, field.of(c)) for out, c in val.items()]
             else:
-                table[key] = v
-        self.table = table
+                v = val if isinstance(val, Vec) else Vec(field, val)
+                if v.field != field:
+                    raise FieldMismatch(f"value over {v.field} in a map over {field}")
+                if v.dim != dim:
+                    raise DimensionMismatch(f"value of dim {v.dim} in a map of dim {dim}")
+                coords = enumerate(v.entries)
+            row = table.setdefault((tup, j), {})
+            for out, c in coords:
+                row[out] = row[out] + c if out in row else c
+        self.table = {key: pairs for key, row in table.items()
+                      if (pairs := tuple(sorted((o, c) for o, c in row.items() if c)))}
         rows = []
-        for (tup, j), val in table.items():
+        for (tup, j), pairs in self.table.items():
             m = field.of(_multinomial(arity, [tup.count(i) for i in set(tup)]))
             if m:  # zero in GF(p) when p divides the multinomial
-                out = tuple((k, c * m) for k, c in enumerate(val.entries) if c)
-                rows.append((tup, j, out))
+                rows.append((tup, j, tuple((k, c * m) for k, c in pairs)))
         self._rows = tuple(rows)
 
     def is_zero(self):
         return not self.table
 
     def value(self, tup, j):
-        return self.table.get((tuple(sorted(tup)), j), Vec.zero(self.field, self.dim))
+        coords = dict(self.table.get((tuple(sorted(tup)), j), ()))
+        return Vec._trusted(self.field, tuple(coords.get(o, self.field.zero)
+                                              for o in range(self.dim)))
 
     def apply(self, lefts, right):
         """Full multilinear evaluation on arbitrary vectors."""
         if len(lefts) != self.arity:
             raise DimensionMismatch(f"expected {self.arity} left arguments")
         acc = [self.field.zero] * self.dim
-        for (tup, j), val in self.table.items():
+        for (tup, j), pairs in self.table.items():
             w = right.entries[j]
             if not w:
                 continue
@@ -101,13 +108,14 @@ class SymmetricMap:
                 else:
                     coeff = coeff + prod
             if coeff:
-                for k, c in enumerate(val.entries):
-                    if c:
-                        acc[k] = acc[k] + coeff * c
+                for k, c in pairs:
+                    acc[k] = acc[k] + coeff * c
         return Vec._trusted(self.field, tuple(acc))
 
     def apply_diagonal(self, a, b):
         """Evaluation with every left slot equal to a."""
+        _check_vec(self, a)
+        _check_vec(self, b)
         return _diagonal(self.field, self.dim, self._rows, a, b)
 
     def __eq__(self, other):
@@ -121,6 +129,14 @@ class SymmetricMap:
 
     def __repr__(self):
         return f"SymmetricMap(arity {self.arity}, {len(self.table)} entries)"
+
+
+def _check_vec(owner, v):
+    """Raise unless v is a Vec over owner's field of owner's dim."""
+    if not isinstance(v, Vec) or v.field != owner.field:
+        raise FieldMismatch(f"expected Vec over {owner.field}")
+    if v.dim != owner.dim:
+        raise DimensionMismatch(f"dim {owner.dim} vs {v.dim}")
 
 
 def _diagonal(field, dim, rows, a, b):
@@ -179,6 +195,8 @@ class GradedBrace:
         self._rows = tuple(row for lam in clean.values() for row in lam._rows)
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             f"e{i + 1}" for i in range(dim))
+        if len(self.basis_names) != dim:
+            raise DimensionMismatch("basis name count != dim")
         self.class_bound = class_bound
         self.chains = None
         if validate:
@@ -195,15 +213,9 @@ class GradedBrace:
     def lambda_map(self, k):
         return self.lambdas.get(k, SymmetricMap(self.field, self.dim, k))
 
-    def _check_vec(self, v):
-        if not isinstance(v, Vec) or v.field != self.field:
-            raise FieldMismatch(f"expected Vec over {self.field}")
-        if v.dim != self.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {v.dim}")
-
     def star(self, a, b):
-        self._check_vec(a)
-        self._check_vec(b)
+        _check_vec(self, a)
+        _check_vec(self, b)
         return _diagonal(self.field, self.dim, self._rows, a, b)
 
     def circ(self, a, b):
@@ -214,7 +226,7 @@ class GradedBrace:
         x <- -a - star(a, x); verifies x is a two-sided inverse.  Each step
         applies the nilpotent map b -> -star(a, b) to the error, so dim + 1
         steps reach the fixed point."""
-        self._check_vec(a)
+        _check_vec(self, a)
         x = -a
         for _ in range(self.dim + 1):
             nxt = -a - self.star(a, x)
@@ -382,9 +394,8 @@ def map_span(maps, left, right):
     for lam in maps:
         k = lam.arity
         by_left = {}
-        for (tup, j), val in lam.table.items():
-            by_left.setdefault(tup, []).append(
-                (j, tuple((o, c) for o, c in enumerate(val.entries) if c)))
+        for (tup, j), pairs in lam.table.items():
+            by_left.setdefault(tup, []).append((j, pairs))
         # sub-tuples of a sorted tuple are sorted: these are the sub-multisets
         live = {sub for tup in by_left for m in range(k + 1)
                 for sub in itertools.combinations(tup, m)}

@@ -1,6 +1,6 @@
 """Exception types and the Violation record shared across the package."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class AlgebraError(Exception):
@@ -72,7 +72,6 @@ class Violation:
     check: str
     site: tuple = ()
     residual: object = None
-    message: str = field(default="")
 
     def __str__(self):
         parts = [self.check, "violated"]
@@ -80,6 +79,4 @@ class Violation:
             parts.append(f"at {self.site}")
         if self.residual is not None:
             parts.append(f"residual {self.residual}")
-        if self.message:
-            parts.append(f"({self.message})")
         return " ".join(parts)

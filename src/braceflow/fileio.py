@@ -15,7 +15,6 @@ import re
 
 from .brace import GradedBrace, SymmetricMap
 from .errors import AlgebraFileError
-from .linalg import Vec
 from .prelie import PreLieAlgebra
 from .scalars import GF, Q
 
@@ -44,9 +43,8 @@ def _map_entries(field, lam):
     """(left tuple, j, out, value) for each nonzero coordinate of the
     SymmetricMap ``lam``, sorted by (left tuple, j), then out."""
     for tup, j in sorted(lam.table):
-        for out, c in enumerate(lam.table[(tup, j)].entries):
-            if c:
-                yield tup, j, out, field.to_str(c)
+        for out, c in lam.table[(tup, j)]:
+            yield tup, j, out, field.to_str(c)
 
 
 def algebra_to_json(alg):
@@ -183,11 +181,7 @@ def loads(text, validate=True, field=None):
             row = tables.setdefault(k, {}).setdefault((tuple(tup), j), {})
             _require(out not in row, f"duplicate entry for {entry!r}")
             row[out] = _parse_scalar(field, val)
-        lambdas = {
-            k: SymmetricMap(field, dim, k, {
-                key: Vec(field, [row.get(o, field.zero) for o in range(dim)])
-                for key, row in table.items()})
-            for k, table in tables.items()}
+        lambdas = {k: SymmetricMap(field, dim, k, table) for k, table in tables.items()}
         return GradedBrace(field, dim, lambdas, class_bound=class_bound,
                            basis_names=basis, validate=validate)
     raise AlgebraFileError(f"unknown kind {kind!r}")

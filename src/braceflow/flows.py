@@ -19,8 +19,11 @@ brace.  Cutting monomials of degree >= s loses nothing, because every
 product of s elements of A is zero.
 """
 
+import functools
+
 from .brace import GradedBrace, SymmetricMap, _multinomial
 from .errors import ConvergenceFailure, InternalInconsistency
+from .prelie import product_rows
 from .sampling import random_vec, rng_from
 
 
@@ -80,25 +83,25 @@ def star(alg, a, b):
 
 
 class _Generic:
-    """Element of A ⊗ F[x_1..x_d]/(deg >= s): a map from monomials (sorted
-    tuples of variable indices) to nonzero coefficient vectors."""
+    """Element of A ⊗ F[x_1..x_d]/(deg >= s): nonzero scalars keyed by
+    (monomial, coordinate), a monomial a sorted tuple of variables."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self.terms = {m: v for m, v in terms.items() if not v.is_zero()}
+        self.terms = {key: c for key, c in terms.items() if c}
 
     def __add__(self, other):
         terms = dict(self.terms)
-        for m, v in other.terms.items():
-            terms[m] = terms[m] + v if m in terms else v
+        for key, c in other.terms.items():
+            terms[key] = terms[key] + c if key in terms else c
         return _Generic(terms)
 
     def __sub__(self, other):
         return self + other * -1
 
     def __mul__(self, scalar):
-        return _Generic({m: v * scalar for m, v in self.terms.items()})
+        return _Generic({key: c * scalar for key, c in self.terms.items()})
 
     def is_zero(self):
         return not self.terms
@@ -107,16 +110,19 @@ class _Generic:
         return self.terms == other.terms
 
 
-def _generic_product(alg, x, y):
-    """x.y in A ⊗ F[x]/(deg >= s), products taken coefficientwise."""
-    s = alg.nilpotency_class
+def _generic_product(rows, s, x, y):
+    """x.y in A ⊗ F[x]/(deg >= s), through the product's nonzero
+    coordinates ``rows`` (``prelie.product_rows``)."""
     terms = {}
-    for mx, vx in x.terms.items():
-        for my, vy in y.terms.items():
-            if len(mx) + len(my) < s:
+    for (mx, i), cx in x.terms.items():
+        for (my, j), cy in y.terms.items():
+            pairs = rows[i].get(j)
+            if pairs and len(mx) + len(my) < s:
                 m = tuple(sorted(mx + my))
-                v = alg.multiply(vx, vy)
-                terms[m] = terms[m] + v if m in terms else v
+                c = cx * cy
+                for out, v in pairs:
+                    key = (m, out)
+                    terms[key] = terms[key] + c * v if key in terms else c * v
     return _Generic(terms)
 
 
@@ -131,22 +137,18 @@ def to_brace(alg, trials=20, seed=None):
     random pairs, with Omega computed once per left argument.
     """
     field, d = alg.field, alg.dim
-
-    def mul(x, y):
-        return _generic_product(alg, x, y)
-
-    generic = _Generic({(i,): alg.basis_vector(i) for i in range(d)})
+    mul = functools.partial(_generic_product, product_rows(alg), alg.nilpotency_class)
+    generic = _Generic({((i,), i): field.one for i in range(d)})
     om = _omega_fixed_point(alg, lambda x: _series(alg, mul, x, x, 1), generic)
     entries = {}
     for j in range(d):
-        ej = _Generic({(): alg.basis_vector(j)})
+        ej = _Generic({((), j): field.one})
         graded = _series(alg, mul, om, ej, 0) - ej
-        if () in graded.terms:
-            raise InternalInconsistency("generic star has a nonzero constant term")
-        for m, v in graded.terms.items():
-            k = len(m)
-            counts = [m.count(i) for i in set(m)]
-            entries.setdefault(k, {})[(m, j)] = v * field.inv_int(_multinomial(k, counts))
+        for (m, out), c in graded.terms.items():
+            if not m:
+                raise InternalInconsistency("generic star has a nonzero constant term")
+            inv = field.inv_int(_multinomial(len(m), [m.count(i) for i in set(m)]))
+            entries.setdefault(len(m), {}).setdefault((m, j), {})[out] = c * inv
     lambdas = {k: SymmetricMap(field, d, k, e) for k, e in entries.items()}
 
     B = GradedBrace(field, d, lambdas, class_bound=alg.nilpotency_class,

@@ -175,9 +175,6 @@ class StarExpr:
     def min_degree(self):
         return min((w.degree for w in self._terms), default=None)
 
-    def truncate(self, degree_bound):
-        return StarExpr((w, c) for w, c in self._items if w.degree <= degree_bound)
-
     def __add__(self, other):
         return StarExpr(self._items + other._items)
 
@@ -403,25 +400,27 @@ def doubling_matrix(degree_bound):
 def evaluate(expr, bindings, B):
     """Substitute vectors for generators and the brace star for the
     formal star; linear in the coefficients."""
-    expr = as_expr(expr)
     cache = {}
-
-    def ev(word):
-        if word.is_leaf:
-            try:
-                return bindings[word.symbol]
-            except KeyError:
-                raise UnboundSymbol(f"generator {word.symbol!r} is unbound") from None
-        hit = cache.get(word)
-        if hit is None:
-            hit = B.star(ev(word.left), ev(word.right))
-            cache[word] = hit
-        return hit
-
     out = Vec.zero(B.field, B.dim)
-    for w, c in expr.terms():
-        out = out + ev(w) * B.field.of(c)
+    for w, c in as_expr(expr).terms():
+        out = out + _evaluate_word(w, bindings, B, cache) * B.field.of(c)
     return out
+
+
+def _evaluate_word(word, bindings, B, cache):
+    """The value of one word, cached.  Recursive at module level, as
+    ``double_substitution`` is, so that no reference cycle forms."""
+    if word.is_leaf:
+        try:
+            return bindings[word.symbol]
+        except KeyError:
+            raise UnboundSymbol(f"generator {word.symbol!r} is unbound") from None
+    hit = cache.get(word)
+    if hit is None:
+        hit = B.star(_evaluate_word(word.left, bindings, B, cache),
+                     _evaluate_word(word.right, bindings, B, cache))
+        cache[word] = hit
+    return hit
 
 
 def scaling_matrix_check(B, a, b, n_max):

@@ -9,7 +9,7 @@ broken fixtures in tests).
 """
 
 from .brace import SymmetricMap, map_span
-from .errors import (CharacteristicTooSmall, DimensionMismatch, FieldMismatch,
+from .errors import (CharacteristicTooSmall, DimensionMismatch,
                      ValidationFailure, Violation)
 from .linalg import Subspace, Vec, strong_chain
 
@@ -20,8 +20,8 @@ class PreLieAlgebra:
     ``product`` is the arity-1 SymmetricMap with value e_i*e_j on
     ((i,), j): the form a GradedBrace uses for its degree-one map L_1,
     which is the limit product.  ``structure`` is either such a map or a
-    sparse mapping {(i, j): {k: value}} giving e_i*e_j; omitted products
-    are zero.
+    sparse mapping {(i, j): {k: value}} giving e_i*e_j, which the map
+    takes as it is; omitted products are zero.
     """
 
     __slots__ = ("field", "dim", "product", "basis_names", "_class")
@@ -30,15 +30,8 @@ class PreLieAlgebra:
         self.field = field
         self.dim = dim
         if not isinstance(structure, SymmetricMap):
-            table = {}
-            for (i, j), out in structure.items():
-                ent = [field.zero] * dim
-                for k, val in out.items():
-                    if not 0 <= k < dim:
-                        raise DimensionMismatch(f"output index {k} out of range")
-                    ent[k] = field.of(val)
-                table[((i,), j)] = Vec._trusted(field, tuple(ent))
-            structure = SymmetricMap(field, dim, 1, table)
+            structure = SymmetricMap(field, dim, 1, {
+                ((i,), j): out for (i, j), out in structure.items()})
         elif structure.arity != 1 or structure.field != field or structure.dim != dim:
             raise DimensionMismatch("product map has mismatched shape")
         self.product = structure
@@ -51,10 +44,6 @@ class PreLieAlgebra:
             for _ in validation_stages(self):
                 pass
 
-    @classmethod
-    def zero(cls, field, dim, basis_names=None):
-        return cls(field, dim, {}, basis_names)
-
     @property
     def nilpotency_class(self):
         if self._class is None:
@@ -64,16 +53,8 @@ class PreLieAlgebra:
     def basis_vector(self, i):
         return Vec.basis(self.field, self.dim, i)
 
-    def _check_vec(self, v):
-        if not isinstance(v, Vec) or v.field != self.field:
-            raise FieldMismatch(f"expected Vec over {self.field}")
-        if v.dim != self.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {v.dim}")
-
     def multiply(self, x, y):
         """Bilinear product x*y: L_1(x; y), by the brace's star kernel."""
-        self._check_vec(x)
-        self._check_vec(y)
         return self.product.apply_diagonal(x, y)
 
     def lie_bracket(self, x, y):
@@ -114,21 +95,33 @@ def check_prelie_identity(alg):
     Bilinearity makes the basis sweep sufficient for all elements.  The
     residual is antisymmetric in (i, j), so only i < j is swept.  Returns
     None on success, else a Violation at the first failing triple with
-    residual (e_i e_j - e_j e_i)e_k - e_i(e_j e_k) + e_j(e_i e_k).
+    residual (e_i e_j - e_j e_i)e_k - e_i(e_j e_k) + e_j(e_i e_k).  Every
+    product is read off the nonzero coordinates of the table.
     """
-    d = alg.dim
-    basis = [alg.basis_vector(i) for i in range(d)]
-    prod = [[alg.product.value((i,), j) for j in range(d)] for i in range(d)]
+    field, d = alg.field, alg.dim
+    rows = product_rows(alg)
     for i in range(d):
         for j in range(i + 1, d):
-            commutator = prod[i][j] - prod[j][i]
             for k in range(d):
-                r = (alg.multiply(commutator, basis[k])
-                     - alg.multiply(basis[i], prod[j][k])
-                     + alg.multiply(basis[j], prod[i][k]))
-                if not r.is_zero():
-                    return Violation("pre-Lie identity", (i, j, k), r)
+                r = {}
+                for c, u, v in ([(c, o, k) for o, c in rows[i].get(j, ())]
+                                + [(-c, o, k) for o, c in rows[j].get(i, ())]
+                                + [(-c, i, o) for o, c in rows[j].get(k, ())]
+                                + [(c, j, o) for o, c in rows[i].get(k, ())]):
+                    for out, x in rows[u].get(v, ()):  # c * e_u e_v
+                        r[out] = r.get(out, field.zero) + c * x
+                if any(r.values()):
+                    residual = Vec(field, [r.get(o, 0) for o in range(d)])
+                    return Violation("pre-Lie identity", (i, j, k), residual)
     return None
+
+
+def product_rows(alg):
+    """rows[i][j]: the (out, c) pairs of e_i*e_j, absent when it is zero."""
+    rows = [{} for _ in range(alg.dim)]
+    for ((i,), j), pairs in alg.product.table.items():
+        rows[i][j] = pairs
+    return rows
 
 
 def nilpotency_index(alg):

@@ -216,4 +216,7 @@ Q = ScalarField(0)
 
 
 def GF(p):
+    """The prime field of p elements; ValueError unless p is a prime."""
+    if p == 0:
+        raise ValueError("characteristic must be a prime, got 0")
     return ScalarField(p)

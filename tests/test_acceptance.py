@@ -185,9 +185,9 @@ def _criterion_9_axiom_suites(field, braces_cache):
     # corrupted brace fixture fails the left-brace law at a real site
     B = braces_cache("f4", field)
     lam2 = B.lambda_map(2)
-    table = dict(lam2.table)
+    table = {k: lam2.value(*k) for k in lam2.table}
     key = ((0, 0), 0)
-    bumped = list(table.get(key, Vec.zero(field, 4)).entries)
+    bumped = list(lam2.value(*key).entries)
     bumped[0] = bumped[0] + field.one
     table[key] = Vec(field, bumped)
     lambdas = dict(B.lambdas)

@@ -70,8 +70,8 @@ def test_axiom_suites_pass(name, braces_q):
 
 def _corrupt(B, degree, key, out_index, delta=1):
     lam = B.lambda_map(degree)
-    table = dict(lam.table)
-    old = table.get(key, Vec.zero(B.field, B.dim))
+    table = {k: lam.value(*k) for k in lam.table}
+    old = lam.value(*key)
     entries = list(old.entries)
     entries[out_index] = entries[out_index] + B.field.of(delta)
     table[key] = Vec(B.field, entries)
@@ -110,11 +110,34 @@ def test_corrupted_brace_rejected_at_construction(braces_q):
     (Vec(GF(7), (1, 0)), FieldMismatch),
     (Vec(Q, (1, 0, 0)), DimensionMismatch),
     ((1, 0, 0), DimensionMismatch),
-], ids=["GF(7) vector", "length-3 vector", "length-3 tuple"])
+    ({2: 1}, DimensionMismatch),
+    ({0: GF(7).of(1)}, FieldMismatch),
+], ids=["GF(7) vector", "length-3 vector", "length-3 tuple", "output 2 of 2",
+        "GF(7) scalar"])
 def test_symmetric_map_rejects_foreign_values(value, error):
     # a value over another field or of another length never enters a table
     with pytest.raises(error):
         SymmetricMap(Q, 2, 1, {((0,), 0): value})
+
+
+def test_symmetric_map_stores_sorted_nonzero_coordinates():
+    # a mapping, a Vec and a dense sequence give the same map; the table
+    # keeps the nonzero coordinates once, sorted by output index
+    half = Fraction(1, 2)
+    forms = [{2: 5, 0: half, 1: 0}, Vec(Q, (half, 0, 5)), (half, 0, 5)]
+    maps = [SymmetricMap(Q, 3, 2, {((1, 0), 2): value}) for value in forms]
+    assert maps[0] == maps[1] == maps[2]
+    assert maps[0].table == {((0, 1), 2): ((0, half), (2, Q.of(5)))}
+    assert maps[0].value((1, 0), 2) == Vec(Q, (half, 0, 5))
+    # values given twice for one key are added; a zero sum is dropped
+    twice = SymmetricMap(Q, 3, 1, [(((0,), 1), {2: 1}), (((0,), 1), Vec(Q, (0, 0, -1))),
+                                   (((1,), 1), {0: 1}), (((1,), 1), {0: 2, 1: 3})])
+    assert twice.table == {((1,), 1): ((0, Q.of(3)), (1, Q.of(3)))}
+
+
+def test_basis_name_count_must_match_dim():
+    with pytest.raises(DimensionMismatch):
+        GradedBrace(Q, 2, {}, basis_names=["a"])
 
 
 def test_fbrace_edge_cases(braces_q):

@@ -267,6 +267,17 @@ def test_field_override(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [("--field", "0"), ()], ids=["flag", "file"])
+def test_characteristic_zero_is_no_prime_field_exit_1(capsys, tmp_path, flags):
+    doc = json.loads(corpus_path("f4").read_text())
+    doc["field"] = {"p": 0}
+    path = tmp_path / "p0.json"
+    path.write_text(json.dumps(doc))
+    source = corpus_file("f4") if flags else str(path)
+    assert run(capsys, "validate", source, *flags) == (
+        1, "", "error: characteristic must be a prime, got 0\n")
+
+
 def test_repeated_runs_byte_identical(capsys, tmp_path, braces_q):
     path = tmp_path / "v5_brace.json"
     fileio.write_file(braces_q["v5"], path)

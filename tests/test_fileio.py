@@ -57,6 +57,7 @@ def test_structural_rejections():
     _fails({**_f4_doc(), "extra": 1}, "unknown fields")
     _fails({**_f4_doc(), "field": "R"}, "bad field spec")
     _fails({**_f4_doc(), "field": {"p": 6}}, "prime")
+    _fails({**_f4_doc(), "field": {"p": 0}}, "prime")  # GF(0) is not Q
     _fails({**_f4_doc(), "dim": 0}, "dim")
     doc = _f4_doc()
     doc["entries"][0] = [0, 0, 9, "1"]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 from fractions import Fraction
@@ -280,6 +281,99 @@ def test_to_brace_bytes_pinned_at_characteristic_class_plus_one():
     alg = _v(3, GF(5))
     assert alg.nilpotency_class == 4
     assert _extracted_sha256(alg) == EXTRACTED_SHA256[("v_3", 5)]
+
+
+class _DenseGeneric:
+    """The generic element as a map from monomials to nonzero Vecs."""
+
+    def __init__(self, terms):
+        self.terms = {m: v for m, v in terms.items() if not v.is_zero()}
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for m, v in other.terms.items():
+            terms[m] = terms[m] + v if m in terms else v
+        return _DenseGeneric(terms)
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, scalar):
+        return _DenseGeneric({m: v * scalar for m, v in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+
+def _dense_extraction(alg):
+    """{k: {(monomial, j): Vec}}: the graded maps of to_brace, with every
+    coefficient a dense Vec and every product an ``alg.multiply`` call."""
+    s, field = alg.nilpotency_class, alg.field
+
+    def mul(x, y):
+        terms = {}
+        for mx, vx in x.terms.items():
+            for my, vy in y.terms.items():
+                if len(mx) + len(my) < s:
+                    m = tuple(sorted(mx + my))
+                    v = alg.multiply(vx, vy)
+                    terms[m] = terms[m] + v if m in terms else v
+        return _DenseGeneric(terms)
+
+    generic = _DenseGeneric({(i,): alg.basis_vector(i) for i in range(alg.dim)})
+    om = flows._omega_fixed_point(alg, lambda x: flows._series(alg, mul, x, x, 1),
+                                  generic)
+    out = {}
+    for j in range(alg.dim):
+        ej = _DenseGeneric({(): alg.basis_vector(j)})
+        for m, v in (flows._series(alg, mul, om, ej, 0) - ej).terms.items():
+            multinomial = math.factorial(len(m))
+            for i in set(m):
+                multinomial //= math.factorial(m.count(i))
+            out.setdefault(len(m), {})[(m, j)] = v * field.inv_int(multinomial)
+    return out
+
+
+@pytest.mark.parametrize("field", [Q, GF(7), GF(11)], ids=str)
+def test_to_brace_tables_match_dense_extraction(field):
+    algs = list(corpus(field).values())
+    algs += [_v(n, field) for n in range(3, 7) if field.characteristic in (0, 11)
+             or n + 1 < field.characteristic]
+    for alg in algs:
+        B = to_brace(alg, trials=0)
+        got = {k: {key: lam.value(*key) for key in lam.table}
+               for k, lam in B.lambdas.items()}
+        assert got == _dense_extraction(alg), (alg.dim, alg.nilpotency_class)
+
+
+@pytest.mark.parametrize("trials", [0, 3])
+def test_extraction_makes_no_multiply_call(monkeypatch, trials):
+    # every PreLieAlgebra.multiply call of to_brace is its cross-check
+    # against omega and exp_L; the generic product reads the table
+    alg = _v(5, Q)
+    calls = []
+    real = PreLieAlgebra.multiply
+
+    def counted(self, x, y):
+        calls.append(None)
+        return real(self, x, y)
+
+    monkeypatch.setattr(PreLieAlgebra, "multiply", counted)
+    to_brace(alg, trials=trials, seed=5)
+    extraction = len(calls)
+    rng = random.Random(5)
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    checks = [(a, basis) for a in basis] + [
+        (random_vec(Q, alg.dim, rng), [random_vec(Q, alg.dim, rng)]) for _ in range(trials)]
+    del calls[:]
+    for a, rights in checks:
+        om = omega(alg, a)
+        for b in rights:
+            exp_L(alg, om, b)
+    assert extraction == len(calls) > 0
 
 
 @pytest.mark.parametrize("field", [Q, GF(7)])

@@ -194,6 +194,23 @@ def test_doubling_matrix_leaves_no_reference_cycle():
         gc.enable()
 
 
+def test_evaluate_leaves_no_reference_cycle(braces_q):
+    # the cache of word values, the bindings and the brace are freed by
+    # reference counting at once, not left for the cyclic collector
+    B = braces_q["f4"]
+    rng = random.Random(43)
+    a, b = random_vec(Q, 4, rng), random_vec(Q, 4, rng)
+    words = xy_words(4)
+    gc.collect()
+    gc.disable()
+    try:
+        for w in words:
+            evaluate(w, {"x": a, "y": b}, B)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("name", ["zero2", "n2", "f4", "v5"])
 def test_scaling_matrix_check(name, braces_q):
     B = braces_q[name]

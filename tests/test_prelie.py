@@ -89,6 +89,23 @@ def test_identity_matches_full_sweep(field):
             assert check_prelie_identity(alg) == _full_sweep_identity(alg)
 
 
+def test_identity_makes_no_multiply_call(monkeypatch):
+    # the identity reads the table; it multiplies no vectors
+    calls = []
+    real = PreLieAlgebra.multiply
+
+    def counted(self, x, y):
+        calls.append(None)
+        return real(self, x, y)
+
+    monkeypatch.setattr(PreLieAlgebra, "multiply", counted)
+    assert check_prelie_identity(v5()) is None
+    bad = PreLieAlgebra(Q, 4, {(0, 0): {1: 1}, (1, 0): {2: 1}, (0, 1): {3: 1},
+                               (2, 0): {1: 1}}, validate=False)
+    assert check_prelie_identity(bad).site == (0, 1, 0)
+    assert calls == []
+
+
 def test_constructor_rejects_invalid():
     with pytest.raises(ValidationFailure):
         PreLieAlgebra(Q, 4, {(0, 0): {1: 1}, (1, 0): {2: 1}, (0, 1): {3: 1},
