@@ -33,14 +33,18 @@ def _field_spec(text):
         raise argparse.ArgumentTypeError(f"expected Q or a prime, got {text!r}")
 
 
-def _degree_bound(text):
-    try:
-        degree = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if degree < 2:
-        raise argparse.ArgumentTypeError(f"degree bound must be at least 2, got {degree}")
-    return degree
+def _int_at_least(minimum, what):
+    """An argparse type: an int of at least ``minimum``, else a usage error."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _read(args, extra_laws=()):
@@ -161,7 +165,7 @@ def build_parser():
             p.add_argument("--out", required=True, help="output file")
         p.add_argument("--field", type=_field_spec, default=None,
                        help="reinterpret scalars over Q or GF(p)")
-        p.add_argument("--trials", type=int, default=20,
+        p.add_argument("--trials", type=_int_at_least(0, "trials"), default=20,
                        help="seeded random trials for checks")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.set_defaults(func=func)
@@ -173,15 +177,18 @@ def build_parser():
     add("chains", cmd_chains)
     add("bch", cmd_bch)
     p = sub.add_parser("doubling-matrix")
-    p.add_argument("--degree", type=_degree_bound, required=True, help="degree bound (>= 2)")
+    p.add_argument("--degree", type=_int_at_least(2, "degree bound"), required=True,
+                   help="degree bound (>= 2)")
     p.set_defaults(func=cmd_doubling_matrix)
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
     try:

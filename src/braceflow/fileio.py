@@ -28,10 +28,15 @@ def _field_to_json(field):
     return "Q" if field.characteristic == 0 else {"p": field.characteristic}
 
 
+def _is_int(n):
+    """A JSON integer; a JSON boolean is no integer, though Python's bool is an int."""
+    return type(n) is int
+
+
 def _field_from_json(spec):
     if spec == "Q":
         return Q
-    if isinstance(spec, dict) and set(spec) == {"p"} and isinstance(spec["p"], int):
+    if isinstance(spec, dict) and set(spec) == {"p"} and _is_int(spec["p"]):
         try:
             return GF(spec["p"])
         except ValueError as exc:
@@ -100,11 +105,11 @@ def _common_header(doc, allowed):
     _require(not unknown, f"unknown fields {sorted(unknown)}")
     for key in ("format_version", "kind", "field", "dim", "entries"):
         _require(key in doc, f"missing field {key!r}")
-    _require(doc["format_version"] == FORMAT_VERSION,
+    _require(_is_int(doc["format_version"]) and doc["format_version"] == FORMAT_VERSION,
              f"unsupported format_version {doc['format_version']!r}")
     field = _field_from_json(doc["field"])
     dim = doc["dim"]
-    _require(isinstance(dim, int) and dim >= 1, "dim must be a positive integer")
+    _require(_is_int(dim) and dim >= 1, "dim must be a positive integer")
     basis = doc.get("basis")
     if basis is not None:
         _require(isinstance(basis, list) and len(basis) == dim
@@ -153,7 +158,7 @@ def loads(text, validate=True, field=None):
             _require(isinstance(entry, list) and len(entry) == 4,
                      f"bad pre-Lie entry {entry!r}")
             i, j, k, val = entry
-            _require(all(isinstance(n, int) and 0 <= n < dim for n in (i, j, k)),
+            _require(all(_is_int(n) and 0 <= n < dim for n in (i, j, k)),
                      f"index out of range in {entry!r}")
             row = structure.setdefault((i, j), {})
             _require(k not in row, f"duplicate entry for ({i},{j},{k})")
@@ -163,20 +168,19 @@ def loads(text, validate=True, field=None):
     if kind == "brace":
         field, dim, basis = _common_header(doc, _BRACE_KEYS)
         class_bound = doc.get("class_bound")
-        _require(class_bound is None or (isinstance(class_bound, int) and class_bound >= 2),
+        _require(class_bound is None or (_is_int(class_bound) and class_bound >= 2),
                  "class_bound must be an integer >= 2")
         tables = {}
         for entry in doc["entries"]:
             _require(isinstance(entry, list) and len(entry) == 5,
                      f"bad brace entry {entry!r}")
             k, tup, j, out, val = entry
-            _require(isinstance(k, int) and k >= 1, f"bad degree in {entry!r}")
+            _require(_is_int(k) and k >= 1, f"bad degree in {entry!r}")
             _require(isinstance(tup, list) and len(tup) == k
-                     and all(isinstance(n, int) and 0 <= n < dim for n in tup)
+                     and all(_is_int(n) and 0 <= n < dim for n in tup)
                      and list(tup) == sorted(tup),
                      f"bad left multi-index in {entry!r}")
-            _require(isinstance(j, int) and 0 <= j < dim
-                     and isinstance(out, int) and 0 <= out < dim,
+            _require(all(_is_int(n) and 0 <= n < dim for n in (j, out)),
                      f"index out of range in {entry!r}")
             row = tables.setdefault(k, {}).setdefault((tuple(tup), j), {})
             _require(out not in row, f"duplicate entry for {entry!r}")

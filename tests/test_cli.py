@@ -158,8 +158,10 @@ def test_top_level_list_exit_1(capsys, tmp_path, flags, err):
 
 @pytest.mark.parametrize("content, err", [
     (b'{"kind": "prelie", "basis": ["\xc3\xa9"]}\n', "codec can't decode byte 0xc3"),
-    (b"[" * 100000, "error: not valid JSON: nested too deeply\n")],
-    ids=["non-ascii", "nested"])
+    (b"[" * 100000, "error: not valid JSON: nested too deeply\n"),
+    (b'{"format_version": 1, "kind": "prelie", "field": "Q", "dim": true, "entries": []}',
+     "error: dim must be a positive integer\n")],
+    ids=["non-ascii", "nested", "boolean-dim"])
 def test_hostile_file_exit_1(capsys, tmp_path, content, err):
     path = tmp_path / "hostile.json"
     path.write_bytes(content)
@@ -256,6 +258,13 @@ def test_doubling_matrix_degree_below_two_is_usage_error(capsys, degree):
     assert (code, out) == (1, "")
     assert err.endswith(f"argument --degree: degree bound must be at least 2, "
                         f"got {degree}\n")
+
+
+@pytest.mark.parametrize("trials", ["-1", "-3"])
+def test_negative_trials_is_usage_error(capsys, trials):
+    code, out, err = run(capsys, "bch", corpus_file("h3"), "--trials", trials)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"argument --trials: trials must be at least 0, got {trials}\n")
 
 
 def test_field_override(capsys, tmp_path):

@@ -71,6 +71,24 @@ def test_structural_rejections():
     doc = _f4_doc()
     doc["entries"][0][3] = "1.5"
     _fails(doc, "bad scalar")
+    # a JSON boolean (or float) is no integer, although Python's bool is an int
+    _fails({**_f4_doc(), "format_version": True}, "format_version")
+    _fails({**_f4_doc(), "format_version": 1.0}, "format_version")
+    _fails({**_f4_doc(), "dim": True}, "dim must be a positive integer")
+    _fails({**_f4_doc(), "field": {"p": True}}, "bad field spec")
+    for pos in range(3):
+        doc = _f4_doc()
+        doc["entries"][0][pos] = False
+        _fails(doc, "out of range")
+    n2_brace = {"format_version": 1, "kind": "brace", "field": "Q", "dim": 2,
+                "class_bound": 3, "entries": [[1, [0], 0, 1, "1"]]}
+    fileio.loads(json.dumps(n2_brace))
+    _fails({**n2_brace, "class_bound": True}, "class_bound")
+    for entry, message in [([True, [0], 0, 1, "1"], "bad degree"),
+                           ([1, [False], 0, 1, "1"], "bad left multi-index"),
+                           ([1, [0], False, 1, "1"], "out of range"),
+                           ([1, [0], 0, True, "1"], "out of range")]:
+        _fails({**n2_brace, "entries": [entry]}, message)
     with pytest.raises(AlgebraFileError):
         fileio.loads("not json")
     with pytest.raises(AlgebraFileError):

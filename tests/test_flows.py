@@ -195,15 +195,36 @@ def test_graded_star_shape(name, braces_q):
             assert k not in B.lambdas
 
 
-@pytest.mark.parametrize("field", [GF(7), GF(11)])
-def test_to_brace_prime_field(field):
-    B = to_brace(f4(field))
-    alg = f4(field)
+def _trees(generators, n, field):
+    """T_n: the free pre-Lie algebra on one generator cut off at rooted
+    trees of at most n vertices (bench/generators.py); class n + 1.  Its
+    products have values with several nonzero coordinates."""
+    trees = generators.trees(n)
+    structure = {}
+    for (_, (i,), j, k), val in trees.entries.items():
+        structure.setdefault((i, j), {})[k] = val
+    return PreLieAlgebra(field, trees.dim, structure)
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(11), Q])
+def test_to_brace_prime_field(field, bench_generators):
+    # the flows star through omega and exp_L is the reference for the
+    # extracted graded star: every basis pair plus seeded random pairs
+    p = field.characteristic
+    algs = list(corpus(field).values())
+    algs += [_v(n, field) for n in range(3, 7) if not p or n + 1 < p]
+    algs += [_trees(bench_generators, n, field) for n in (3, 4) if not p or n + 1 < p]
     rng = random.Random(23)
-    for _ in range(20):
-        a, b = random_vec(field, 4, rng), random_vec(field, 4, rng)
-        assert B.star(a, b) == star(alg, a, b)
-        assert B.circ(a, b) == circ(alg, a, b)
+    for alg in algs:
+        B = to_brace(alg)
+        basis = [alg.basis_vector(i) for i in range(alg.dim)]
+        for a in basis:
+            for b in basis:
+                assert B.star(a, b) == star(alg, a, b), (alg.dim, a, b)
+        for _ in range(20):
+            a, b = random_vec(field, alg.dim, rng), random_vec(field, alg.dim, rng)
+            assert B.star(a, b) == star(alg, a, b)
+            assert B.circ(a, b) == circ(alg, a, b)
 
 
 # SHA-256 of fileio.dumps(to_brace(alg)) keyed by (algebra, characteristic),
@@ -234,24 +255,16 @@ EXTRACTED_SHA256 = {
     ("v_3", 5): "9839e7dfddfc040febdfa2fd52dcd8e197a7b41b41dc3be46794a45453a6761d",
     ("v_5", 0): "8fb0d8e84c62375080fc3d9d0f19322527031474d406af2fae56bb8f98337e0f",
     ("v_5", 7): "9a9e1442c1405a7559bb8f794a74d86bdf0b141041c367fac333767e1fbcac2b",
+    # recorded while to_brace still compared its result with the flows
+    # star (omega, exp_L) on every basis pair and 20 random pairs
+    ("T_3", 0): "f3155f95c3c0aada92646fb554b24c78afb60deeea4073889ba19aecdad71f6f",
+    ("T_3", 7): "22099f02b9bab44ab7e3ffa733069ff7fc554a037572a9cbc889362279bf24eb",
+    ("T_4", 0): "51da8cc588d217fec813037ea8af750916958967f90b81b91074417122798955",
+    ("T_4", 7): "03d7f994fc1e67dce8d6c80d5f9e87c88d0f7ebef3ae425abcf9742d6457de40",
 }
 
 CORPUS_FILES = sorted(p.name[:-len(".json")] for p in corpus_dir().iterdir()
                       if p.name.endswith(".json"))
-
-
-@pytest.mark.parametrize("trials", [0, 5])
-def test_to_brace_cross_check_computes_omega_once_per_left_argument(monkeypatch, trials):
-    calls = []
-
-    def counted(alg, a):
-        calls.append(a)
-        return omega(alg, a)
-
-    monkeypatch.setattr(flows, "omega", counted)
-    alg = f4()
-    to_brace(alg, trials=trials)
-    assert len(calls) == alg.dim + trials
 
 
 def _extracted_sha256(alg):
@@ -275,6 +288,13 @@ def test_to_brace_bytes_pinned_on_corpus_files(name):
         doc["field"] = {"p": p} if p else "Q"
         alg = fileio.loads(json.dumps(doc))
         assert _extracted_sha256(alg) == EXTRACTED_SHA256[(name.split("_")[0], p)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_to_brace_bytes_pinned_on_trees(n, bench_generators):
+    for p in (0, 7):
+        alg = _trees(bench_generators, n, GF(p) if p else Q)
+        assert _extracted_sha256(alg) == EXTRACTED_SHA256[(f"T_{n}", p)]
 
 
 def test_to_brace_bytes_pinned_at_characteristic_class_plus_one():
@@ -351,29 +371,24 @@ def test_to_brace_tables_match_dense_extraction(field):
 
 @pytest.mark.parametrize("trials", [0, 3])
 def test_extraction_makes_no_multiply_call(monkeypatch, trials):
-    # every PreLieAlgebra.multiply call of to_brace is its cross-check
-    # against omega and exp_L; the generic product reads the table
+    # the generic product reads the table, and the star is evaluated once:
+    # no PreLieAlgebra.multiply, and no flows star on vectors
     alg = _v(5, Q)
     calls = []
-    real = PreLieAlgebra.multiply
 
-    def counted(self, x, y):
-        calls.append(None)
-        return real(self, x, y)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(PreLieAlgebra, "multiply", counted)
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(owner, name, call)
+
+    counted(PreLieAlgebra, "multiply")
+    for name in ("omega", "w_map", "exp_L"):
+        counted(flows, name)
     to_brace(alg, trials=trials, seed=5)
-    extraction = len(calls)
-    rng = random.Random(5)
-    basis = [alg.basis_vector(i) for i in range(alg.dim)]
-    checks = [(a, basis) for a in basis] + [
-        (random_vec(Q, alg.dim, rng), [random_vec(Q, alg.dim, rng)]) for _ in range(trials)]
-    del calls[:]
-    for a, rights in checks:
-        om = omega(alg, a)
-        for b in rights:
-            exp_L(alg, om, b)
-    assert extraction == len(calls) > 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("field", [Q, GF(7)])

@@ -7,6 +7,8 @@ import pytest
 
 from braceflow import free_expansion
 from braceflow.brace import GradedBrace
+from braceflow.cli import main
+from braceflow.corpus import corpus_path
 from braceflow.errors import PreconditionViolated, UnboundSymbol
 from braceflow.free_expansion import (StarExpr, StarWord, X, Y, Z,
                                       doubling_matrix, double_substitution,
@@ -206,6 +208,20 @@ def test_evaluate_leaves_no_reference_cycle(braces_q):
     try:
         for w in words:
             evaluate(w, {"x": a, "y": b}, B)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_cli_main_leaves_no_reference_cycle(capsys):
+    # the argument parser is built once, not per call: a command leaves
+    # no parser objects for the cyclic collector
+    argv = ["validate", str(corpus_path("h3"))]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
         assert gc.collect() == 0
     finally:
         gc.enable()
