@@ -249,17 +249,28 @@ class GradedBrace:
         return f"GradedBrace(dim {self.dim} over {self.field}, degrees {ks})"
 
 
-def _triple_stream(B, trials, seed):
-    d = B.dim
-    basis = [B.basis_vector(i) for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                yield ((i, j, k), basis[i], basis[j], basis[k])
-    rng = rng_from(seed)
-    for t in range(trials):
-        yield (("random", t), random_vec(B.field, d, rng),
-               random_vec(B.field, d, rng), random_vec(B.field, d, rng))
+def _nonzero(col):
+    return {o: c for o, c in col.items() if c}
+
+
+def _left_map(B, u):
+    """M_u = (b -> u*b) as its d sparse columns {out: c}: column j is
+    u*e_j without its zero coordinates.  One pass over the rows, the
+    pass ``_diagonal`` makes for one star; ``u`` is a dense sequence."""
+    one = B.field.one
+    cols = [{} for _ in range(B.dim)]
+    for tup, j, out in B._rows:
+        coeff = one
+        for idx in tup:
+            x = u[idx]
+            if not x:
+                break
+            coeff = coeff * x
+        else:
+            col = cols[j]
+            for o, c in out:
+                col[o] = col[o] + coeff * c if o in col else coeff * c
+    return [_nonzero(col) for col in cols]
 
 
 def check_left_brace(B, trials=50, seed=None):
@@ -268,16 +279,57 @@ def check_left_brace(B, trials=50, seed=None):
 
         (a + b + a*b) * c = a*c + b*c + a*(b*c)
 
+    Each L_k is linear in its right slot, so b -> a*b is a matrix M_a,
+    and the law says M_{a∘b} = M_a + M_b + M_a M_b.  At a = e_i, b = e_j
+    its column k is the law on the basis triple (i, j, k), since
+    e_i*(e_j*e_k) = M_{e_i} M_{e_j} e_k.  So the d^3 basis equations are
+    swept as d^2 matrix identities: one pass over the table builds every
+    M_{e_i}, one pass per pair (i, j) builds M_u for u = e_i∘e_j, and no
+    star is evaluated.  They are the same exact equations in the same
+    (i, j, k) order, so the first violation and its residual lhs - rhs
+    are the triple-by-triple sweep's.  The random triples are stars.
+
     The other star law, a*(b+c) = a*b + a*c, holds for every GradedBrace
     and is not checked: each L_k is linear in its right slot.  This law
     is where a corrupted star tensor shows up.
     """
-    for site, a, b, c in _triple_stream(B, trials, seed):
+    field, d = B.field, B.dim
+    zero, one = field.zero, field.one
+    maps = [[{} for _ in range(d)] for _ in range(d)]  # maps[i][j] = e_i*e_j
+    for tup, j, out in B._rows:
+        if tup[0] == tup[-1]:  # at a = e_i only the rows of e_i^k survive
+            col = maps[tup[0]][j]
+            for o, c in out:
+                col[o] = col[o] + c if o in col else c
+    maps = [[_nonzero(col) for col in cols] for cols in maps]
+    for i, left in enumerate(maps):
+        for j, right in enumerate(maps):
+            u = [zero] * d
+            u[i] = one
+            u[j] = u[j] + one
+            for o, c in left[j].items():
+                u[o] = u[o] + c
+            composite = _left_map(B, u)
+            for k, col in enumerate(right):
+                # column k of M_{e_i} + (id + M_{e_i}) M_{e_j}
+                want = dict(left[k])
+                for m, c in col.items():
+                    want[m] = want[m] + c if m in want else c
+                    for o, x in left[m].items():
+                        want[o] = want[o] + c * x if o in want else c * x
+                want = _nonzero(want)
+                if composite[k] != want:
+                    lhs, rhs = (Vec._trusted(field, tuple(v.get(o, zero) for o in range(d)))
+                                for v in (composite[k], want))
+                    return Violation("left-brace law (a+b+a*b)*c", (i, j, k), lhs - rhs)
+    rng = rng_from(seed)
+    for t in range(trials):
+        a, b, c = (random_vec(field, d, rng) for _ in range(3))
         bc = B.star(b, c)
         lhs = B.star(a + b + B.star(a, b), c)
         rhs = B.star(a, c) + bc + B.star(a, bc)
         if lhs != rhs:
-            return Violation("left-brace law (a+b+a*b)*c", site, lhs - rhs)
+            return Violation("left-brace law (a+b+a*b)*c", ("random", t), lhs - rhs)
     return None
 
 
@@ -287,9 +339,11 @@ def check_group(B, trials=50, seed=None):
 
     Associativity is not swept: by right linearity, (a∘b)∘c - a∘(b∘c)
     is the left-brace residual (a+b+a*b)*c - a*c - b*c - a*(b*c), so
-    ``check_left_brace`` decides it on the same triples.  0 is a
-    two-sided identity because every L_k has k >= 1 and is linear in its
-    right slot.  ``trials`` and ``seed`` are unused; every law takes them.
+    ``check_left_brace`` decides it, on every basis pair (a, b) and all
+    c at once as M_{a∘b} = M_a + M_b + M_a M_b, and on the random
+    triples.  0 is a two-sided identity because every L_k has k >= 1 and
+    is linear in its right slot.  ``trials`` and ``seed`` are unused;
+    every law takes them.
     """
     for i in range(B.dim):
         try:

@@ -141,7 +141,7 @@ class ScalarField:
 
     def __init__(self, characteristic=0):
         if characteristic != 0 and not _is_prime(characteristic):
-            raise ValueError(f"characteristic must be 0 or a prime, got {characteristic}")
+            raise ValueError(f"characteristic must be a prime, got {characteristic}")
         self.characteristic = characteristic
         self.zero = self.of(0)
         self.one = self.of(1)

@@ -7,7 +7,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from braceflow import brace
+from braceflow import brace, to_brace
 from braceflow.brace import (GradedBrace, SymmetricMap, check_fbrace,
                              check_group, check_left_brace, radical_chains,
                              star_subspaces, validation_stages)
@@ -15,6 +15,7 @@ from braceflow.corpus import corpus
 from braceflow.errors import (ConvergenceFailure, DimensionMismatch, FieldMismatch,
                               ValidationFailure, Violation)
 from braceflow.linalg import Subspace, Vec, span
+from braceflow.prelie import PreLieAlgebra
 from braceflow.sampling import random_vec, rng_from
 from braceflow.scalars import GF, Fp, Q
 
@@ -368,23 +369,50 @@ def _law_outcome(B, trials, seed):
     raise AssertionError("group laws stage never reported")
 
 
-def _law_mutants(braces_cache):
-    """Corpus braces over Q, GF(7) and GF(11); copies with one entry
-    bumped per degree and with entries added; the ring brace; braces
-    whose circ has no inverse."""
+def _generated_braces(generators):
+    """T_3 and T_4 (flows braces of the rooted-tree pre-Lie algebras) and
+    upper(4) (the radical ring, degree 1 only) from the benchmark's
+    generators, over Q and GF(5); their values have several nonzero
+    coordinates.  T_4 has class 5, so its GF(5) brace is its Q brace
+    reduced mod 5: the tables are 5-integral, so the law holds mod 5."""
     out = []
+    for s in (generators.trees(3), generators.trees(4), generators.upper(4)):
+        lambdas = {}
+        for (k, tup, j, o), c in s.entries.items():
+            lambdas.setdefault(k, {}).setdefault((tup, j), {})[o] = c
+        for field in (Q, GF(5)):
+            p = field.characteristic
+            if s.name.startswith("U"):
+                B = GradedBrace(field, s.dim, lambdas, validate=False)
+            elif p and p <= s.nil_class:  # the Q brace just built, mod p
+                B = GradedBrace(field, s.dim, {
+                    k: {key: dict(pairs) for key, pairs in lam.table.items()}
+                    for k, lam in out[-1][1].lambdas.items()}, validate=False)
+            else:
+                B = to_brace(PreLieAlgebra(field, s.dim, SymmetricMap(field, s.dim, 1,
+                                                                      lambdas[1])))
+            out.append((f"{s.name}/{field}", B))
+    return out
+
+
+def _law_mutants(braces_cache, generators):
+    """Corpus braces over Q, GF(7) and GF(11) and the generated braces
+    over Q and GF(5); copies of each with one entry bumped per degree and
+    with entries added; the ring brace; braces whose circ has no
+    inverse."""
+    bases = [(f"{name}/{field}", braces_cache(name, field))
+             for field in (Q, GF(7), GF(11)) for name in corpus(field)]
+    out = []
+    for where, B in bases + _generated_braces(generators):
+        out.append((where, B))
+        for k, lam in B.lambdas.items():
+            for key in (next(iter(lam.table)), list(lam.table)[-1]):
+                out.append((f"{where} bump L_{k} {key}",
+                            _corrupt(B, k, key, B.dim - 1, delta=2)))
+        for k in (1, 2, 3):
+            key = ((B.dim - 1,) * k, 0)
+            out.append((f"{where} add L_{k} {key}", _corrupt(B, k, key, B.dim - 1)))
     for field in (Q, GF(7), GF(11)):
-        for name in corpus(field):
-            B = braces_cache(name, field)
-            out.append((f"{name}/{field}", B))
-            for k, lam in B.lambdas.items():
-                for key in (next(iter(lam.table)), list(lam.table)[-1]):
-                    out.append((f"{name}/{field} bump L_{k} {key}",
-                                _corrupt(B, k, key, B.dim - 1, delta=2)))
-            for k in (1, 2, 3):
-                key = ((B.dim - 1,) * k, 0)
-                out.append((f"{name}/{field} add L_{k} {key}",
-                            _corrupt(B, k, key, B.dim - 1)))
         # a*b = a_0 b_0 e_0: associative and distributive, but 1∘x = 0
         # has no solution
         out.append((f"line/{field}", GradedBrace(
@@ -395,11 +423,11 @@ def _law_mutants(braces_cache):
     return out
 
 
-def test_law_stages_match_full_sweep(braces_cache):
+def test_law_stages_match_full_sweep(braces_cache, bench_generators):
     # dropping the sweeps the graded form decides leaves every verdict,
     # law, site and residual of the brace and group law stages as it was
     outcomes = []
-    for where, B in _law_mutants(braces_cache):
+    for where, B in _law_mutants(braces_cache, bench_generators):
         want = _full_law_sweep(B, 3, 5)
         got = _law_outcome(B, 3, 5)
         assert got == want, where
@@ -409,9 +437,51 @@ def test_law_stages_match_full_sweep(braces_cache):
     assert outcomes.count("circ inverse") >= 6
 
 
+def _per_triple_left_brace(B, trials, seed):
+    """The left-brace law swept triple by triple, 5 stars each: the basis
+    triples in (i, j, k) order, then the seeded random triples; the
+    first Violation, or None."""
+    d = B.dim
+    basis = [B.basis_vector(i) for i in range(d)]
+    rng = rng_from(seed)
+    triples = [((i, j, k), basis[i], basis[j], basis[k])
+               for i in range(d) for j in range(d) for k in range(d)]
+    triples += [(("random", t), random_vec(B.field, d, rng),
+                 random_vec(B.field, d, rng), random_vec(B.field, d, rng))
+                for t in range(trials)]
+    for site, a, b, c in triples:
+        bc = B.star(b, c)
+        lhs = B.star(a + b + B.star(a, b), c)
+        rhs = B.star(a, c) + bc + B.star(a, bc)
+        if lhs != rhs:
+            return Violation("left-brace law (a+b+a*b)*c", site, lhs - rhs)
+    return None
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(data=st.data())
+def test_left_brace_maps_match_per_triple_sweep(braces_cache, data):
+    # the matrix form of the basis sweep finds the same first violation,
+    # site and residual as 5 stars per triple: on random tables, and on
+    # small corpus braces with or without one coordinate bumped
+    if data.draw(st.booleans()):
+        B = data.draw(_small_brace_and_triple())[0]
+    else:
+        B = braces_cache(data.draw(st.sampled_from(("n2", "h3", "f4", "v5"))),
+                         data.draw(st.sampled_from((Q, GF(7)))))
+        if data.draw(st.booleans()):
+            k = data.draw(st.sampled_from(sorted(B.lambdas)))
+            key = data.draw(st.sampled_from(sorted(B.lambdas[k].table)))
+            B = _corrupt(B, k, key, data.draw(st.integers(0, B.dim - 1)),
+                         delta=data.draw(st.integers(1, 3)))
+    trials, seed = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 9))
+    assert check_left_brace(B, trials, seed) == _per_triple_left_brace(B, trials, seed)
+
+
 def test_law_checks_star_count(braces_q, monkeypatch):
-    # one left-brace sweep of 5 stars per triple, then at most d + 3
-    # stars per basis inverse
+    # the basis sweep of the left-brace law runs on left-multiplication
+    # maps and evaluates no star; each random triple costs 5 stars and
+    # each basis inverse at most d + 3
     B = braces_q["f4"]
     real, calls = GradedBrace.star, []
 
@@ -421,6 +491,10 @@ def test_law_checks_star_count(braces_q, monkeypatch):
 
     monkeypatch.setattr(GradedBrace, "star", counted)
     assert check_left_brace(B, trials=0) is None
+    assert calls == []
+    assert check_left_brace(B, trials=4) is None
+    assert len(calls) == 5 * 4
+    calls.clear()
     assert check_group(B, trials=0) is None
     d = B.dim
-    assert 0 < len(calls) <= 5 * d ** 3 + d * (d + 3)
+    assert 0 < len(calls) <= d * (d + 3)

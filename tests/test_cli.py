@@ -287,6 +287,19 @@ def test_characteristic_zero_is_no_prime_field_exit_1(capsys, tmp_path, flags):
         1, "", "error: characteristic must be a prime, got 0\n")
 
 
+@pytest.mark.parametrize("p, flags", [
+    (-7, ("--field", "-7")), (4, ("--field", "4")), (4, ())],
+    ids=["flag -7", "flag 4", "file 4"])
+def test_non_prime_characteristic_exit_1(capsys, tmp_path, p, flags):
+    doc = json.loads(corpus_path("f4").read_text())
+    doc["field"] = {"p": p}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    source = corpus_file("f4") if flags else str(path)
+    assert run(capsys, "validate", source, *flags) == (
+        1, "", f"error: characteristic must be a prime, got {p}\n")
+
+
 def test_repeated_runs_byte_identical(capsys, tmp_path, braces_q):
     path = tmp_path / "v5_brace.json"
     fileio.write_file(braces_q["v5"], path)
