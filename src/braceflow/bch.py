@@ -205,25 +205,62 @@ def dsw_project(u):
     return out
 
 
+def _suffix_tree(terms):
+    """The terms grouped on their last letter, recursively.
+
+    A node is ``(leaves, children)``: ``leaves`` holds the (coefficient,
+    letter) pairs of the one-letter words at that node, and
+    ``children[l]`` is the node of the prefixes of the longer words that
+    end in l.  Each node below the root stands for one distinct proper
+    suffix of the words."""
+    leaves, groups = [], {}
+    for coefficient, letters in terms:
+        if len(letters) == 1:
+            leaves.append((coefficient, letters))
+        else:
+            groups.setdefault(letters[-1], []).append((coefficient, letters[:-1]))
+    return leaves, {l: _suffix_tree(g) for l, g in groups.items()}
+
+
+def _bracket_sum(alg, node, bound_vec):
+    """The value of a ``_suffix_tree`` node: bracketing the sum of the
+    children's values with their letter equals the sum of the bracketed
+    terms, since the bracket is bilinear."""
+    leaves, children = node
+    acc = None
+    for coefficient, letter in leaves:
+        val = bound_vec[letter] * coefficient
+        acc = val if acc is None else acc + val
+    for letter, child in children.items():
+        val = alg.lie_bracket(_bracket_sum(alg, child, bound_vec), bound_vec[letter])
+        acc = val if acc is None else acc + val
+    return acc
+
+
 def verify_flows_bch(alg, trials=20, seed=None):
     """Exact check of W(a)∘W(b) = W(C(a,b)) on seeded random pairs,
     with C evaluated through the bracket form of the BCH series and
-    the algebra's commutator."""
+    the algebra's commutator.
+
+    C = sum_w c_w [[w_1, w_2], .., w_k] is summed with the terms grouped
+    on their last letter, recursively (``_suffix_tree``): bilinearity
+    makes this exact, and each distinct proper suffix is bracketed once
+    per trial: 30 brackets at class 5, where bracketing each term on
+    its own takes 146.
+
+    The left side is W(a) + exp_L(a, W(b)), which is W(a)∘W(b) because
+    Omega(W(a)) = a on every nilpotent algebra: W(x) = x + (products of
+    at least two factors), so W(x) = W(y) puts x - y in every power of
+    the algebra, hence x = y, and ``omega`` would only recover a."""
     s = alg.nilpotency_class
-    terms = dsw_project(bch_series(s, alg.field))
+    tree = _suffix_tree((t.coefficient, t.letters)
+                        for t in dsw_project(bch_series(s, alg.field)))
     rng = rng_from(seed)
     for t in range(trials):
         a = random_vec(alg.field, alg.dim, rng)
         b = random_vec(alg.field, alg.dim, rng)
-        bound_vec = {"X": a, "Y": b}
-        c = None
-        for term in terms:
-            val = bound_vec[term.letters[0]]
-            for letter in term.letters[1:]:
-                val = alg.lie_bracket(val, bound_vec[letter])
-            val = val * term.coefficient
-            c = val if c is None else c + val
-        lhs = flows.circ(alg, flows.w_map(alg, a), flows.w_map(alg, b))
+        c = _bracket_sum(alg, tree, {"X": a, "Y": b})
+        lhs = flows.w_map(alg, a) + flows.exp_L(alg, a, flows.w_map(alg, b))
         rhs = flows.w_map(alg, c)
         if lhs != rhs:
             return Violation("flows-BCH identity", ("random", t), lhs - rhs)

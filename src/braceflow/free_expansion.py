@@ -135,7 +135,14 @@ def xyz_words(degree_bound):
 
 
 class StarExpr:
-    """Immutable exact-coefficient formal sum of star words."""
+    """Immutable exact-coefficient formal sum of star words.
+
+    ``StarExpr(terms)`` coerces every coefficient with ``Fraction`` and
+    adds repeated words, so it accepts any input.  ``StarExpr._raw(d)``
+    takes a dict that already maps each word to a nonzero ``Fraction``
+    and keeps it as it is; the arithmetic here builds such dicts, so it
+    never coerces or merges again.  The canonical word order is made
+    only when ``terms()`` is first asked for, and then kept."""
 
     __slots__ = ("_terms", "_items", "_hash")
 
@@ -152,8 +159,14 @@ class StarExpr:
             else:
                 del clean[w]
         self._terms = clean
-        self._items = tuple(sorted(clean.items(), key=lambda kv: kv[0].sort_key()))
-        self._hash = hash(self._items)
+        self._items = self._hash = None
+
+    @classmethod
+    def _raw(cls, terms):
+        e = object.__new__(cls)
+        e._terms = terms
+        e._items = e._hash = None
+        return e
 
     @classmethod
     def zero(cls):
@@ -164,6 +177,10 @@ class StarExpr:
         return cls(((w, coeff),))
 
     def terms(self):
+        """The (word, coefficient) pairs in canonical word order."""
+        if self._items is None:
+            self._items = tuple(sorted(self._terms.items(),
+                                       key=lambda kv: kv[0].sort_key()))
         return self._items
 
     def coefficient(self, w):
@@ -176,29 +193,45 @@ class StarExpr:
         return min((w.degree for w in self._terms), default=None)
 
     def __add__(self, other):
-        return StarExpr(self._items + other._items)
+        if not other._terms:
+            return self
+        terms = dict(self._terms)
+        for w, c in other._terms.items():
+            if w in terms:
+                c += terms[w]
+                if not c:
+                    del terms[w]
+                    continue
+            terms[w] = c
+        return StarExpr._raw(terms)
 
     def __sub__(self, other):
-        return StarExpr(self._items + tuple((w, -c) for w, c in other._items))
+        return self + -other
 
     def __neg__(self):
-        return StarExpr(tuple((w, -c) for w, c in self._items))
+        return StarExpr._raw({w: -c for w, c in self._terms.items()})
 
     def scale(self, c):
         c = Fraction(c)
-        return StarExpr(tuple((w, cv * c) for w, cv in self._items))
+        if c == 1:
+            return self
+        if not c:
+            return _ZERO
+        return StarExpr._raw({w: cv * c for w, cv in self._terms.items()})
 
     def __eq__(self, other):
-        return isinstance(other, StarExpr) and other._items == self._items
+        return isinstance(other, StarExpr) and other._terms == self._terms
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
     def __str__(self):
-        if not self._items:
+        if not self._terms:
             return "0"
         out = []
-        for w, c in self._items:
+        for w, c in self.terms():
             sign = "-" if c < 0 else "+"
             mag = -c if c < 0 else c
             body = str(w) if mag == 1 else f"{mag}*{w}"
@@ -238,7 +271,7 @@ class _Expander:
         budget = self.bound if budget is None else budget
         units = self._units(e1)
         out = _ZERO
-        for v, beta in e2.terms():
+        for v, beta in e2._terms.items():  # a sum: the order does not matter
             piece = self._star_left(units, v, budget)
             if not piece.is_zero():
                 out = out + piece.scale(beta)
@@ -272,8 +305,11 @@ class _Expander:
             out = head
         else:
             rest = units[1:]
-            a_expr = StarExpr.word(w, sign)
-            b_expr = StarExpr(tuple((u, s) for s, u in rest))
+            a_expr = StarExpr._raw({w: Fraction(sign)})
+            counts = {}
+            for s, u in rest:
+                counts[u] = counts.get(u, 0) + s
+            b_expr = StarExpr._raw({u: Fraction(n) for u, n in counts.items() if n})
             out = (head + self._star_left(rest, v, budget)
                    + self._corrections(a_expr, b_expr, v, budget))
         self._left_memo[key] = out

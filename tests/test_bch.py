@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from braceflow.bch import (TruncatedSeries, bch_series, dsw_project,
-                           expand_bracket_word, ts_exp, ts_log,
-                           verify_flows_bch)
+from braceflow.bch import (TruncatedSeries, _bracket_sum, _suffix_tree,
+                           bch_series, dsw_project, expand_bracket_word,
+                           ts_exp, ts_log, verify_flows_bch)
 from braceflow.corpus import corpus, h3, zero_algebra
 from braceflow.errors import NotLieElement, PreconditionViolated
+from braceflow.linalg import Vec
+from braceflow.prelie import PreLieAlgebra
+from braceflow.sampling import random_vec
 from braceflow.scalars import GF, Q
 
 
@@ -134,3 +137,83 @@ def test_flows_bch_corpus(name):
 
 def test_flows_bch_prime_field():
     assert verify_flows_bch(corpus(GF(7))["v5"], trials=10) is None
+
+
+def _not_prelie(field):
+    """e1*e2 = e3, e3*e1 = e4: nilpotent of class 4, but the associator
+    (e1 e2) e1 - e1 (e2 e1) = e4 is not symmetric in its first two slots."""
+    return PreLieAlgebra(field, 4, {(0, 1): {2: 1}, (2, 0): {3: 1}}, validate=False)
+
+
+def test_flows_bch_fails_off_the_prelie_identity():
+    # law, site and residual as the per-term bracket sum with the Omega
+    # fixed point reported them
+    alg = _not_prelie(Q)
+    assert alg.nilpotency_class == 4
+    viol = verify_flows_bch(alg, trials=20)
+    assert (viol.check, viol.site) == ("flows-BCH identity", ("random", 0))
+    assert viol.residual == Vec(Q, (0, 0, 0, Fraction(32, 9)))
+    viol = verify_flows_bch(_not_prelie(GF(11)), trials=20, seed=0)
+    assert (viol.check, viol.site) == ("flows-BCH identity", ("random", 1))
+    assert viol.residual == Vec(GF(11), (0, 0, 0, 8))
+
+
+def _per_term_bch(alg, terms, a, b):
+    """C(a, b) with each BCH term bracketed on its own, left to right."""
+    bound_vec = {"X": a, "Y": b}
+    c = None
+    for term in terms:
+        val = bound_vec[term.letters[0]]
+        for letter in term.letters[1:]:
+            val = alg.lie_bracket(val, bound_vec[letter])
+        val = val * term.coefficient
+        c = val if c is None else c + val
+    return c
+
+
+def _reference_algebras(generators):
+    for name, alg in corpus(Q).items():
+        yield name, alg
+    for s in [generators.v(n) for n in range(3, 7)] + [generators.trees(3),
+                                                        generators.trees(4)]:
+        structure = {}
+        for (_, (i,), j, k), val in s.entries.items():
+            structure.setdefault((i, j), {})[k] = val
+        yield s.name, PreLieAlgebra(Q, s.dim, structure)
+
+
+@pytest.mark.parametrize("field", [Q, GF(7), GF(11)], ids=str)
+def test_grouped_bch_matches_per_term_brackets(field, bench_generators):
+    rng = random.Random(61)
+    checked = 0
+    for name, alg in _reference_algebras(bench_generators):
+        if field.characteristic:
+            if field.characteristic <= alg.nilpotency_class:
+                continue
+            alg = PreLieAlgebra(field, alg.dim, {
+                (i, j): dict(pairs) for ((i,), j), pairs in alg.product.table.items()})
+        terms = dsw_project(bch_series(alg.nilpotency_class, field))
+        tree = _suffix_tree((t.coefficient, t.letters) for t in terms)
+        for _ in range(3):
+            a, b = random_vec(field, alg.dim, rng), random_vec(field, alg.dim, rng)
+            assert _bracket_sum(alg, tree, {"X": a, "Y": b}) == \
+                _per_term_bch(alg, terms, a, b), name
+        checked += 1
+    assert checked >= 9
+
+
+def test_flows_bch_multiply_count(monkeypatch):
+    # class 5: 30 distinct proper suffixes at 2 products per bracket,
+    # and W(a), W(b), exp_L(a, W(b)), W(C) at most 4 products each; the
+    # per-term brackets alone took 2 * 146 per trial
+    alg = corpus(Q)["v5"]
+    assert alg.nilpotency_class == 5
+    real, calls = PreLieAlgebra.multiply, []
+
+    def counted(self, x, y):
+        calls.append(None)
+        return real(self, x, y)
+
+    monkeypatch.setattr(PreLieAlgebra, "multiply", counted)
+    assert verify_flows_bch(alg, trials=20) is None
+    assert len(calls) <= 20 * (2 * 30 + 4 * 4)

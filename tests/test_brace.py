@@ -292,17 +292,20 @@ def test_star_kernel_matches_apply(braces_cache):
 @st.composite
 def _small_brace_and_triple(draw):
     """An unvalidated brace of dim 1-3 with random tables in degrees 1-3
-    over Q, GF(7) or GF(3), and a triple of vectors."""
+    over Q, GF(7) or GF(3), and a triple of vectors.  Each drawn degree
+    has one to four entries, each a nonzero vector over the field, so
+    the table is empty only when two entries cancel."""
     field = draw(st.sampled_from((Q, GF(7), GF(3))))
     d = draw(st.integers(1, 3))
     scalars = (st.fractions(-3, 3, max_denominator=3) if field is Q
                else st.integers(-3, 3))
     vec = st.lists(scalars, min_size=d, max_size=d)
+    value = vec.filter(lambda v: any(field.of(x) for x in v))
     index = st.integers(0, d - 1)
     lambdas = {}
-    for k in draw(st.sets(st.integers(1, 3), max_size=3)):
+    for k in draw(st.sets(st.integers(1, 3), min_size=1, max_size=3)):
         key = st.tuples(st.lists(index, min_size=k, max_size=k).map(tuple), index)
-        lambdas[k] = draw(st.dictionaries(key, vec, max_size=4))
+        lambdas[k] = draw(st.dictionaries(key, value, min_size=1, max_size=4))
     B = GradedBrace(field, d, lambdas, validate=False)
     return B, Vec(field, draw(vec)), Vec(field, draw(vec)), Vec(field, draw(vec))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -250,6 +251,22 @@ def test_doubling_matrix_degree_4(capsys):
     code, out, _ = run(capsys, "doubling-matrix", "--degree", "4")
     assert code == 0
     assert "upper triangular: yes" in out
+
+
+# SHA-256 of the doubling-matrix stdout, recorded while every StarExpr
+# sum was rebuilt through the coercing constructor
+DOUBLING_MATRIX_SHA256 = {
+    "3": "8ee46b30c0f77212b6b4a87593115305762c9f422e393cf5d485e5a747079949",
+    "4": "0030d5cab62d37116c719807e6bcd50ac88d642c1cd304a62a3c5f2ce2fa5259",
+    "5": "6d10db4095a57131cff5e4c29cb2f373e22eb231e4f6609ee669f1209b7ade69",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(DOUBLING_MATRIX_SHA256))
+def test_doubling_matrix_stdout_pinned(capsys, degree):
+    code, out, err = run(capsys, "doubling-matrix", "--degree", degree)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DOUBLING_MATRIX_SHA256[degree]
 
 
 @pytest.mark.parametrize("degree", ["1", "0", "-3"])

@@ -74,6 +74,32 @@ def test_star_expr_canonical():
     assert StarExpr.zero().min_degree() is None
 
 
+def test_star_expr_order_free_equality():
+    # built in different orders, through the arithmetic or the coercing
+    # constructor: equal, equal hashes, one canonical term order
+    words = [XX_Y, X, X_XY, XY, Y]
+    forward = StarExpr.zero()
+    for k, w in enumerate(words):
+        forward = forward + StarExpr.word(w, k + 1)
+    backward = StarExpr(((w, Fraction(k + 1)) for k, w in reversed(list(enumerate(words)))))
+    scaled = (StarExpr.word(XY, 8) - StarExpr.word(X_XY, -6) + StarExpr.word(XX_Y, 2)
+              + StarExpr.word(X, 4) + StarExpr.word(Y, 10)).scale(Fraction(1, 2))
+    for e in (backward, scaled):
+        assert e == forward and hash(e) == hash(forward)
+    assert len({forward, backward, scaled}) == 1
+    assert forward.terms() == ((X, 2), (Y, 5), (XY, 4), (X_XY, 3), (XX_Y, 1))
+    assert str(forward) == "2*x + 5*y + 4*(x*y) + 3*(x*(x*y)) + ((x*x)*y)"
+
+
+def test_star_expr_cancelling_sum_is_zero():
+    e = StarExpr.word(XY, 3) + StarExpr.word(X_XY, -1)
+    total = e + StarExpr.word(X_XY) - StarExpr.word(XY, 3)
+    assert total == StarExpr.zero() and hash(total) == hash(StarExpr.zero())
+    assert total.is_zero() and total.terms() == ()
+    assert (e + (-e)).is_zero() and e.scale(0).is_zero()
+    assert str(total) == "0"
+
+
 def test_expansion_degree_two():
     assert expand_sum_star(X, Y, Z, 2) == StarExpr((
         (StarWord.product(X, Z), 1), (StarWord.product(Y, Z), 1)))
