@@ -9,6 +9,7 @@ pre-Lie algebras, and makes linearity of the star in its right argument
 """
 
 import itertools
+import math
 
 from dataclasses import dataclass
 
@@ -38,10 +39,13 @@ class SymmetricMap:
     structural.  A value is given as a Vec, a dense sequence or a mapping
     {out: c}; values given twice for one key are added.
 
-    ``_rows`` is the table precompiled for diagonal evaluation: per entry
-    (tup, j, ((k, c * multinomial), ...)) in table order, where the
-    multinomial counts the arrangements of tup; entries whose product is
-    zero are dropped.
+    ``_rows`` is the table compiled once for diagonal evaluation in
+    Python ints, as (rows, den, top).  Each row is (tup, j, ((out, n), ...))
+    in table order with c * multinomial(tup) = n / den, where the
+    multinomial counts the arrangements of tup: over GF(p) n is the
+    residue and den is 1, over Q den is the least common denominator of
+    the row coefficients.  Entries whose multinomial is zero in the field
+    are dropped.  ``top`` is the largest arity of a row (here ``arity``).
     """
 
     __slots__ = ("field", "dim", "arity", "table", "_rows")
@@ -74,12 +78,15 @@ class SymmetricMap:
                 row[out] = row[out] + c if out in row else c
         self.table = {key: pairs for key, row in table.items()
                       if (pairs := tuple(sorted((o, c) for o, c in row.items() if c)))}
-        rows = []
+        kept = []
         for (tup, j), pairs in self.table.items():
             m = field.of(_multinomial(arity, [tup.count(i) for i in set(tup)]))
             if m:  # zero in GF(p) when p divides the multinomial
-                rows.append((tup, j, tuple((k, c * m) for k, c in pairs)))
-        self._rows = tuple(rows)
+                kept.append((tup, j, [(k, c * m) for k, c in pairs]))
+        ints, den = field.to_ints([c for _, _, out in kept for _, c in out])
+        ints = iter(ints)
+        self._rows = (tuple((tup, j, tuple((k, next(ints)) for k, _ in out))
+                            for tup, j, out in kept), den, arity)
 
     def is_zero(self):
         return not self.table
@@ -139,11 +146,16 @@ def _check_vec(owner, v):
         raise DimensionMismatch(f"dim {owner.dim} vs {v.dim}")
 
 
-def _diagonal(field, dim, rows, a, b):
-    """sum over rows (tup, j, out) of b_j * prod_{i in tup} a_i * out,
-    accumulated into one vector in row order."""
-    a, b = a.entries, b.entries
-    acc = [field.zero] * dim
+def _diagonal(field, dim, compiled, a, b):
+    """sum over the compiled rows (tup, j, out) of b_j * prod_{i in tup} a_i
+    * out, in Python ints.  With a = ints / da and b = ints / db, a row of
+    arity k is scaled by da^(top - k), so every row shares the
+    denominator den * db * da^top; the d scalars are built at the end."""
+    rows, den, top = compiled
+    a, da = field.to_ints(a.entries)
+    b, db = field.to_ints(b.entries)
+    lift = [da ** (top - k) for k in range(top + 1)] if da != 1 else None
+    acc = [0] * dim
     for tup, j, out in rows:
         coeff = b[j]
         if not coeff:
@@ -152,11 +164,26 @@ def _diagonal(field, dim, rows, a, b):
             x = a[idx]
             if not x:
                 break
-            coeff = coeff * x
+            coeff *= x
         else:
-            for k, c in out:
-                acc[k] = acc[k] + coeff * c
-    return Vec._trusted(field, tuple(acc))
+            if lift:
+                coeff *= lift[len(tup)]
+            for k, n in out:
+                acc[k] += coeff * n
+    return Vec._trusted(field, field.from_ints(acc, den * db * da ** top))
+
+
+def _merge_rows(maps):
+    """The compiled rows of ``maps``, in order, rescaled to one common
+    denominator: the (rows, den, top) of their sum."""
+    den = math.lcm(*(lam._rows[1] for lam in maps))
+    rows = []
+    for lam in maps:
+        own, d, _ = lam._rows
+        f = den // d
+        rows.extend(own if f == 1 else
+                    ((tup, j, tuple((k, n * f) for k, n in out)) for tup, j, out in own))
+    return tuple(rows), den, max((lam.arity for lam in maps), default=0)
 
 
 class GradedBrace:
@@ -192,7 +219,7 @@ class GradedBrace:
             if not lam.is_zero():
                 clean[k] = lam
         self.lambdas = clean
-        self._rows = tuple(row for lam in clean.values() for row in lam._rows)
+        self._rows = _merge_rows(clean.values())
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             f"e{i + 1}" for i in range(dim))
         if len(self.basis_names) != dim:
@@ -249,28 +276,34 @@ class GradedBrace:
         return f"GradedBrace(dim {self.dim} over {self.field}, degrees {ks})"
 
 
-def _nonzero(col):
-    return {o: c for o, c in col.items() if c}
+def _nonzero(col, p):
+    """The int column ``col`` without its entries that are zero in the
+    field of characteristic p (reduced mod p when p is a prime)."""
+    if p:
+        return {o: r for o, n in col.items() if (r := n % p)}
+    return {o: n for o, n in col.items() if n}
 
 
-def _left_map(B, u):
-    """M_u = (b -> u*b) as its d sparse columns {out: c}: column j is
-    u*e_j without its zero coordinates.  One pass over the rows, the
-    pass ``_diagonal`` makes for one star; ``u`` is a dense sequence."""
-    one = B.field.one
+def _left_map(B, u, du):
+    """M_u = (b -> u*b) for u = ints / du, as d sparse int columns {out: n}
+    over the common denominator den * du^top of ``B._rows``: column j is
+    u*e_j, entries not yet reduced mod p and possibly zero.  One pass
+    over the rows, the pass ``_diagonal`` makes for one star."""
+    rows, _, top = B._rows
+    lift = [du ** (top - k) for k in range(top + 1)]
     cols = [{} for _ in range(B.dim)]
-    for tup, j, out in B._rows:
-        coeff = one
+    for tup, j, out in rows:
+        coeff = lift[len(tup)]
         for idx in tup:
             x = u[idx]
             if not x:
                 break
-            coeff = coeff * x
+            coeff *= x
         else:
             col = cols[j]
-            for o, c in out:
-                col[o] = col[o] + coeff * c if o in col else coeff * c
-    return [_nonzero(col) for col in cols]
+            for o, n in out:
+                col[o] = col.get(o, 0) + coeff * n
+    return cols
 
 
 def check_left_brace(B, trials=50, seed=None):
@@ -285,42 +318,52 @@ def check_left_brace(B, trials=50, seed=None):
     e_i*(e_j*e_k) = M_{e_i} M_{e_j} e_k.  So the d^3 basis equations are
     swept as d^2 matrix identities: one pass over the table builds every
     M_{e_i}, one pass per pair (i, j) builds M_u for u = e_i∘e_j, and no
-    star is evaluated.  They are the same exact equations in the same
-    (i, j, k) order, so the first violation and its residual lhs - rhs
-    are the triple-by-triple sweep's.  The random triples are stars.
+    star is evaluated.  The maps are int columns over powers of the
+    table's denominator den (``B._rows``): M_{e_i} over den, M_u over
+    den^(top+1) and the right side over den^2, compared mod p over
+    GF(p).  They are the same exact equations in the same (i, j, k)
+    order, so the first violation and its residual lhs - rhs are the
+    triple-by-triple sweep's.  The random triples are stars.
 
     The other star law, a*(b+c) = a*b + a*c, holds for every GradedBrace
     and is not checked: each L_k is linear in its right slot.  This law
     is where a corrupted star tensor shows up.
     """
     field, d = B.field, B.dim
-    zero, one = field.zero, field.one
-    maps = [[{} for _ in range(d)] for _ in range(d)]  # maps[i][j] = e_i*e_j
-    for tup, j, out in B._rows:
+    rows, den, top = B._rows
+    p = field.characteristic
+    maps = [[{} for _ in range(d)] for _ in range(d)]  # maps[i][j] = den * e_i*e_j
+    for tup, j, out in rows:
         if tup[0] == tup[-1]:  # at a = e_i only the rows of e_i^k survive
             col = maps[tup[0]][j]
-            for o, c in out:
-                col[o] = col[o] + c if o in col else c
-    maps = [[_nonzero(col) for col in cols] for cols in maps]
+            for o, n in out:
+                col[o] = col.get(o, 0) + n
+    maps = [[_nonzero(col, p) for col in cols] for cols in maps]
+    lift = den ** (top - 1) if top else 1  # from over den^2 to over den^(top+1)
     for i, left in enumerate(maps):
         for j, right in enumerate(maps):
-            u = [zero] * d
-            u[i] = one
-            u[j] = u[j] + one
-            for o, c in left[j].items():
-                u[o] = u[o] + c
-            composite = _left_map(B, u)
+            u = [0] * d  # den * (e_i + e_j + e_i*e_j)
+            u[i] = den
+            u[j] += den
+            for o, n in left[j].items():
+                u[o] += n
+            composite = _left_map(B, u, den)
             for k, col in enumerate(right):
-                # column k of M_{e_i} + (id + M_{e_i}) M_{e_j}
-                want = dict(left[k])
+                got = composite[k]
+                if not (got or col or left[k]):
+                    continue  # both sides are zero
+                # den^2 times column k of M_{e_i} + (id + M_{e_i}) M_{e_j}
+                want = {o: den * n for o, n in left[k].items()}
                 for m, c in col.items():
-                    want[m] = want[m] + c if m in want else c
+                    want[m] = want.get(m, 0) + den * c
                     for o, x in left[m].items():
-                        want[o] = want[o] + c * x if o in want else c * x
-                want = _nonzero(want)
-                if composite[k] != want:
-                    lhs, rhs = (Vec._trusted(field, tuple(v.get(o, zero) for o in range(d)))
-                                for v in (composite[k], want))
+                        want[o] = want.get(o, 0) + c * x
+                got = _nonzero(got, p)
+                want = _nonzero({o: lift * n for o, n in want.items()} if lift != 1
+                                else want, p)
+                if got != want:
+                    lhs, rhs = (Vec._trusted(field, field.from_ints(
+                        [v.get(o, 0) for o in range(d)], den ** (top + 1))) for v in (got, want))
                     return Violation("left-brace law (a+b+a*b)*c", (i, j, k), lhs - rhs)
     rng = rng_from(seed)
     for t in range(trials):

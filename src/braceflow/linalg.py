@@ -9,8 +9,12 @@ Every ``Vec`` holds canonical scalars of its field (``Fraction`` over Q,
 constructor ``Vec(field, entries)`` coerces each entry through
 ``ScalarField.of``, so it accepts ints, strings and foreign input.
 Field arithmetic on canonical scalars yields canonical scalars, so the
-results of vector arithmetic, row reduction and the structure-constant
-kernels are wrapped by ``Vec._trusted`` without coercing them again.
+results of vector arithmetic and row reduction are wrapped by
+``Vec._trusted`` without coercing them again.  The structure-constant
+kernels (the brace star, ``PreLieAlgebra.multiply``, the left-brace
+sweep) run on Python ints instead: ``ScalarField.to_ints`` turns a
+vector into residues, or into numerators over one common denominator,
+and ``ScalarField.from_ints`` builds the canonical scalars of the result.
 """
 
 from .errors import CharacteristicTooSmall, DimensionMismatch, FieldMismatch

@@ -10,7 +10,7 @@ broken fixtures in tests).
 
 from .brace import SymmetricMap, map_span
 from .errors import (CharacteristicTooSmall, DimensionMismatch,
-                     ValidationFailure, Violation)
+                     PreconditionViolated, ValidationFailure, Violation)
 from .linalg import Subspace, Vec, strong_chain
 
 
@@ -46,8 +46,13 @@ class PreLieAlgebra:
 
     @property
     def nilpotency_class(self):
+        """The class s of a nilpotent algebra; PreconditionViolated on an
+        unvalidated algebra that is not nilpotent."""
         if self._class is None:
-            self._class = nilpotency_index(self)
+            s = nilpotency_index(self)
+            if s is None:
+                raise PreconditionViolated("algebra is not nilpotent")
+            self._class = s
         return self._class
 
     def basis_vector(self, i):

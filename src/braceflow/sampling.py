@@ -25,4 +25,5 @@ def random_scalar(field, rng):
 
 
 def random_vec(field, dim, rng):
-    return Vec(field, tuple(random_scalar(field, rng) for _ in range(dim)))
+    # random_scalar already returns canonical scalars of the field
+    return Vec._trusted(field, tuple(random_scalar(field, rng) for _ in range(dim)))

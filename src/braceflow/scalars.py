@@ -6,6 +6,8 @@ Prime-field scalars are ``Fp`` residues.  No floating point is accepted
 anywhere.
 """
 
+import math
+
 from fractions import Fraction
 
 from .errors import CharacteristicTooSmall, FieldMismatch
@@ -171,6 +173,28 @@ class ScalarField:
         if isinstance(value, Fraction):
             return Fp(p, 0)._coerce(value)
         raise TypeError(f"cannot coerce {value!r} to GF({p})")
+
+    def to_ints(self, values):
+        """(ints, den) with values[i] = ints[i] / den, for canonical
+        scalars of this field: over GF(p) the residues and den 1, over Q
+        den the least common denominator."""
+        if self.characteristic:
+            return [x.r for x in values], 1
+        den = math.lcm(*(x.denominator for x in values))
+        if den == 1:
+            return [x.numerator for x in values], 1
+        return [x.numerator * (den // x.denominator) for x in values], den
+
+    def from_ints(self, ints, den):
+        """The canonical scalars ints[i] / den as a tuple; den > 0, and
+        over GF(p) not divisible by p."""
+        p, zero = self.characteristic, self.zero
+        if p == 0:
+            return tuple(Fraction(n, den) if n else zero for n in ints)
+        if den != 1:
+            inv = pow(den, -1, p)
+            ints = [n * inv for n in ints]
+        return tuple(Fp(p, n) if n else zero for n in ints)
 
     def inv_int(self, n):
         """1/n in this field; CharacteristicTooSmall if p divides n."""

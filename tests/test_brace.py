@@ -260,27 +260,57 @@ def _odd_degree_three_brace():
     return GradedBrace(F, 3, lambdas, validate=False)
 
 
+def _assert_star_kernel(B, a, b):
+    """The int star kernel equals the sum of the graded maps evaluated in
+    full, each map's diagonal equals its full evaluation, the columns of
+    ``_left_map`` at a are the stars a*e_j, and every result (and the
+    inputs) hold canonical scalars."""
+    field, d = B.field, B.dim
+    kind = Fraction if field.characteristic == 0 else Fp
+    got = B.star(a, b)
+    want = Vec.zero(field, d)
+    for k, lam in B.lambdas.items():
+        full = lam.apply([a] * k, b)
+        assert lam.apply_diagonal(a, b) == full, (B, k)
+        want = want + full
+    assert got == want, B
+    ints, du = field.to_ints(a.entries)
+    _, den, top = B._rows
+    cols = brace._left_map(B, ints, du)
+    for j, col in enumerate(cols):
+        column = field.from_ints([col.get(o, 0) for o in range(d)], den * du ** top)
+        assert Vec._trusted(field, column) == B.star(a, B.basis_vector(j)), (B, j)
+    for r in (got, B.lambda_map(1).apply_diagonal(a, b), a, a + b, a - b, -a, a * 3):
+        assert Vec(field, r.entries) == r
+        assert all(type(e) is kind for e in r.entries)
+        assert kind is Fraction or all(e.p == field.characteristic for e in r.entries)
+
+
 def test_star_kernel_matches_apply(braces_cache):
-    # the precompiled one-pass star equals the sum of the graded maps
-    # evaluated in full, and hands back canonical scalars
-    braces = [braces_cache(name, field) for field in (Q, GF(7))
+    # the int star kernel equals the graded maps evaluated in full and
+    # hands back canonical scalars: on corpus braces over Q, GF(7) and a
+    # prime above 2^61, and on Q vectors whose denominators have an lcm
+    # far above 2^64
+    big_p = GF(2 ** 64 - 59)
+    braces = [braces_cache(name, field) for field in (Q, GF(7), big_p)
               for name in ("n2", "h3", "f4", "v5")]
     braces.append(_odd_degree_three_brace())
     rng = random.Random(41)
     for B in braces:
-        kind = Fraction if B.field.characteristic == 0 else Fp
         for _ in range(15):
-            a, b = random_vec(B.field, B.dim, rng), random_vec(B.field, B.dim, rng)
-            got = B.star(a, b)
-            want = Vec.zero(B.field, B.dim)
-            for k, lam in B.lambdas.items():
-                want = want + lam.apply([a] * k, b)
-            assert got == want, B
-            for r in (got, B.lambda_map(1).apply_diagonal(a, b), a + b, a - b, -a, a * 3):
-                assert Vec(B.field, r.entries) == r
-                assert all(type(e) is kind for e in r.entries)
-                assert kind is Fraction or all(e.p == B.field.characteristic
-                                               for e in r.entries)
+            _assert_star_kernel(B, random_vec(B.field, B.dim, rng),
+                                random_vec(B.field, B.dim, rng))
+    assert max(e.r for B in braces if B.field == big_p
+               for lam in B.lambdas.values() for pairs in lam.table.values()
+               for _, e in pairs) > 2 ** 61
+    dens = (2 ** 40, 3 ** 25, 5 ** 17, 7 ** 14)  # coprime, each below 2^64
+    for B in braces[:4]:
+        for _ in range(5):
+            a, b = (Vec(Q, [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                     dens[(i + s) % 4]) for i in range(B.dim)])
+                    for s in (0, 1))
+            assert Q.to_ints(a.entries)[1] > 2 ** 64
+            _assert_star_kernel(B, a, b)
     # at a = e1 + e2 + e3 only the degree-3 entry with multinomial 1 survives
     B = braces[-1]
     a = Vec(B.field, (1, 1, 1))
@@ -324,6 +354,27 @@ def test_graded_form_decides_the_laws_left_unchecked(case):
     assert star(a, b + c) == star(a, b) + star(a, c)
     zero = Vec.zero(B.field, B.dim)
     assert star(zero, a).is_zero() and star(a, zero).is_zero()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_small_brace_and_triple())
+def test_star_kernel_matches_apply_on_drawn_braces(case):
+    # mixed arities, entries that cancel to zero, and GF(3) rows whose
+    # multinomial is zero in the field
+    B, a, b, _ = case
+    _assert_star_kernel(B, a, b)
+
+
+def test_star_subspaces_counts_each_multiset_once():
+    # L_2(a, a; e1) at a = e1 + e2 is L(e1,e1) + 2 L(e1,e2) + L(e2,e2) =
+    # (0, 2, 2); contracting the multinomial-scaled compiled rows instead
+    # of the table would give 2 * 2 e2 + 2 e3 = (0, 4, 2)
+    B = GradedBrace(Q, 3, {2: {((0, 0), 0): (0, 0, 1), ((0, 1), 0): (0, 1, 0),
+                               ((1, 1), 0): (0, 0, 1)}}, validate=False)
+    a = Vec(Q, (1, 1, 0))
+    assert B.star(a, B.basis_vector(0)) == Vec(Q, (0, 2, 2))
+    assert (star_subspaces(B, span([a]), span([B.basis_vector(0)]))
+            == span([Vec(Q, (0, 1, 1))]))
 
 
 def _full_law_sweep(B, trials, seed):

@@ -10,8 +10,9 @@ from types import SimpleNamespace
 import pytest
 
 from braceflow import fileio, flows
+from braceflow.bch import verify_flows_bch
 from braceflow.corpus import corpus, corpus_dir, f4, n2, zero_algebra
-from braceflow.errors import ConvergenceFailure
+from braceflow.errors import ConvergenceFailure, PreconditionViolated
 from braceflow.flows import (_omega_fixed_point, circ, exp_L, omega, star,
                              to_brace, w_map)
 from braceflow.limits import to_prelie
@@ -91,6 +92,28 @@ def test_w_omega_zero_algebra():
     a = Vec(Q, (1, -2, 3))
     assert w_map(alg, a) == a
     assert omega(alg, a) == a
+
+
+_ONE_IDEMPOTENT = PreLieAlgebra(Q, 1, {(0, 0): {0: 1}}, validate=False)
+_X = Vec(Q, (1,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _ONE_IDEMPOTENT.nilpotency_class,
+    lambda: verify_flows_bch(_ONE_IDEMPOTENT),
+    lambda: to_brace(_ONE_IDEMPOTENT),
+    lambda: w_map(_ONE_IDEMPOTENT, _X),
+    lambda: exp_L(_ONE_IDEMPOTENT, _X, _X),
+    lambda: omega(_ONE_IDEMPOTENT, _X),
+    lambda: circ(_ONE_IDEMPOTENT, _X, _X),
+    lambda: star(_ONE_IDEMPOTENT, _X, _X),
+], ids=["nilpotency_class", "verify_flows_bch", "to_brace", "w_map", "exp_L",
+        "omega", "circ", "star"])
+def test_not_nilpotent_is_a_precondition_violation(call):
+    # an unvalidated algebra with e1*e1 = e1 has no class; every series
+    # that needs one says so instead of failing on a missing bound
+    with pytest.raises(PreconditionViolated, match="not nilpotent"):
+        call()
 
 
 def test_circ_zero_algebra_is_addition():

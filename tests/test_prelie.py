@@ -9,7 +9,7 @@ from braceflow.linalg import Subspace, Vec, span
 from braceflow.prelie import (PreLieAlgebra, check_prelie_identity,
                               nilpotency_index)
 from braceflow.sampling import random_scalar, random_vec
-from braceflow.scalars import GF, Q
+from braceflow.scalars import GF, Q, ScalarField
 
 
 def test_multiply_zero_algebra():
@@ -24,6 +24,21 @@ def test_multiply_n2():
     for x, y, u, w in ((3, 5, 2, 7), (-1, 0, 4, 4)):
         got = alg.multiply(Vec(Q, (x, y)), Vec(Q, (u, w)))
         assert got == Vec(Q, (0, x * u))
+
+
+def test_random_vec_coerces_each_draw_once(monkeypatch):
+    # random_scalar already returns canonical scalars, so random_vec wraps
+    # them as they are: same draws, no second coercion
+    coerced = []
+    of = ScalarField.of
+    monkeypatch.setattr(ScalarField, "of", lambda self, v: coerced.append(v) or of(self, v))
+    for field in (Q, GF(7)):
+        rng = random.Random(5)
+        draws = tuple(random_scalar(field, rng) for _ in range(4))
+        coerced.clear()
+        v = random_vec(field, 4, random.Random(5))
+        assert len(coerced) == (4 if field.characteristic else 0)
+        assert v.entries == draws and v == Vec(field, draws)
 
 
 def test_multiply_f4_reads_tensor():

@@ -73,6 +73,22 @@ def test_inverse_helpers():
         F.of(Fraction(1, 7))
 
 
+def test_int_bridge():
+    # to_ints / from_ints: numerators over the least common denominator
+    # over Q, residues over GF(p); from_ints hands back canonical scalars
+    xs = (Fraction(3, 4), Fraction(-5, 6), Fraction(0), Fraction(7))
+    assert Q.to_ints(xs) == ([9, -10, 0, 84], 12)
+    assert Q.from_ints([9, -10, 0, 84], 12) == xs
+    assert Q.to_ints((Fraction(2), Fraction(-1))) == ([2, -1], 1)
+    assert Q.to_ints(()) == ([], 1)
+    assert all(type(x) is Fraction for x in Q.from_ints([6, 0, -3], 9))
+    F = GF(7)
+    assert F.to_ints(tuple(F.of(v) for v in (3, 0, 6))) == ([3, 0, 6], 1)
+    got = F.from_ints([10, 14, -1, 3], 2)
+    assert got == (F.of(5), F.zero, F.of(3), F.of(5))
+    assert all(type(x) is Fp and x.p == 7 for x in got)
+
+
 def test_division_round_trip_exact():
     rng = random.Random(7)
     for _ in range(200):
