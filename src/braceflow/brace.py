@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import (CharacteristicTooSmall, ConvergenceFailure, DimensionMismatch,
                      FieldMismatch, PreconditionViolated, ValidationFailure,
                      Violation)
-from .linalg import Subspace, Vec, span, strong_chain
+from .linalg import Echelon, Subspace, Vec, nonzero, strong_chain
 from .sampling import random_vec, rng_from
 
 
@@ -276,14 +276,6 @@ class GradedBrace:
         return f"GradedBrace(dim {self.dim} over {self.field}, degrees {ks})"
 
 
-def _nonzero(col, p):
-    """The int column ``col`` without its entries that are zero in the
-    field of characteristic p (reduced mod p when p is a prime)."""
-    if p:
-        return {o: r for o, n in col.items() if (r := n % p)}
-    return {o: n for o, n in col.items() if n}
-
-
 def _left_map(B, u, du):
     """M_u = (b -> u*b) for u = ints / du, as d sparse int columns {out: n}
     over the common denominator den * du^top of ``B._rows``: column j is
@@ -338,7 +330,7 @@ def check_left_brace(B, trials=50, seed=None):
             col = maps[tup[0]][j]
             for o, n in out:
                 col[o] = col.get(o, 0) + n
-    maps = [[_nonzero(col, p) for col in cols] for cols in maps]
+    maps = [[nonzero(col, p) for col in cols] for cols in maps]
     lift = den ** (top - 1) if top else 1  # from over den^2 to over den^(top+1)
     for i, left in enumerate(maps):
         for j, right in enumerate(maps):
@@ -358,8 +350,8 @@ def check_left_brace(B, trials=50, seed=None):
                     want[m] = want.get(m, 0) + den * c
                     for o, x in left[m].items():
                         want[o] = want.get(o, 0) + c * x
-                got = _nonzero(got, p)
-                want = _nonzero({o: lift * n for o, n in want.items()} if lift != 1
+                got = nonzero(got, p)
+                want = nonzero({o: lift * n for o, n in want.items()} if lift != 1
                                 else want, p)
                 if got != want:
                     lhs, rhs = (Vec._trusted(field, field.from_ints(
@@ -462,7 +454,7 @@ def class_bound_of(B):
     return index
 
 
-def star_subspaces(B, left, right):
+def star_subspaces(B, left, right, within=None):
     """Span of all star(a, b) with a in ``left`` and b in ``right``.
 
     Because a -> star(a, b) is polynomial with symmetric multilinear
@@ -470,69 +462,92 @@ def star_subspaces(B, left, right):
     multisets {u_1, ..., u_k} of left basis vectors and y in the right
     basis, which ``map_span`` computes from the table's support.
     """
-    return map_span(B.lambdas.values(), left, right)
+    return map_span(B.lambdas.values(), left, right, within)
 
 
-def map_span(maps, left, right):
+def map_span(maps, left, right, within=None):
     """Span of L(u_1, ..., u_k; y) over the SymmetricMaps L in ``maps``,
     the multisets {u_1, ..., u_k} of ``left`` basis vectors (k the arity
     of L) and the ``right`` basis vectors y.
 
-    The symmetric product of the u_i is built one slot at a time as a
-    sparse map from sorted index tuples to coefficients, and a partial
-    tuple that is no sub-multiset of a table key is pruned with
-    everything that extends it.  The products are then contracted with
-    the table by left tuple, and only the nonzero generators are spanned.
+    A span is unchanged when one generator is scaled, so it is taken on
+    ints: the generators of ``map_products`` are reduced as they arrive
+    into one ``Echelon``.  ``within`` is a subspace known to contain the
+    span, such as the previous term of a descending chain: spanning
+    stops once the echelon reaches its dimension, and ``within`` is
+    returned.
     """
     field, d = left.field, left.ambient_dim
-    lefts = [tuple((i, x) for i, x in enumerate(u.entries) if x) for u in left.basis]
-    rights = [y.entries for y in right.basis]
-    gens = []
+    ech = Echelon(field.characteristic, d if within is None else within.dim)
+    products = map_products(field, maps)
+    if ech.extend(products(left.int_rows(), right.int_rows())) and within is not None:
+        return within
+    return Subspace.of_echelon(field, d, ech.rows)
+
+
+def map_products(field, maps):
+    """products(lefts, rights): a generator of sparse int rows {out: n},
+    not yet reduced mod p, spanning ``map_span`` of the subspaces with
+    int basis rows ``lefts`` and ``rights``.  Each map's table is scaled
+    to ints on its own (``to_ints``).
+
+    The symmetric product of the u_i is built one slot at a time as a
+    sparse map from sorted index tuples to int coefficients, and a
+    partial tuple that is no sub-multiset of a table key is pruned with
+    everything that extends it.  The products are then contracted with
+    the table by left tuple.
+    """
+    p = field.characteristic
+    tables = []
     for lam in maps:
-        k = lam.arity
+        ints, _ = field.to_ints([c for pairs in lam.table.values() for _, c in pairs])
+        ints = iter(ints)
         by_left = {}
         for (tup, j), pairs in lam.table.items():
-            by_left.setdefault(tup, []).append((j, pairs))
+            by_left.setdefault(tup, []).append((j, [(o, next(ints)) for o, _ in pairs]))
         # sub-tuples of a sorted tuple are sorted: these are the sub-multisets
-        live = {sub for tup in by_left for m in range(k + 1)
+        live = {sub for tup in by_left for m in range(lam.arity + 1)
                 for sub in itertools.combinations(tup, m)}
-        stack = [(0, 0, {(): field.one})]  # (first slot, slots filled, product)
-        while stack:
-            first, filled, poly = stack.pop()
-            if filled == k:
-                gens.extend(_contract(field, d, poly, by_left, rights))
-                continue
-            for s in range(first, len(lefts)):
-                nxt = {}
-                for t, c in poly.items():
-                    for i, x in lefts[s]:
-                        u = tuple(sorted(t + (i,)))
-                        if u in live:
-                            nxt[u] = nxt[u] + c * x if u in nxt else c * x
-                nxt = {u: c for u, c in nxt.items() if c}
-                if nxt:
-                    stack.append((s, filled + 1, nxt))
-    return span(gens, field=field, dim=d)
+        tables.append((lam.arity, by_left, live))
+
+    def products(lefts, rights):
+        lefts = [tuple(u.items()) for u in lefts]
+        for k, by_left, live in tables:
+            stack = [(0, 0, {(): 1})]  # (first slot, slots filled, product)
+            while stack:
+                first, filled, poly = stack.pop()
+                if filled == k:
+                    yield from _contract(poly, by_left, rights)
+                    continue
+                for s in range(first, len(lefts)):
+                    nxt = {}
+                    for t, c in poly.items():
+                        for i, x in lefts[s]:
+                            u = tuple(sorted(t + (i,)))
+                            if u in live:
+                                nxt[u] = nxt.get(u, 0) + c * x
+                    nxt = nonzero(nxt, p)
+                    if nxt:
+                        stack.append((s, filled + 1, nxt))
+    return products
 
 
-def _contract(field, d, poly, by_left, rights):
-    """The nonzero vectors sum_t poly[t] * L(e^t; y) for y in ``rights``."""
+def _contract(poly, by_left, rights):
+    """The int rows sum_t poly[t] * L(e^t; y) for the int rows y in
+    ``rights``."""
     cols = {}  # j -> the image of e_j
     for t, c in poly.items():
         for j, out in by_left.get(t, ()):
-            col = cols.setdefault(j, [field.zero] * d)
+            col = cols.setdefault(j, {})
             for o, v in out:
-                col[o] = col[o] + c * v
+                col[o] = col.get(o, 0) + c * v
     for y in rights:
-        g = [field.zero] * d
-        for j, col in cols.items():
-            w = y[j]
-            if w:
-                for o, v in enumerate(col):
-                    if v:
-                        g[o] = g[o] + w * v
-        if any(g):
-            yield Vec._trusted(field, tuple(g))
+        g = {}
+        for j, w in y.items():
+            for o, v in cols.get(j, {}).items():
+                g[o] = g.get(o, 0) + w * v
+        if g:
+            yield g
 
 
 @dataclass(frozen=True)
@@ -578,8 +593,11 @@ class ChainReport:
 def radical_chains(B):
     """Compute the left chain A^{i+1} = A * A^i, the right chain
     A^(i+1) = A^(i) * A, and the strong chain A^[i] = sum of
-    A^[j] * A^[i-j], until each vanishes or provably stabilizes."""
-    full = Subspace.full(B.field, B.dim)
+    A^[j] * A^[i-j], until each vanishes or provably stabilizes.  Each
+    chain descends, so each term stops spanning at the dimension of the
+    one before (``map_span``, ``strong_chain``)."""
+    field, d = B.field, B.dim
+    full = Subspace.full(field, d)
 
     def one_sided(step):
         chain = [full]
@@ -590,9 +608,10 @@ def radical_chains(B):
             chain.append(nxt)
         return tuple(chain), len(chain)
 
-    left, left_index = one_sided(lambda s: star_subspaces(B, full, s))
-    right, right_index = one_sided(lambda s: star_subspaces(B, s, full))
+    left, left_index = one_sided(lambda s: star_subspaces(B, full, s, within=s))
+    right, right_index = one_sided(lambda s: star_subspaces(B, s, full, within=s))
 
-    strong, strong_index = strong_chain(
-        full, lambda u, v: star_subspaces(B, u, v).basis, 2 * B.dim + 3)
+    terms, strong_index = strong_chain(
+        field, d, map_products(field, B.lambdas.values()), 2 * d + 3)
+    strong = tuple(Subspace.of_echelon(field, d, t) for t in terms)
     return ChainReport(left, right, strong, left_index, right_index, strong_index)

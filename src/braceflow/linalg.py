@@ -1,4 +1,5 @@
-"""Dense exact linear algebra over a ScalarField.
+"""Exact linear algebra over a ScalarField: dense vectors and matrices,
+and sparse int echelons for spans.
 
 Everything is immutable after construction and all operations are pure.
 Subspaces are kept in reduced row-echelon form so that equal subspaces
@@ -15,7 +16,13 @@ kernels (the brace star, ``PreLieAlgebra.multiply``, the left-brace
 sweep) run on Python ints instead: ``ScalarField.to_ints`` turns a
 vector into residues, or into numerators over one common denominator,
 and ``ScalarField.from_ints`` builds the canonical scalars of the result.
+Spans run on ints too: each generator is scaled to ints on its own, a
+scaling that leaves the span unchanged, and reduced as it arrives into
+an ``Echelon`` of sparse int rows; ``Subspace.of_echelon`` builds the
+canonical basis once, and a subspace keeps its int rows for later spans.
 """
+
+import math
 
 from .errors import CharacteristicTooSmall, DimensionMismatch, FieldMismatch
 
@@ -178,10 +185,79 @@ def _rref(field, rows):
     return rows, pivots
 
 
-class Subspace:
-    """Linear subspace with a canonical reduced-row-echelon basis."""
+def nonzero(row, p):
+    """The sparse int row {col: n} without its entries that are zero in
+    the field of characteristic p (reduced mod p when p is a prime)."""
+    if p:
+        return {c: r for c, n in row.items() if (r := n % p)}
+    return {c: n for c, n in row.items() if n}
 
-    __slots__ = ("field", "ambient_dim", "basis")
+
+def _eliminate(row, piv, c, p):
+    """a * row - b * piv with b / a = row[c] / piv[c] in lowest terms: the
+    int row ``row`` with its column c cleared by ``piv``."""
+    g = math.gcd(piv[c], row[c])
+    a, b = piv[c] // g, row[c] // g
+    return nonzero({o: a * row.get(o, 0) - b * piv.get(o, 0) for o in row.keys() | piv.keys()}, p)
+
+
+def _normalized(row, p):
+    """The nonzero int row ``row`` scaled to lead 1 over GF(p), and to
+    primitive ints with a positive lead over Q."""
+    lead = row[min(row)]
+    if p:
+        inv = pow(lead, -1, p)
+        return {c: n * inv % p for c, n in row.items()}
+    g = math.gcd(*row.values()) * (1 if lead > 0 else -1)
+    return {c: n // g for c, n in row.items()}
+
+
+class Echelon:
+    """Reduced row echelon form of sparse int rows over GF(p) (p a prime)
+    or Q (p = 0).
+
+    ``rows`` maps each lead column to its ``_normalized`` row {col: n}:
+    nonzero entries only, none left of the lead and none at another
+    row's lead.  ``cap`` is the dimension of a subspace known to contain
+    the span; once the echelon reaches it the span is that subspace and
+    ``extend`` stops reading.
+    """
+
+    __slots__ = ("p", "cap", "rows")
+
+    def __init__(self, p, cap):
+        self.p, self.cap, self.rows = p, cap, {}
+
+    def extend(self, rows):
+        """Reduce each int row {col: n}, at any nonzero scale, into the
+        echelon as it arrives, and keep it unless it reduces to zero.
+        Returns whether the echelon reached its cap."""
+        p, ech = self.p, self.rows
+        if len(ech) >= self.cap:
+            return True
+        for row in rows:
+            row = nonzero(row, p)
+            for c in [c for c in row if c in ech]:
+                row = _eliminate(row, ech[c], c, p)
+            if row:
+                row = _normalized(row, p)
+                lead = min(row)
+                for c, q in ech.items():
+                    if lead in q:
+                        ech[c] = _normalized(_eliminate(q, row, lead, p), p)
+                ech[lead] = row
+                if len(ech) >= self.cap:
+                    return True
+        return False
+
+
+class Subspace:
+    """Linear subspace with a canonical reduced-row-echelon basis.
+
+    ``_rows`` holds the basis as sparse int rows {col: n}, each at its own
+    nonzero scale, once a span has needed them (``int_rows``)."""
+
+    __slots__ = ("field", "ambient_dim", "basis", "_rows")
 
     def __init__(self, field, ambient_dim, vectors=()):
         self.field = field
@@ -197,6 +273,26 @@ class Subspace:
             rows, pivots = _rref(field, rows)
             rows = rows[:len(pivots)]
         self.basis = tuple(Vec._trusted(field, tuple(r)) for r in rows)
+        self._rows = None
+
+    @classmethod
+    def of_echelon(cls, field, ambient_dim, rows):
+        """The span of an ``Echelon``'s rows {lead: row}: its canonical
+        basis takes one division per entry, by the row's lead."""
+        sub = object.__new__(cls)
+        sub.field, sub.ambient_dim = field, ambient_dim
+        sub._rows = tuple(rows[lead] for lead in sorted(rows))
+        sub.basis = tuple(Vec._trusted(field, field.from_ints(
+            [row.get(c, 0) for c in range(ambient_dim)], row[min(row)])) for row in sub._rows)
+        return sub
+
+    def int_rows(self):
+        """The basis as sparse int rows {col: n}, each basis vector scaled
+        to ints on its own (residues over GF(p), numerators over Q)."""
+        if self._rows is None:
+            self._rows = tuple({c: n for c, n in enumerate(self.field.to_ints(v.entries)[0])
+                                if n} for v in self.basis)
+        return self._rows
 
     @classmethod
     def full(cls, field, dim):
@@ -236,17 +332,25 @@ def span(vectors, field=None, dim=None):
     return Subspace(field, dim, vectors)
 
 
-def strong_chain(full, products, cap):
-    """The chain D_1 = full, D_i = span of products(D_j, D_{i-j}) over
-    0 < j < i for i <= cap, with ``products`` yielding spanning vectors.
-    Returns (chain, 1-based index of its first zero term or None)."""
-    chain = [full]
+def strong_chain(field, dim, products, cap):
+    """The chain D_1 = F^dim, D_i = sum over 0 < j < i of the spans of
+    products(D_j, D_{i-j}), for i <= cap.  Terms are ``Echelon`` rows
+    {lead: row}, and ``products`` takes two terms' rows and yields int
+    rows spanning their product.  Each term lies in the one before
+    (D_2 is in D_1; by induction and monotonicity D_j*D_{i-j} lies in
+    D_j*D_{i-1-j} for j < i-1, and D_{i-1}*D_1 in D_{i-2}*D_1), so all j
+    reduce into one echelon capped at dim D_{i-1}, and a term that
+    reaches it is D_{i-1}.  Returns (terms, 1-based index of the first
+    zero term or None)."""
+    chain = [{i: {i: 1} for i in range(dim)}]
     for i in range(2, cap + 1):
-        gens = []
-        for j in range(1, i):
-            gens.extend(products(chain[j - 1], chain[i - j - 1]))
-        chain.append(span(gens, field=full.field, dim=full.ambient_dim))
-        if chain[-1].is_zero():
+        ech = Echelon(field.characteristic, len(chain[-1]))
+        if any(ech.extend(products(chain[j - 1].values(), chain[i - j - 1].values()))
+               for j in range(1, i)):
+            chain.append(chain[-1])
+        else:
+            chain.append(ech.rows)
+        if not chain[-1]:
             return tuple(chain), i
     return tuple(chain), None
 

@@ -8,10 +8,10 @@ construction unless explicitly disabled (used only to build deliberately
 broken fixtures in tests).
 """
 
-from .brace import SymmetricMap, map_span
+from .brace import SymmetricMap, map_products
 from .errors import (CharacteristicTooSmall, DimensionMismatch,
                      PreconditionViolated, ValidationFailure, Violation)
-from .linalg import Subspace, Vec, strong_chain
+from .linalg import Vec, strong_chain
 
 
 class PreLieAlgebra:
@@ -101,22 +101,34 @@ def check_prelie_identity(alg):
     residual is antisymmetric in (i, j), so only i < j is swept.  Returns
     None on success, else a Violation at the first failing triple with
     residual (e_i e_j - e_j e_i)e_k - e_i(e_j e_k) + e_j(e_i e_k).  Every
-    product is read off the nonzero coordinates of the table.
+    product is read off the nonzero coordinates of the table, taken once
+    as ints n / den (``to_ints``): each residual is summed in ints over
+    den^2, compared mod p over GF(p), and turned into scalars only at a
+    failure.  A k that no term of (i, j, k) reaches is skipped.
     """
     field, d = alg.field, alg.dim
-    rows = product_rows(alg)
+    table = alg.product.table
+    ints, den = field.to_ints([c for pairs in table.values() for _, c in pairs])
+    ints = iter(ints)
+    rows = [{} for _ in range(d)]  # rows[i][j]: the (out, n) pairs of e_i*e_j
+    for ((i,), j), pairs in table.items():
+        rows[i][j] = tuple((o, next(ints)) for o, _ in pairs)
+    p = field.characteristic
     for i in range(d):
         for j in range(i + 1, d):
-            for k in range(d):
+            w = dict(rows[i].get(j, ()))  # e_i e_j - e_j e_i
+            for o, c in rows[j].get(i, ()):
+                w[o] = w.get(o, 0) - c
+            for k in sorted(set(rows[i]).union(rows[j], *(rows[o] for o in w))):
                 r = {}
-                for c, u, v in ([(c, o, k) for o, c in rows[i].get(j, ())]
-                                + [(-c, o, k) for o, c in rows[j].get(i, ())]
+                for c, u, v in ([(c, o, k) for o, c in w.items()]
                                 + [(-c, i, o) for o, c in rows[j].get(k, ())]
                                 + [(c, j, o) for o, c in rows[i].get(k, ())]):
                     for out, x in rows[u].get(v, ()):  # c * e_u e_v
-                        r[out] = r.get(out, field.zero) + c * x
-                if any(r.values()):
-                    residual = Vec(field, [r.get(o, 0) for o in range(d)])
+                        r[out] = r.get(out, 0) + c * x
+                if any(n % p if p else n for n in r.values()):
+                    residual = Vec._trusted(field, field.from_ints(
+                        [r.get(o, 0) for o in range(d)], den * den))
                     return Violation("pre-Lie identity", (i, j, k), residual)
     return None
 
@@ -134,12 +146,13 @@ def nilpotency_index(alg):
 
     Computes the descending chain D_1 = A, D_i = span of all products
     D_j * D_{i-j} (0 < j < i), i.e. the span of all products of exactly
-    i elements with any bracketing.  The chain is monotone, so for a
-    nilpotent algebra it reaches zero within d+1 steps; it is built up
-    to D_{d+2} before giving up.  D_j * D_{i-j} is spanned from the
-    support of the product table, as the brace's radical chains are.
+    i elements with any bracketing.  Each D_i lies in D_{i-1}, so for a
+    nilpotent algebra the chain reaches zero within d+1 steps; it is
+    built up to D_{d+2} before giving up.  D_j * D_{i-j} is spanned from
+    the support of the product table on ints, as the brace's radical
+    chains are (a span does not change when a generator is scaled), into
+    one echelon per term that stops at the dimension of the term before
+    (``strong_chain``).  No basis is built.
     """
-    def products(left, right):
-        return map_span([alg.product], left, right).basis
-
-    return strong_chain(Subspace.full(alg.field, alg.dim), products, alg.dim + 2)[1]
+    return strong_chain(alg.field, alg.dim, map_products(alg.field, [alg.product]),
+                        alg.dim + 2)[1]

@@ -199,6 +199,18 @@ def _reference_star_span(B, left, right):
     return span(gens, field=B.field, dim=B.dim)
 
 
+def _reference_strong_chain(B):
+    """The strong chain written out: each term spans the reference spans
+    of all its j-products, up to the first zero term or 2 * dim + 3."""
+    chain = [Subspace.full(B.field, B.dim)]
+    while len(chain) < 2 * B.dim + 3 and not chain[-1].is_zero():
+        i = len(chain) + 1
+        gens = [v for j in range(1, i)
+                for v in _reference_star_span(B, chain[j - 1], chain[i - j - 1]).basis]
+        chain.append(span(gens, field=B.field, dim=B.dim))
+    return tuple(chain)
+
+
 def _ring_brace():
     """The adjoint brace a*b = ab of x Q[x]/(x^8), basis x..x^7."""
     table = {((i,), j): Vec.basis(Q, 7, i + j + 1)
@@ -236,18 +248,28 @@ def test_star_subspaces_matches_direct_span(braces_q, braces_cache, monkeypatch)
     # the support-pruned expansion spans exactly what the full sweep of
     # the graded maps spans, on every pair of chain terms, and so gives
     # the same chain report
+    # the strong chain is checked against its written-out form; the
+    # one-sided chains go through the patched name
     inputs = _chain_inputs(braces_cache)
     reports = {where: radical_chains(B) for where, B in inputs}
-    monkeypatch.setattr(brace, "star_subspaces", _reference_star_span)
+    calls = []
+
+    def reference(B, left, right, within=None):  # the span ignores its cap
+        calls.append(within)
+        return _reference_star_span(B, left, right)
+
+    monkeypatch.setattr(brace, "star_subspaces", reference)
     for where, B in inputs:
         assert radical_chains(B) == reports[where], where
         rep = reports[where]
+        assert rep.strong == _reference_strong_chain(B), where
         terms = set(rep.left + rep.right + rep.strong)
         for left in terms:
             for right in terms:
                 assert (star_subspaces(B, left, right)
                         == _reference_star_span(B, left, right)), where
     assert any(not rep.strongly_nilpotent for rep in reports.values())
+    assert calls and all(within is not None for within in calls)
 
 
 def _odd_degree_three_brace():
