@@ -20,9 +20,8 @@ from .flows import circ, exp_L, omega, star, to_brace, w_map
 from .free_expansion import (StarExpr, StarWord, doubling_matrix, evaluate,
                              expand_sum_star, scaling_matrix_check,
                              star_expand, word_order, xy_words, xyz_words)
-from .limits import (check_associator_correction_identity, check_bilinearity,
-                     dot, limit_witness, roundtrip_brace, roundtrip_prelie,
-                     to_prelie)
+from .limits import (check_associator_correction_identity, dot, limit_witness,
+                     roundtrip_brace, roundtrip_prelie, to_prelie)
 from .linalg import Mat, Subspace, Vec, span
 from .prelie import PreLieAlgebra, check_prelie_identity, nilpotency_index
 from .scalars import GF, Fp, Q, ScalarField

@@ -17,7 +17,7 @@ from .errors import (CharacteristicTooSmall, ConvergenceFailure, DimensionMismat
                      FieldMismatch, PreconditionViolated, ValidationFailure,
                      Violation)
 from .linalg import Echelon, Subspace, Vec, nonzero, strong_chain
-from .sampling import random_vec, rng_from
+from .sampling import random_ints, rng_from
 
 
 def _multinomial(k, counts):
@@ -147,13 +147,19 @@ def _check_vec(owner, v):
 
 
 def _diagonal(field, dim, compiled, a, b):
+    """``_star_sum`` on the coordinates of the Vecs a and b, as a Vec."""
+    return _vec(field, _star_sum(dim, compiled, field.to_ints(a.entries),
+                                 field.to_ints(b.entries)))
+
+
+def _star_sum(dim, compiled, a, b):
     """sum over the compiled rows (tup, j, out) of b_j * prod_{i in tup} a_i
-    * out, in Python ints.  With a = ints / da and b = ints / db, a row of
-    arity k is scaled by da^(top - k), so every row shares the
-    denominator den * db * da^top; the d scalars are built at the end."""
+    * out for a = ints / da and b = ints / db, as (ints, den), not reduced.
+    A row of arity k is scaled by da^(top - k), so every row shares the
+    denominator den * db * da^top."""
     rows, den, top = compiled
-    a, da = field.to_ints(a.entries)
-    b, db = field.to_ints(b.entries)
+    a, da = a
+    b, db = b
     lift = [da ** (top - k) for k in range(top + 1)] if da != 1 else None
     acc = [0] * dim
     for tup, j, out in rows:
@@ -170,7 +176,32 @@ def _diagonal(field, dim, compiled, a, b):
                 coeff *= lift[len(tup)]
             for k, n in out:
                 acc[k] += coeff * n
-    return Vec._trusted(field, field.from_ints(acc, den * db * da ** top))
+    return acc, den * db * da ** top
+
+
+def _canon(p, ints, den):
+    """The one (ints, den) pair of the vector ints / den, so equal vectors
+    give equal pairs: residues over GF(p), where every den here is 1, and
+    over Q divided by their gcd with den > 0."""
+    if p:
+        return [n % p for n in ints], 1
+    g = math.gcd(den, *ints)
+    return ([n // g for n in ints], den // g) if g != 1 else (ints, den)
+
+
+def _lincomb(p, *terms):
+    """sum of c * v over the terms (c int, v an (ints, den) pair), as ``_canon``."""
+    den = math.lcm(*(v[1] for _, v in terms))
+    acc = [0] * len(terms[0][1][0])
+    for c, (ints, d) in terms:
+        f = c * (den // d)
+        acc = [x + f * n for x, n in zip(acc, ints)]
+    return _canon(p, acc, den)
+
+
+def _vec(field, v):
+    """The Vec of an (ints, den) pair."""
+    return Vec._trusted(field, field.from_ints(*v))
 
 
 def _merge_rows(maps):
@@ -245,24 +276,31 @@ class GradedBrace:
         _check_vec(self, b)
         return _diagonal(self.field, self.dim, self._rows, a, b)
 
+    def _star(self, a, b):
+        """The int star kernel: star(a, b) for (ints, den) pairs, as ``_canon``."""
+        return _canon(self.field.characteristic, *_star_sum(self.dim, self._rows, a, b))
+
     def circ(self, a, b):
         return a + b + self.star(a, b)
 
     def circ_inverse(self, a):
         """The unique x with a∘x = 0, by the fixed-point iteration
-        x <- -a - star(a, x); verifies x is a two-sided inverse.  Each step
-        applies the nilpotent map b -> -star(a, b) to the error, so dim + 1
-        steps reach the fixed point."""
+        x <- -a - star(a, x) on ints (``_star``); verifies x is a
+        two-sided inverse.  Each step applies the nilpotent map
+        b -> -star(a, b) to the error, so dim + 1 steps reach the fixed point."""
         _check_vec(self, a)
-        x = -a
+        p = self.field.characteristic
+        a = self.field.to_ints(a.entries)  # lowest terms: the _canon form
+        x = _lincomb(p, (-1, a))
         for _ in range(self.dim + 1):
-            nxt = -a - self.star(a, x)
+            nxt = _lincomb(p, (-1, a), (-1, self._star(a, x)))
             if nxt == x:
                 break
             x = nxt
-        if not (self.circ(a, x).is_zero() and self.circ(x, a).is_zero()):
+        if any(_lincomb(p, (1, a), (1, x), (1, self._star(a, x)))[0]) or any(
+                _lincomb(p, (1, x), (1, a), (1, self._star(x, a)))[0]):
             raise ConvergenceFailure("circ inverse iteration did not stabilize")
-        return x
+        return _vec(self.field, x)
 
     def __eq__(self, other):
         return (isinstance(other, GradedBrace) and other.field == self.field
@@ -315,7 +353,9 @@ def check_left_brace(B, trials=50, seed=None):
     den^(top+1) and the right side over den^2, compared mod p over
     GF(p).  They are the same exact equations in the same (i, j, k)
     order, so the first violation and its residual lhs - rhs are the
-    triple-by-triple sweep's.  The random triples are stars.
+    triple-by-triple sweep's.  The random triples run on ints, 5 passes
+    of the int star kernel ``_star`` each; only a Violation's residual is
+    a Vec.
 
     The other star law, a*(b+c) = a*b + a*c, holds for every GradedBrace
     and is not checked: each L_k is linear in its right slot.  This law
@@ -359,12 +399,14 @@ def check_left_brace(B, trials=50, seed=None):
                     return Violation("left-brace law (a+b+a*b)*c", (i, j, k), lhs - rhs)
     rng = rng_from(seed)
     for t in range(trials):
-        a, b, c = (random_vec(field, d, rng) for _ in range(3))
-        bc = B.star(b, c)
-        lhs = B.star(a + b + B.star(a, b), c)
-        rhs = B.star(a, c) + bc + B.star(a, bc)
-        if lhs != rhs:
-            return Violation("left-brace law (a+b+a*b)*c", ("random", t), lhs - rhs)
+        a, b, c = (random_ints(field, d, rng) for _ in range(3))
+        bc = B._star(b, c)
+        lhs = B._star(_lincomb(p, (1, a), (1, b), (1, B._star(a, b))), c)
+        residual = _lincomb(p, (1, lhs), (-1, B._star(a, c)), (-1, bc),
+                            (-1, B._star(a, bc)))
+        if any(residual[0]):
+            return Violation("left-brace law (a+b+a*b)*c", ("random", t),
+                             _vec(field, residual))
     return None
 
 
@@ -377,8 +419,9 @@ def check_group(B, trials=50, seed=None):
     ``check_left_brace`` decides it, on every basis pair (a, b) and all
     c at once as M_{a∘b} = M_a + M_b + M_a M_b, and on the random
     triples.  0 is a two-sided identity because every L_k has k >= 1 and
-    is linear in its right slot.  ``trials`` and ``seed`` are unused;
-    every law takes them.
+    is linear in its right slot.  An inverse (``circ_inverse``) takes at
+    most dim + 3 ``_star`` passes.  ``trials`` and ``seed`` are
+    unused; every law takes them.
     """
     for i in range(B.dim):
         try:
@@ -389,23 +432,22 @@ def check_group(B, trials=50, seed=None):
 
 
 def check_fbrace(B, trials=50, seed=None):
-    """Scalar linearity in the right slot: star(a, e*b) = e*star(a, b).
+    """Scalar linearity in the right slot, on ints: star(a, e*b) =
+    e*star(a, b) for e = 0, -1 and a random int, and star(a, 0) = 0.
 
     Automatic for the graded representation; exists to vet imported
     braces and the zero / minus-one edge cases."""
     rng = rng_from(seed)
-    d = B.dim
-    zero = Vec.zero(B.field, d)
+    field, d, p = B.field, B.dim, B.field.characteristic
     for t in range(trials):
-        a = random_vec(B.field, d, rng)
-        b = random_vec(B.field, d, rng)
-        for e in (B.field.zero, B.field.of(-1),
-                  B.field.of(rng.randrange(1, max(B.field.characteristic, 7)))):
-            lhs = B.star(a, b * e)
-            rhs = B.star(a, b) * e
-            if lhs != rhs:
-                return Violation("F-brace linearity", ("random", t), lhs - rhs)
-        if not B.star(a, zero).is_zero():
+        a = random_ints(field, d, rng)
+        b = random_ints(field, d, rng)
+        ab = B._star(a, b)
+        for e in (0, -1, rng.randrange(1, max(p, 7))):
+            residual = _lincomb(p, (1, B._star(a, ([e * n for n in b[0]], b[1]))), (-e, ab))
+            if any(residual[0]):
+                return Violation("F-brace linearity", ("random", t), _vec(field, residual))
+        if any(B._star(a, ([0] * d, 1))[0]):
             return Violation("F-brace linearity", ("random", t, "zero"))
     return None
 

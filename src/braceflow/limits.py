@@ -16,7 +16,7 @@ from .free_expansion import (StarExpr, StarWord, X, Y, Z, evaluate,
                              expand_sum_star)
 from .linalg import Vec
 from .prelie import PreLieAlgebra
-from .sampling import random_scalar, random_vec, rng_from
+from .sampling import random_vec, rng_from
 
 
 def dot(B, a, b):
@@ -43,25 +43,6 @@ def limit_witness(B, a, b, n_max):
             raise InternalInconsistency("scaling sequence left its closed form")
         seq.append(direct)
     return seq
-
-
-def check_bilinearity(B, trials=50, seed=None):
-    """Exact two-sided linearity of the limit product on seeded random
-    scalars and vectors."""
-    rng = rng_from(seed)
-    field, d = B.field, B.dim
-    for t in range(trials):
-        alpha, gamma = random_scalar(field, rng), random_scalar(field, rng)
-        a, b, c = (random_vec(field, d, rng) for _ in range(3))
-        lhs = dot(B, a * alpha + b * gamma, c)
-        rhs = dot(B, a, c) * alpha + dot(B, b, c) * gamma
-        if lhs != rhs:
-            return Violation("limit product left linearity", ("random", t), lhs - rhs)
-        lhs = dot(B, a, b * alpha + c * gamma)
-        rhs = dot(B, a, b) * alpha + dot(B, a, c) * gamma
-        if lhs != rhs:
-            return Violation("limit product right linearity", ("random", t), lhs - rhs)
-    return None
 
 
 def to_prelie(B):

@@ -12,8 +12,8 @@ constructor ``Vec(field, entries)`` coerces each entry through
 Field arithmetic on canonical scalars yields canonical scalars, so the
 results of vector arithmetic and row reduction are wrapped by
 ``Vec._trusted`` without coercing them again.  The structure-constant
-kernels (the brace star, ``PreLieAlgebra.multiply``, the left-brace
-sweep) run on Python ints instead: ``ScalarField.to_ints`` turns a
+kernels (the brace star, ``PreLieAlgebra.multiply``, brace validation)
+run on Python ints instead: ``ScalarField.to_ints`` turns a
 vector into residues, or into numerators over one common denominator,
 and ``ScalarField.from_ints`` builds the canonical scalars of the result.
 Spans run on ints too: each generator is scaled to ints on its own, a

@@ -2,12 +2,12 @@
 
 Every randomized check in the package draws from a ``random.Random``
 seeded with an explicit value (DEFAULT_SEED unless overridden), so runs
-are reproducible byte for byte.
+are reproducible byte for byte.  ``random_ints`` is the one draw path:
+the int kernels take its (ints, den) as they are, and ``random_vec`` and
+``random_scalar`` build canonical scalars from the same draws.
 """
 
 import random
-
-from fractions import Fraction
 
 from .linalg import Vec
 
@@ -18,12 +18,18 @@ def rng_from(seed):
     return random.Random(DEFAULT_SEED if seed is None else seed)
 
 
+def random_ints(field, dim, rng):
+    """``dim`` draws as (ints, den): over Q each Fraction(randint(-6, 6),
+    randint(1, 4)) written over 12, over GF(p) randrange(p) over 1."""
+    p = field.characteristic
+    if p:
+        return [rng.randrange(p) for _ in range(dim)], 1
+    return [12 * rng.randint(-6, 6) // rng.randint(1, 4) for _ in range(dim)], 12
+
+
 def random_scalar(field, rng):
-    if field.characteristic == 0:
-        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return field.of(rng.randrange(field.characteristic))
+    return field.from_ints(*random_ints(field, 1, rng))[0]
 
 
 def random_vec(field, dim, rng):
-    # random_scalar already returns canonical scalars of the field
-    return Vec._trusted(field, tuple(random_scalar(field, rng) for _ in range(dim)))
+    return Vec._trusted(field, field.from_ints(*random_ints(field, dim, rng)))

@@ -556,16 +556,16 @@ def test_left_brace_maps_match_per_triple_sweep(braces_cache, data):
 
 def test_law_checks_star_count(braces_q, monkeypatch):
     # the basis sweep of the left-brace law runs on left-multiplication
-    # maps and evaluates no star; each random triple costs 5 stars and
-    # each basis inverse at most d + 3
+    # maps and makes no pass of the star kernel; each random triple makes
+    # 5 kernel passes and each basis inverse at most d + 3
     B = braces_q["f4"]
-    real, calls = GradedBrace.star, []
+    real, calls = GradedBrace._star, []
 
     def counted(self, a, b):
         calls.append(None)
         return real(self, a, b)
 
-    monkeypatch.setattr(GradedBrace, "star", counted)
+    monkeypatch.setattr(GradedBrace, "_star", counted)
     assert check_left_brace(B, trials=0) is None
     assert calls == []
     assert check_left_brace(B, trials=4) is None

@@ -331,13 +331,13 @@ def test_repeated_runs_byte_identical(capsys, tmp_path, braces_q):
 @pytest.mark.parametrize("command", ["to-prelie", "chains", "roundtrip"])
 def test_brace_load_checks_take_trials(capsys, tmp_path, monkeypatch, braces_q, command):
     path = _brace_file(tmp_path, braces_q["h3"])
-    random_vec, drawn = brace.random_vec, []
+    random_ints, drawn = brace.random_ints, []
 
-    def counting_random_vec(*args):
+    def counting_random_ints(*args):
         drawn.append(args)
-        return random_vec(*args)
+        return random_ints(*args)
 
-    monkeypatch.setattr(brace, "random_vec", counting_random_vec)
+    monkeypatch.setattr(brace, "random_ints", counting_random_ints)
     out = ["--out", str(tmp_path / "out.json")] if command == "to-prelie" else []
     code, _, _ = run(capsys, command, path, "--trials", "0", *out)
     assert code == 0

@@ -27,8 +27,8 @@ def test_multiply_n2():
 
 
 def test_random_vec_coerces_each_draw_once(monkeypatch):
-    # random_scalar already returns canonical scalars, so random_vec wraps
-    # them as they are: same draws, no second coercion
+    # the draws are built as canonical scalars from ints (random_ints), so
+    # random_vec coerces none of them: same draws, no coercion at all
     coerced = []
     of = ScalarField.of
     monkeypatch.setattr(ScalarField, "of", lambda self, v: coerced.append(v) or of(self, v))
@@ -37,7 +37,7 @@ def test_random_vec_coerces_each_draw_once(monkeypatch):
         draws = tuple(random_scalar(field, rng) for _ in range(4))
         coerced.clear()
         v = random_vec(field, 4, random.Random(5))
-        assert len(coerced) == (4 if field.characteristic else 0)
+        assert coerced == []
         assert v.entries == draws and v == Vec(field, draws)
 
 
