@@ -280,9 +280,6 @@ class GradedBrace:
         """The int star kernel: star(a, b) for (ints, den) pairs, as ``_canon``."""
         return _canon(self.field.characteristic, *_star_sum(self.dim, self._rows, a, b))
 
-    def circ(self, a, b):
-        return a + b + self.star(a, b)
-
     def circ_inverse(self, a):
         """The unique x with a∘x = 0, by the fixed-point iteration
         x <- -a - star(a, x) on ints (``_star``); verifies x is a

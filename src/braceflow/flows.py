@@ -10,20 +10,24 @@ With L_a the left multiplication by a, the construction goes
 which makes (A, +, ∘) a left brace sharing the addition of A.  The
 formal unit behind W is never materialized; W is summed directly.
 
-The series are written once and run on two kinds of elements: vectors
-of A, and elements of A ⊗ F[x_1..x_d]/(deg >= s), s the nilpotency
-class.  ``to_brace`` evaluates the star once at the generic element
-a = sum_i x_i e_i of the second kind; the coefficient of x^alpha in
-a*e_j is multinomial(alpha) L_|alpha|(e^alpha; e_j), which is the graded
-brace.  Cutting monomials of degree >= s loses nothing, because every
-product of s elements of A is zero.
+On vectors of A the series run through ``alg.multiply``.  ``to_brace``
+evaluates them once at the generic element a = sum_i x_i e_i of
+A ⊗ F[x_1..x_d]/(deg >= s), s the nilpotency class, through the int
+kernel of ``generic``: the coefficient of x^alpha in a*e_j is
+multinomial(alpha) L_|alpha|(e^alpha; e_j), which is the graded brace.
+Cutting monomials of degree >= s loses nothing, because every product
+of s elements of A is zero.  The kernel's product visits only the
+coordinate pairs with a nonzero structure constant and skips the pairs
+whose degree reaches the cut; the Omega iteration cuts lower still
+while the higher degrees are not yet exact.  Its coefficients are ints:
+residues over GF(p), and over Q numerators over one fixed denominator
+per degree, so that 1/k! divides exactly and equality needs no gcd.
 """
-
-import functools
 
 from .brace import GradedBrace, SymmetricMap, _multinomial
 from .errors import ConvergenceFailure, InternalInconsistency
-from .prelie import product_rows
+from .generic import GenericRing
+from .prelie import int_rows
 
 
 def _series(alg, mul, a, b, offset):
@@ -81,73 +85,32 @@ def star(alg, a, b):
     return circ(alg, a, b) - a - b
 
 
-class _Generic:
-    """Element of A ⊗ F[x_1..x_d]/(deg >= s): nonzero scalars keyed by
-    (monomial, coordinate), a monomial a sorted tuple of variables."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = {key: c for key, c in terms.items() if c}
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms[key] + c if key in terms else c
-        return _Generic(terms)
-
-    def __sub__(self, other):
-        return self + other * -1
-
-    def __mul__(self, scalar):
-        return _Generic({key: c * scalar for key, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-
-def _generic_product(rows, s, x, y):
-    """x.y in A ⊗ F[x]/(deg >= s), through the product's nonzero
-    coordinates ``rows`` (``prelie.product_rows``)."""
-    terms = {}
-    for (mx, i), cx in x.terms.items():
-        for (my, j), cy in y.terms.items():
-            pairs = rows[i].get(j)
-            if pairs and len(mx) + len(my) < s:
-                m = tuple(sorted(mx + my))
-                c = cx * cy
-                for out, v in pairs:
-                    key = (m, out)
-                    terms[key] = terms[key] + c * v if key in terms else c * v
-    return _Generic(terms)
-
-
 def to_brace(alg, trials=20, seed=None):
     """Extract the graded brace of the group of flows.
 
     Omega is computed once at the generic element a = sum_i x_i e_i,
     then a*e_j = exp_L(Omega(a), e_j) - e_j for each j; dividing the
     coefficient of x^alpha by multinomial(alpha) gives the value of the
-    symmetric multilinear map L_|alpha| on (e^alpha; e_j).  The result is
-    admitted through ``GradedBrace`` validation, whose random checks take
-    ``trials`` and ``seed``; the star is not evaluated a second time.
+    symmetric multilinear map L_|alpha| on (e^alpha; e_j), built once from
+    its int over the kernel's denominator (``generic.GenericRing``).  The
+    result is admitted through ``GradedBrace`` validation, whose random
+    checks take ``trials`` and ``seed``; the star is not evaluated twice.
     """
     field, d = alg.field, alg.dim
-    mul = functools.partial(_generic_product, product_rows(alg), alg.nilpotency_class)
-    generic = _Generic({((i,), i): field.one for i in range(d)})
-    om = _omega_fixed_point(alg, lambda x: _series(alg, mul, x, x, 1), generic)
+    ring = GenericRing(*int_rows(alg), field.characteristic, alg.nilpotency_class)
+    om = ring.omega(d)
     entries = {}
     for j in range(d):
-        ej = _Generic({((), j): field.one})
-        graded = _series(alg, mul, om, ej, 0) - ej
-        for (m, out), c in graded.terms.items():
+        by_key = {}
+        for (m, out), c in ring.series(om, {((), j): 1}, 0, ring.s).items():
             if not m:
                 raise InternalInconsistency("generic star has a nonzero constant term")
-            inv = field.inv_int(_multinomial(len(m), [m.count(i) for i in set(m)]))
-            entries.setdefault(len(m), {}).setdefault((m, j), {})[out] = c * inv
+            by_key.setdefault(m, []).append((out, c))
+        for m, pairs in by_key.items():
+            k = len(m)
+            den = ring.degree_den ** k * _multinomial(k, [m.count(i) for i in set(m)])
+            values = field.from_ints([c for _, c in pairs], den)
+            entries.setdefault(k, {})[(m, j)] = {out: v for (out, _), v in zip(pairs, values)}
     lambdas = {k: SymmetricMap(field, d, k, e) for k, e in entries.items()}
     return GradedBrace(field, d, lambdas, class_bound=alg.nilpotency_class,
                        basis_names=alg.basis_names, trials=trials, seed=seed)

@@ -1,0 +1,130 @@
+"""Elements of A ⊗ F[x_1..x_d]/(deg >= cut), on plain ints.
+
+A is a nilpotent pre-Lie algebra of class s, given by the int rows of
+its product (``prelie.int_rows``).  An element is a dict
+{(monomial, coord): c} of nonzero ints: a monomial is a sorted tuple of
+variable indices, coord a basis index of A.  Products of degree >= s
+are zero in A, so every cut here is at most s and loses nothing there.
+
+Coefficients are ints.  Over GF(p) they are residues.  Over Q, with den
+the table's common denominator and E = den * s!, a term of degree k
+stands for c / E^(k - w): w = 1 for the left factor of a product (the
+generic element sum_i x_i e_i is then all ones), and w = 0 or 1 for the
+right factor, which the product keeps.  The table is multiplied by s!
+once, so that x.y is sum cx * cy * n with no division, and each term of
+L_x^k(y) is a multiple of s!^k: 1/k! divides exactly for k <= s.  Each
+value has one int, so equality of elements is equality of dicts.
+"""
+
+import math
+
+from .errors import ConvergenceFailure
+
+
+class GenericRing:
+    """The product of A on elements of A ⊗ F[x]/(deg >= cut), the
+    nilpotency class s and the characteristic p of A's field.
+
+    ``rows[i][j]`` holds e_i.e_j as (out, n) pairs with n / den its
+    coordinates (times s! over Q); ``degree_den`` is E over Q and 1
+    over GF(p)."""
+
+    __slots__ = ("rows", "p", "s", "degree_den")
+
+    def __init__(self, rows, den, p, s):
+        unit = 1 if p else math.factorial(s)
+        self.rows = [{j: tuple((o, n * unit) for o, n in pairs) for j, pairs in row.items()}
+                     for row in rows]
+        self.p, self.s = p, s
+        self.degree_den = 1 if p else den * unit
+
+    def product(self, x, y, cut):
+        """x.y with every term of degree >= cut dropped.
+
+        y's terms are grouped by coordinate, in degree order, and for each
+        term of x at coordinate i only the j with e_i.e_j nonzero and a
+        term of y are visited; the terms at j stop at the cut."""
+        rows, p = self.rows, self.p
+        ys = _by_coord(y)
+        terms = {}
+        for (mx, i), cx in x.items():
+            row = rows[i]
+            room = cut - len(mx)
+            for j in (row if len(row) < len(ys) else ys):
+                pairs = row.get(j)
+                yj = ys.get(j)
+                if pairs is None or yj is None:
+                    continue
+                for dy, my, cy in yj:
+                    if dy >= room:
+                        break
+                    m = tuple(sorted(mx + my))
+                    c = cx * cy
+                    for out, n in pairs:
+                        key = (m, out)
+                        terms[key] = terms.get(key, 0) + c * n
+        if p:
+            return {key: c % p for key, c in terms.items() if c % p}
+        return {key: c for key, c in terms.items() if c}
+
+    def series(self, a, b, offset, cut):
+        """sum_{k>=1} L_a^k(b) / (k + offset)!, cut at ``cut``."""
+        p, acc, cur = self.p, {}, b
+        f = math.factorial(offset)
+        for k in range(1, self.s):
+            cur = self.product(a, cur, cut)
+            if not cur:
+                break
+            f *= k + offset
+            if p:
+                inv = pow(f, -1, p)
+                _add(acc, {key: c * inv for key, c in cur.items()}, p)
+            else:
+                _add(acc, {key: c // f for key, c in cur.items()}, 0)
+        return acc
+
+    def omega(self, d):
+        """Omega at the generic element a = sum_i x_i e_i: the x with
+        W(x) = x + series(x, x, 1) = a.
+
+        Iteration t takes x <- a - series(x, x, 1) cut at degree t + 2:
+        W - id has no term of degree < 2, so an error of degree > t in x
+        moves W(x) - x only in degrees > t + 1, and x is exact below
+        degree t + 2 after t steps.  The result is checked against W
+        once, at the cut s."""
+        a = {((i,), i): 1 for i in range(d)}
+        x = a
+        for cut in range(3, self.s + 1):
+            x = _combine(a, self.series(x, x, 1, cut), -1, self.p)
+        if _combine(x, self.series(x, x, 1, self.s), 1, self.p) != a:
+            raise ConvergenceFailure("Omega iteration did not stabilize")
+        return x
+
+
+def _by_coord(x):
+    """{coord: [(degree, monomial, c), ...]}, each list in degree order."""
+    out = {}
+    for (m, i), c in x.items():
+        out.setdefault(i, []).append((len(m), m, c))
+    for terms in out.values():
+        terms.sort()
+    return out
+
+
+def _add(acc, x, p):
+    """acc += x in place, dropping the terms that cancel."""
+    for key, c in x.items():
+        c += acc.get(key, 0)
+        if p:
+            c %= p
+        if c:
+            acc[key] = c
+        else:
+            acc.pop(key, None)
+
+
+def _combine(x, y, sign, p):
+    """x + sign * y as a new element."""
+    out = dict(x)
+    _add(out, {key: sign * c for key, c in y.items()}, p)
+    return out

@@ -102,17 +102,12 @@ def check_prelie_identity(alg):
     None on success, else a Violation at the first failing triple with
     residual (e_i e_j - e_j e_i)e_k - e_i(e_j e_k) + e_j(e_i e_k).  Every
     product is read off the nonzero coordinates of the table, taken once
-    as ints n / den (``to_ints``): each residual is summed in ints over
+    as ints n / den (``int_rows``): each residual is summed in ints over
     den^2, compared mod p over GF(p), and turned into scalars only at a
     failure.  A k that no term of (i, j, k) reaches is skipped.
     """
     field, d = alg.field, alg.dim
-    table = alg.product.table
-    ints, den = field.to_ints([c for pairs in table.values() for _, c in pairs])
-    ints = iter(ints)
-    rows = [{} for _ in range(d)]  # rows[i][j]: the (out, n) pairs of e_i*e_j
-    for ((i,), j), pairs in table.items():
-        rows[i][j] = tuple((o, next(ints)) for o, _ in pairs)
+    rows, den = int_rows(alg)
     p = field.characteristic
     for i in range(d):
         for j in range(i + 1, d):
@@ -133,12 +128,17 @@ def check_prelie_identity(alg):
     return None
 
 
-def product_rows(alg):
-    """rows[i][j]: the (out, c) pairs of e_i*e_j, absent when it is zero."""
+def int_rows(alg):
+    """(rows, den): rows[i][j] holds the (out, n) pairs of e_i*e_j, absent
+    when it is zero, with n / den its coordinates, the table taken once
+    as ints (``to_ints``)."""
+    table = alg.product.table
+    ints, den = alg.field.to_ints([c for pairs in table.values() for _, c in pairs])
+    ints = iter(ints)
     rows = [{} for _ in range(alg.dim)]
-    for ((i,), j), pairs in alg.product.table.items():
-        rows[i][j] = pairs
-    return rows
+    for ((i,), j), pairs in table.items():
+        rows[i][j] = tuple((o, next(ints)) for o, _ in pairs)
+    return rows, den
 
 
 def nilpotency_index(alg):

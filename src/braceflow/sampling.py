@@ -3,8 +3,8 @@
 Every randomized check in the package draws from a ``random.Random``
 seeded with an explicit value (DEFAULT_SEED unless overridden), so runs
 are reproducible byte for byte.  ``random_ints`` is the one draw path:
-the int kernels take its (ints, den) as they are, and ``random_vec`` and
-``random_scalar`` build canonical scalars from the same draws.
+the int kernels take its (ints, den) as they are, and ``random_vec``
+builds canonical scalars from the same draws.
 """
 
 import random
@@ -25,10 +25,6 @@ def random_ints(field, dim, rng):
     if p:
         return [rng.randrange(p) for _ in range(dim)], 1
     return [12 * rng.randint(-6, 6) // rng.randint(1, 4) for _ in range(dim)], 12
-
-
-def random_scalar(field, rng):
-    return field.from_ints(*random_ints(field, 1, rng))[0]
 
 
 def random_vec(field, dim, rng):

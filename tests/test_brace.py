@@ -20,11 +20,16 @@ from braceflow.sampling import random_vec, rng_from
 from braceflow.scalars import GF, Fp, Q
 
 
+def _circ(B, a, b):
+    """a∘b = a + b + a*b."""
+    return a + b + B.star(a, b)
+
+
 def test_trivial_brace_star_and_circ():
     B = GradedBrace.trivial(Q, 2)
     a, b = Vec(Q, (1, 2)), Vec(Q, (3, 4))
     assert B.star(a, b).is_zero()
-    assert B.circ(a, b) == a + b
+    assert _circ(B, a, b) == a + b
     assert B.circ_inverse(a) == -a
 
 
@@ -32,7 +37,7 @@ def test_n2_brace_values(braces_q):
     B = braces_q["n2"]
     a, b = Vec(Q, (3, 5)), Vec(Q, (2, 7))
     assert B.star(a, b) == Vec(Q, (0, 6))
-    assert B.circ(a, b) == Vec(Q, (5, 18))
+    assert _circ(B, a, b) == Vec(Q, (5, 18))
     assert B.circ_inverse(a) == Vec(Q, (-3, -5 + 9))
 
 
@@ -50,8 +55,8 @@ def test_circ_inverse_identity_and_random(braces_q):
     for _ in range(20):
         a = random_vec(Q, B.dim, rng)
         x = B.circ_inverse(a)
-        assert B.circ(a, x).is_zero()
-        assert B.circ(x, a).is_zero()
+        assert _circ(B, a, x).is_zero()
+        assert _circ(B, x, a).is_zero()
 
 
 def test_symmetric_map_left_slot_symmetry(braces_q):
@@ -369,7 +374,11 @@ def test_graded_form_decides_the_laws_left_unchecked(case):
     # every graded star, corrupted or not: right distributivity, 0 as
     # identity, and associativity residual = left-brace residual
     B, a, b, c = case
-    star, circ = B.star, B.circ
+    star = B.star
+
+    def circ(x, y):
+        return _circ(B, x, y)
+
     assoc = circ(circ(a, b), c) - circ(a, circ(b, c))
     left = star(a + b + star(a, b), c) - star(a, c) - star(b, c) - star(a, star(b, c))
     assert assoc == left
@@ -419,12 +428,12 @@ def _full_law_sweep(B, trials, seed):
         if lhs != rhs:
             return Violation("left-brace law a*(b+c)", site, lhs - rhs)
     for site, a, b, c in triples:
-        lhs, rhs = B.circ(B.circ(a, b), c), B.circ(a, B.circ(b, c))
+        lhs, rhs = _circ(B, _circ(B, a, b), c), _circ(B, a, _circ(B, b, c))
         if lhs != rhs:
             return Violation("circ associativity", site, lhs - rhs)
     zero = Vec.zero(B.field, d)
     for i, a in enumerate(basis):
-        if B.circ(zero, a) != a or B.circ(a, zero) != a:
+        if _circ(B, zero, a) != a or _circ(B, a, zero) != a:
             return Violation("circ identity", (i,))
         try:
             B.circ_inverse(a)

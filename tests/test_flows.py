@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from hypothesis import assume, given, settings, strategies as st
+
 from braceflow import fileio, flows
 from braceflow.bch import verify_flows_bch
 from braceflow.corpus import corpus, corpus_dir, f4, n2, zero_algebra
@@ -222,11 +224,26 @@ def _trees(generators, n, field):
     """T_n: the free pre-Lie algebra on one generator cut off at rooted
     trees of at most n vertices (bench/generators.py); class n + 1.  Its
     products have values with several nonzero coordinates."""
-    trees = generators.trees(n)
-    structure = {}
-    for (_, (i,), j, k), val in trees.entries.items():
-        structure.setdefault((i, j), {})[k] = val
-    return PreLieAlgebra(field, trees.dim, structure)
+    return _generated(generators, generators.trees(n), field)
+
+
+def _generated(generators, structure, field, sigma=None, scales=None):
+    """The pre-Lie algebra of a bench/generators.py ``Structure``, in the
+    basis f_{sigma(i)} = scales[i] e_i when sigma is given."""
+    entries = structure.entries
+    if sigma is not None:
+        entries = generators.relabel(entries, sigma, scales, field.characteristic)
+    table = {}
+    for (_, (i,), j, k), val in entries.items():
+        table.setdefault((i, j), {})[k] = val
+    return PreLieAlgebra(field, structure.dim, table)
+
+
+def _smallest_prime_above(n):
+    p = n + 1
+    while any(p % q == 0 for q in range(2, p)):
+        p += 1
+    return p
 
 
 @pytest.mark.parametrize("field", [GF(7), GF(11), Q])
@@ -247,7 +264,7 @@ def test_to_brace_prime_field(field, bench_generators):
         for _ in range(20):
             a, b = random_vec(field, alg.dim, rng), random_vec(field, alg.dim, rng)
             assert B.star(a, b) == star(alg, a, b)
-            assert B.circ(a, b) == circ(alg, a, b)
+            assert a + b + B.star(a, b) == circ(alg, a, b)
 
 
 # SHA-256 of fileio.dumps(to_brace(alg)) keyed by (algebra, characteristic),
@@ -380,16 +397,77 @@ def _dense_extraction(alg):
     return out
 
 
-@pytest.mark.parametrize("field", [Q, GF(7), GF(11)], ids=str)
-def test_to_brace_tables_match_dense_extraction(field):
+def _assert_tables_match_dense_extraction(alg):
+    B = to_brace(alg, trials=0)
+    got = {k: {key: lam.value(*key) for key in lam.table}
+           for k, lam in B.lambdas.items()}
+    assert got == _dense_extraction(alg), (alg.dim, alg.nilpotency_class)
+
+
+def _dense_reference_algebras(generators, field):
+    """The corpus, v_3..v_6, T_4, T_5 and upper(4) over ``field``, where
+    its characteristic exceeds the class."""
+    p = field.characteristic
     algs = list(corpus(field).values())
-    algs += [_v(n, field) for n in range(3, 7) if field.characteristic in (0, 11)
-             or n + 1 < field.characteristic]
-    for alg in algs:
-        B = to_brace(alg, trials=0)
-        got = {k: {key: lam.value(*key) for key in lam.table}
-               for k, lam in B.lambdas.items()}
-        assert got == _dense_extraction(alg), (alg.dim, alg.nilpotency_class)
+    algs += [_v(n, field) for n in range(3, 7) if not p or n + 1 < p]
+    algs += [_generated(generators, s, field)
+             for s in (generators.trees(4), generators.trees(5), generators.upper(4))
+             if not p or s.nil_class < p]
+    return algs
+
+
+@pytest.mark.parametrize("field", [Q, GF(7), GF(11)], ids=str)
+def test_to_brace_tables_match_dense_extraction(field, bench_generators):
+    for alg in _dense_reference_algebras(bench_generators, field):
+        _assert_tables_match_dense_extraction(alg)
+
+
+def test_to_brace_matches_dense_extraction_with_rational_scales(bench_generators):
+    # a relabelling of T_4 whose scales have denominators: the table's
+    # common denominator D enters every degree's denominator D * s!, and
+    # each 1/k! of the series must still divide exactly
+    g = bench_generators
+    rng = random.Random(19)
+    for _ in range(2):
+        sigma = list(range(8))
+        rng.shuffle(sigma)
+        scales = [Fraction(rng.choice((1, -1, 2, -3, 5)), rng.choice((2, 3, 4, 7)))
+                  for _ in range(8)]
+        alg = _generated(g, g.trees(4), Q, sigma, scales)
+        assert max(c.denominator for pairs in alg.product.table.values()
+                   for _, c in pairs) > 1
+        _assert_tables_match_dense_extraction(alg)
+
+
+@pytest.mark.parametrize("name", ["v3", "v4", "v5", "v6", "T4", "T5", "U4"])
+def test_to_brace_matches_dense_extraction_at_smallest_prime(name, bench_generators):
+    # over GF(p) with p just above the class, every 1/k! of the series
+    # is an inverse residue with k < p
+    g = bench_generators
+    family, n = name[0], int(name[1:])
+    s = {"v": g.v, "T": g.trees, "U": g.upper}[family](n)
+    field = GF(_smallest_prime_above(s.nil_class))
+    sigma, scales = g.relabelling(s.dim, 5)
+    for alg in (_generated(g, s, field), _generated(g, s, field, sigma, scales)):
+        assert alg.nilpotency_class == s.nil_class
+        _assert_tables_match_dense_extraction(alg)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(data=st.data())
+def test_to_brace_matches_dense_extraction_on_relabellings(data, bench_generators):
+    # seeded relabellings of v_n, T_n and upper(m) from the benchmark's
+    # generators, over Q, over GF(p) just above the class and over GF(11)
+    g = bench_generators
+    s = data.draw(st.sampled_from(
+        [g.v(n) for n in (2, 3, 4, 5)] + [g.trees(n) for n in (2, 3, 4)]
+        + [g.upper(m) for m in (3, 4, 5)]), label="structure")
+    p = data.draw(st.sampled_from((0, _smallest_prime_above(s.nil_class), 11)), label="p")
+    if p:
+        assume(p > s.nil_class)
+    seed = data.draw(st.integers(0, 10 ** 6), label="relabelling seed")
+    sigma, scales = g.relabelling(s.dim, seed)
+    _assert_tables_match_dense_extraction(_generated(g, s, GF(p) if p else Q, sigma, scales))
 
 
 @pytest.mark.parametrize("trials", [0, 3])

@@ -21,7 +21,7 @@ from braceflow.corpus import corpus
 from braceflow.errors import ConvergenceFailure, Violation
 from braceflow.linalg import Vec
 from braceflow.prelie import PreLieAlgebra
-from braceflow.sampling import random_ints, random_scalar, random_vec, rng_from
+from braceflow.sampling import random_ints, random_vec, rng_from
 from braceflow.scalars import GF, Q
 
 FIELDS = (Q, GF(7), GF(11))
@@ -79,7 +79,7 @@ def _reference_circ_inverse(B, a):
         if nxt == x:
             break
         x = nxt
-    if not (B.circ(a, x).is_zero() and B.circ(x, a).is_zero()):
+    if not ((a + x + B.star(a, x)).is_zero() and (x + a + B.star(x, a)).is_zero()):
         raise ConvergenceFailure("circ inverse iteration did not stabilize")
     return x
 
@@ -200,7 +200,7 @@ def test_star_kernel_returns_one_form(int_check_braces):
 
 @pytest.mark.parametrize("field", [Q, GF(2), GF(7), GF(101)], ids=str)
 def test_int_draws_match_scalar_draws(field):
-    # random_ints, random_vec and random_scalar draw the reference's
+    # random_ints and random_vec draw the reference's
     # scalars and leave the rng where the reference leaves it
     for seed in range(12):
         for dim in (0, 1, 4, 9):
@@ -213,6 +213,3 @@ def test_int_draws_match_scalar_draws(field):
             rng = random.Random(seed)
             assert random_vec(field, dim, rng) == Vec(field, want)
             assert rng.getstate() == ref.getstate()
-        ref, rng = random.Random(seed), random.Random(seed)
-        assert random_scalar(field, rng) == _reference_scalar(field, ref)
-        assert rng.getstate() == ref.getstate()

@@ -12,8 +12,13 @@ from braceflow.limits import (check_associator_correction_identity, dot,
                               limit_witness, roundtrip_brace, roundtrip_prelie,
                               to_prelie)
 from braceflow.linalg import Vec, polynomial_curve_coefficients
-from braceflow.sampling import random_scalar, random_vec, rng_from
+from braceflow.sampling import random_ints, random_vec, rng_from
 from braceflow.scalars import GF, Q
+
+
+def _random_scalar(field, rng):
+    """One seeded scalar, drawn as ``random_vec`` draws each coordinate."""
+    return field.from_ints(*random_ints(field, 1, rng))[0]
 
 
 def test_dot_trivial():
@@ -105,7 +110,7 @@ def test_bilinearity(name, braces_q):
     B = braces_q[name]
     rng = rng_from(None)
     for _ in range(15):
-        alpha, gamma = random_scalar(Q, rng), random_scalar(Q, rng)
+        alpha, gamma = _random_scalar(Q, rng), _random_scalar(Q, rng)
         a, b, c = (random_vec(Q, B.dim, rng) for _ in range(3))
         assert dot(B, a * alpha + b * gamma, c) == dot(B, a, c) * alpha + dot(B, b, c) * gamma
         assert dot(B, a, b * alpha + c * gamma) == dot(B, a, b) * alpha + dot(B, a, c) * gamma

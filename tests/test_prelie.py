@@ -8,8 +8,13 @@ from braceflow.errors import CharacteristicTooSmall, ValidationFailure, Violatio
 from braceflow.linalg import Subspace, Vec, span
 from braceflow.prelie import (PreLieAlgebra, check_prelie_identity,
                               nilpotency_index)
-from braceflow.sampling import random_scalar, random_vec
+from braceflow.sampling import random_ints, random_vec
 from braceflow.scalars import GF, Q, ScalarField
+
+
+def _random_scalar(field, rng):
+    """One seeded scalar, drawn as ``random_vec`` draws each coordinate."""
+    return field.from_ints(*random_ints(field, 1, rng))[0]
 
 
 def test_multiply_zero_algebra():
@@ -34,7 +39,7 @@ def test_random_vec_coerces_each_draw_once(monkeypatch):
     monkeypatch.setattr(ScalarField, "of", lambda self, v: coerced.append(v) or of(self, v))
     for field in (Q, GF(7)):
         rng = random.Random(5)
-        draws = tuple(random_scalar(field, rng) for _ in range(4))
+        draws = tuple(_random_scalar(field, rng) for _ in range(4))
         coerced.clear()
         v = random_vec(field, 4, random.Random(5))
         assert coerced == []
@@ -51,7 +56,7 @@ def test_multiply_bilinear():
     alg = v5()
     rng = random.Random(11)
     for _ in range(20):
-        a, b, c = random_scalar(Q, rng), random_scalar(Q, rng), random_scalar(Q, rng)
+        a, b, c = _random_scalar(Q, rng), _random_scalar(Q, rng), _random_scalar(Q, rng)
         x, xp, y = (random_vec(Q, 4, rng) for _ in range(3))
         lhs = alg.multiply(x * a + xp * b, y * c)
         rhs = (alg.multiply(x, y) * (a * c)) + (alg.multiply(xp, y) * (b * c))
@@ -99,7 +104,7 @@ def test_identity_matches_full_sweep(field):
                          for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n}
             for _ in range(corruptions):
                 i, j, k = (rng.randrange(n) for _ in range(3))
-                structure.setdefault((i, j), {})[k] = random_scalar(field, rng)
+                structure.setdefault((i, j), {})[k] = _random_scalar(field, rng)
             alg = PreLieAlgebra(field, n, structure, validate=False)
             assert check_prelie_identity(alg) == _full_sweep_identity(alg)
 
@@ -177,7 +182,7 @@ def test_nilpotency_index_matches_dense_sweep(field):
                          for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n}
             for _ in range(corruptions):
                 i, j, k = (rng.randrange(n) for _ in range(3))
-                structure.setdefault((i, j), {})[k] = random_scalar(field, rng)
+                structure.setdefault((i, j), {})[k] = _random_scalar(field, rng)
             algs.append(PreLieAlgebra(field, n, structure, validate=False))
     algs += [PreLieAlgebra(field, 1, {(0, 0): {0: 1}}, validate=False),
              PreLieAlgebra(field, 2, {(0, 1): {1: 1}}, validate=False),
