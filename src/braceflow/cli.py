@@ -11,7 +11,6 @@ import sys
 
 from . import bch as bch_mod
 from . import brace, fileio, flows, limits, prelie
-from .brace import check_fbrace
 from .errors import AlgebraError, AlgebraFileError
 from .free_expansion import doubling_matrix
 from .prelie import PreLieAlgebra
@@ -47,17 +46,17 @@ def _int_at_least(minimum, what):
     return parse
 
 
-def _read(args, extra_laws=()):
+def _read(args):
     """Read ``args.path`` unvalidated, over ``--field`` when given.
 
     Returns its kind ("prelie" or "brace"), the object, and the lazy
     generator of that kind's validation stages: braces are checked with
-    the command's ``--trials`` and ``--seed``, plus ``extra_laws``."""
+    the command's ``--trials`` and ``--seed``."""
     obj = fileio.read_file(args.path, validate=False, field=args.field)
     if isinstance(obj, PreLieAlgebra):
         return "prelie", obj, prelie.validation_stages(obj)
     return "brace", obj, brace.validation_stages(
-        obj, extra_laws, trials=args.trials, seed=args.seed)
+        obj, trials=args.trials, seed=args.seed)
 
 
 def _load(args, kind=None):
@@ -77,7 +76,7 @@ def _fail(violation):
 
 
 def cmd_validate(args):
-    kind, obj, stages = _read(args, (("F-linearity", check_fbrace),))
+    kind, obj, stages = _read(args)
     print(f"kind: {kind}")
     print(f"field: {obj.field}")
     print(f"dim: {obj.dim}")

@@ -7,13 +7,14 @@ variable indices, coord a basis index of A.  Products of degree >= s
 are zero in A, so every cut here is at most s and loses nothing there.
 
 Coefficients are ints.  Over GF(p) they are residues.  Over Q, with den
-the table's common denominator and E = den * s!, a term of degree k
+the table's common denominator and E = den * (s-2)!, a term of degree k
 stands for c / E^(k - w): w = 1 for the left factor of a product (the
 generic element sum_i x_i e_i is then all ones), and w = 0 or 1 for the
-right factor, which the product keeps.  The table is multiplied by s!
-once, so that x.y is sum cx * cy * n with no division, and each term of
-L_x^k(y) is a multiple of s!^k: 1/k! divides exactly for k <= s.  Each
-value has one int, so equality of elements is equality of dicts.
+right factor, which the product keeps.  The table is multiplied by
+(s-2)! once, so that x.y is sum cx * cy * n with no division, and each
+term of L_x^k(y) is a multiple of (s-2)!^k: exp_L stops at k = s-2 and W,
+cut at s-1, at k = s-3, so each 1/k! and 1/(k+1)! divides exactly.
+Each value has one int, so equality of elements is equality of dicts.
 """
 
 import math
@@ -26,13 +27,13 @@ class GenericRing:
     nilpotency class s and the characteristic p of A's field.
 
     ``rows[i][j]`` holds e_i.e_j as (out, n) pairs with n / den its
-    coordinates (times s! over Q); ``degree_den`` is E over Q and 1
+    coordinates (times (s-2)! over Q); ``degree_den`` is E over Q and 1
     over GF(p)."""
 
     __slots__ = ("rows", "p", "s", "degree_den")
 
     def __init__(self, rows, den, p, s):
-        unit = 1 if p else math.factorial(s)
+        unit = 1 if p else math.factorial(max(s - 2, 0))
         self.rows = [{j: tuple((o, n * unit) for o, n in pairs) for j, pairs in row.items()}
                      for row in rows]
         self.p, self.s = p, s
@@ -90,13 +91,14 @@ class GenericRing:
         Iteration t takes x <- a - series(x, x, 1) cut at degree t + 2:
         W - id has no term of degree < 2, so an error of degree > t in x
         moves W(x) - x only in degrees > t + 1, and x is exact below
-        degree t + 2 after t steps.  The result is checked against W
-        once, at the cut s."""
+        degree t + 2 after t steps.  It stops at the cut s - 1, as the
+        star never reads Omega's degree s - 1 (times e_j, a product of s
+        elements); the result is checked against W once, at that cut."""
         a = {((i,), i): 1 for i in range(d)}
         x = a
-        for cut in range(3, self.s + 1):
+        for cut in range(3, self.s):
             x = _combine(a, self.series(x, x, 1, cut), -1, self.p)
-        if _combine(x, self.series(x, x, 1, self.s), 1, self.p) != a:
+        if _combine(x, self.series(x, x, 1, self.s - 1), 1, self.p) != a:
             raise ConvergenceFailure("Omega iteration did not stabilize")
         return x
 

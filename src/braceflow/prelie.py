@@ -104,13 +104,16 @@ def check_prelie_identity(alg):
     product is read off the nonzero coordinates of the table, taken once
     as ints n / den (``int_rows``): each residual is summed in ints over
     den^2, compared mod p over GF(p), and turned into scalars only at a
-    failure.  A k that no term of (i, j, k) reaches is skipped.
+    failure.  Only the j with a row or with e_i e_j nonzero are swept:
+    for any other j every term vanishes, and so it does at a k that no
+    term reaches.
     """
     field, d = alg.field, alg.dim
     rows, den = int_rows(alg)
     p = field.characteristic
+    live = {i for i in range(d) if rows[i]}
     for i in range(d):
-        for j in range(i + 1, d):
+        for j in sorted(j for j in live.union(rows[i]) if j > i):
             w = dict(rows[i].get(j, ()))  # e_i e_j - e_j e_i
             for o, c in rows[j].get(i, ()):
                 w[o] = w.get(o, 0) - c
@@ -130,14 +133,13 @@ def check_prelie_identity(alg):
 
 def int_rows(alg):
     """(rows, den): rows[i][j] holds the (out, n) pairs of e_i*e_j, absent
-    when it is zero, with n / den its coordinates, the table taken once
-    as ints (``to_ints``)."""
-    table = alg.product.table
-    ints, den = alg.field.to_ints([c for pairs in table.values() for _, c in pairs])
-    ints = iter(ints)
+    when it is zero, with n / den its coordinates.  These are the
+    product's compiled rows (``SymmetricMap._rows``): at arity 1 every
+    multinomial is 1."""
+    compiled, den, _ = alg.product._rows
     rows = [{} for _ in range(alg.dim)]
-    for ((i,), j), pairs in table.items():
-        rows[i][j] = tuple((o, next(ints)) for o, _ in pairs)
+    for (i,), j, out in compiled:
+        rows[i][j] = out
     return rows, den
 
 

@@ -277,6 +277,19 @@ def test_star_subspaces_matches_direct_span(braces_q, braces_cache, monkeypatch)
     assert calls and all(within is not None for within in calls)
 
 
+def test_validation_compiles_products_once(braces_q, monkeypatch):
+    # every term of the three chains spans from one compile of the tables
+    real, calls = brace.map_products, []
+    monkeypatch.setattr(brace, "map_products", lambda *args: calls.append(args) or real(*args))
+    for name in ("f4", "v5"):
+        B = braces_q[name]
+        calls.clear()
+        built = GradedBrace(B.field, B.dim, B.lambdas, class_bound=B.class_bound)
+        assert len(calls) == 1, name
+        assert built.chains == B.chains
+        assert len(B.chains.left) + len(B.chains.right) > 4
+
+
 def _odd_degree_three_brace():
     """Unvalidated GF(3) brace with degree-3 entries whose multinomial
     (3 or 3! = 6) is zero mod 3, next to one whose multinomial is 1."""

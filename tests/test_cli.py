@@ -347,6 +347,28 @@ def test_brace_load_checks_take_trials(capsys, tmp_path, monkeypatch, braces_q, 
     assert drawn
 
 
+def test_fbrace_is_structural(capsys, tmp_path, monkeypatch, braces_q):
+    # F-linearity holds for every GradedBrace by its form: once the group
+    # laws have passed, validation draws nothing and evaluates no star,
+    # and still prints the F-linearity line
+    def refuse(*args):
+        raise AssertionError("F-linearity drew or evaluated a star")
+
+    check_group = brace.check_group
+
+    def check_group_then_refuse(B, **kwargs):
+        viol = check_group(B, **kwargs)
+        monkeypatch.setattr(brace, "random_ints", refuse)
+        monkeypatch.setattr(brace.GradedBrace, "_star", refuse)
+        return viol
+
+    monkeypatch.setattr(brace, "check_group", check_group_then_refuse)
+    code, out, _ = run(capsys, "validate", _brace_file(tmp_path, braces_q["f4"]))
+    assert code == 0
+    assert "group laws: PASS\nF-linearity: PASS\nleft: " in out
+    assert brace.check_fbrace(braces_q["f4"], trials=20, seed=3) is None
+
+
 def _calls(func, thunk):
     """Number of calls of ``func`` while ``thunk`` runs, under any name."""
     calls = 0

@@ -1,10 +1,13 @@
 """The sampled checks of brace validation on ints, against field scalars.
 
-The random triples of ``check_left_brace``, the trials of
-``check_fbrace`` and ``GradedBrace.circ_inverse`` run on Python ints
-(``GradedBrace._star``).  The references below are the same loops on
-``Vec``s of canonical scalars, one ``GradedBrace.star`` per star, with
-the draws written out as ``Fraction``s and ``field.of`` residues.
+The random triples of ``check_left_brace`` and
+``GradedBrace.circ_inverse`` run on Python ints (``GradedBrace._star``).
+The references below are the same loops on ``Vec``s of canonical
+scalars, one ``GradedBrace.star`` per star, with the draws written out
+as ``Fraction``s and ``field.of`` residues.  ``check_fbrace`` is
+structural and draws nothing; its reference still runs the F-linearity
+trials on every brace here, mutants included, as evidence that the
+structural claim holds.
 """
 
 import math

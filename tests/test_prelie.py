@@ -107,6 +107,30 @@ def test_identity_matches_full_sweep(field):
                 structure.setdefault((i, j), {})[k] = _random_scalar(field, rng)
             alg = PreLieAlgebra(field, n, structure, validate=False)
             assert check_prelie_identity(alg) == _full_sweep_identity(alg)
+    # v_n spread over a basis twice its size whose other vectors have no
+    # row (e_u * x = 0), so that pairs of such vectors are skipped; the
+    # extra products keep those rows empty but may reach their vectors
+    sites = []
+    for n in range(3, 6):
+        d = 2 * n
+        at = sorted(rng.sample(range(d), n))  # where e_1..e_n of v_n go
+        for corruptions in range(4):
+            structure = {(at[i - 1], at[j - 1]): {at[i + j - 1]: j}
+                         for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n}
+            for _ in range(corruptions):
+                i, j, k = at[rng.randrange(n)], rng.randrange(d), rng.randrange(d)
+                structure.setdefault((i, j), {})[k] = _random_scalar(field, rng)
+            alg = PreLieAlgebra(field, d, structure, validate=False)
+            assert len({i for (i,), _ in alg.product.table}) <= n
+            want = _full_sweep_identity(alg)
+            assert check_prelie_identity(alg) == want
+            sites.append(want and want.site)
+    assert sites.count(None) >= 3 and any(sites)
+    # the first failure at a pair where only e_i, then only e_j, has a row
+    for structure in ({(0, 1): {2: 1}, (2, 0): {0: 1}}, {(1, 0): {2: 1}, (2, 0): {0: 1}}):
+        alg = PreLieAlgebra(field, 3, structure, validate=False)
+        want = _full_sweep_identity(alg)
+        assert check_prelie_identity(alg) == want and want.site == (0, 1, 0)
 
 
 def test_identity_makes_no_multiply_call(monkeypatch):

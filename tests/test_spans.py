@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from braceflow.brace import GradedBrace, SymmetricMap, map_span, radical_chains
+from braceflow.brace import (GradedBrace, SymmetricMap, map_products, map_span,
+                             radical_chains)
 from braceflow.linalg import Echelon, Subspace, Vec, span
 from braceflow.prelie import PreLieAlgebra, nilpotency_index
 from braceflow.scalars import GF, Fp, Q
@@ -105,16 +106,17 @@ def test_map_span_matches_field_scalar_reference(field):
         d = rng.randint(1, 5)
         maps = [_random_map(field, d, k, rng)
                 for k in sorted(rng.sample((1, 2, 3), rng.randint(1, 3)))]
+        products = map_products(field, maps)
         left, right = _random_subspace(field, d, rng), _random_subspace(field, d, rng)
         want = _reference_map_span(maps, left, right)
-        got = map_span(maps, left, right)
+        got = map_span(products, left, right)
         assert got == want and _canonical(got)
         # the int rows a span keeps feed the next span unchanged
-        assert map_span(maps, got, got) == _reference_map_span(maps, want, want)
+        assert map_span(products, got, got) == _reference_map_span(maps, want, want)
         # capped by a subspace that contains it: the span, or that subspace
-        capped = map_span(maps, left, right, within=want)
+        capped = map_span(products, left, right, within=want)
         assert capped is want
-        assert map_span(maps, left, right, within=Subspace.full(field, d)) == want
+        assert map_span(products, left, right, within=Subspace.full(field, d)) == want
         seen.add((left.is_zero(), right.is_zero(), want.is_zero(), want.dim == d))
     assert {(True, False, True, False), (False, True, True, False)} <= seen
     assert any(not zero and not full for _, _, zero, full in seen)
