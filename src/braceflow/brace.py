@@ -354,30 +354,40 @@ def check_left_brace(B, trials=50, seed=None):
     den^(top+1) and the right side over den^2, compared mod p over
     GF(p).  They are the same exact equations in the same (i, j, k)
     order, so the first violation and its residual lhs - rhs are the
-    triple-by-triple sweep's.  The random triples run on ints, 5 passes
-    of the int star kernel ``_star`` each; only a Violation's residual is
-    a Vec.
+    triple-by-triple sweep's.  Only the i that occur in some left tuple
+    of the table, the j that do or that some row has as its right index,
+    and the k that some row has as its right index are swept; every
+    skipped equation holds.  If i occurs in no tuple, M_{e_i} = 0 and
+    M_{e_i∘e_j} = M_{e_i+e_j} = M_{e_j}.  If j is neither, M_{e_j} = 0,
+    e_i*e_j = 0 and M_{e_i∘e_j} = M_{e_i+e_j} = M_{e_i}.  If no row has
+    right index k, column k of every map is 0.  So an empty table builds
+    no map.  The random triples run on ints, 5 passes of the int star
+    kernel ``_star`` each; only a Violation's residual is a Vec.
 
     The other star law, a*(b+c) = a*b + a*c, holds for every GradedBrace
     and is not checked: each L_k is linear in its right slot.  This law
     is where a corrupted star tensor shows up.
     """
     field, d = B.field, B.dim
-    _, den, top = B._rows
+    rows, den, top = B._rows
     p = field.characteristic
-    maps = [[nonzero(col, p) for col in _left_map(B, [int(o == i) for o in range(d)], 1)]
-            for i in range(d)]  # maps[i][j] = den * e_i*e_j
+    live = {idx for tup, _, _ in rows for idx in tup}
+    targets = {j for _, j, _ in rows}
+    maps = {i: [nonzero(col, p) for col in _left_map(B, [int(o == i) for o in range(d)], 1)]
+            for i in sorted(live)}  # maps[i][j] = den * e_i*e_j
     lift = den ** (top - 1) if top else 1  # from over den^2 to over den^(top+1)
-    for i, left in enumerate(maps):
-        for j, right in enumerate(maps):
+    rights, columns, zero = sorted(live | targets), sorted(targets), [{}] * d
+    for i, left in maps.items():
+        for j in rights:
+            right = maps.get(j, zero)
             u = [0] * d  # den * (e_i + e_j + e_i*e_j)
             u[i] = den
             u[j] += den
             for o, n in left[j].items():
                 u[o] += n
             composite = _left_map(B, u, den)
-            for k, col in enumerate(right):
-                got = composite[k]
+            for k in columns:
+                got, col = composite[k], right[k]
                 if not (got or col or left[k]):
                     continue  # both sides are zero
                 # den^2 times column k of M_{e_i} + (id + M_{e_i}) M_{e_j}

@@ -24,6 +24,8 @@ residues over GF(p), and over Q numerators over one fixed denominator
 per degree, so that 1/k! divides exactly and equality needs no gcd.
 """
 
+import math
+
 from .brace import GradedBrace, SymmetricMap, _multinomial
 from .errors import ConvergenceFailure, InternalInconsistency
 from .generic import GenericRing
@@ -92,12 +94,13 @@ def to_brace(alg, trials=20, seed=None):
     then a*e_j = exp_L(Omega(a), e_j) - e_j for each j; dividing the
     coefficient of x^alpha by multinomial(alpha) gives the value of the
     symmetric multilinear map L_|alpha| on (e^alpha; e_j), built once from
-    its int over the kernel's denominator (``generic.GenericRing``).  The
-    result is admitted through ``GradedBrace`` validation, whose random
-    checks take ``trials`` and ``seed``; the star is not evaluated twice.
+    its int over the kernel's denominator (``generic.GenericRing``, the
+    table scaled by (s-2)!).  The result is admitted through
+    ``GradedBrace`` validation, whose random checks take ``trials`` and
+    ``seed``; the star is not evaluated twice.
     """
-    field, d = alg.field, alg.dim
-    ring = GenericRing(*int_rows(alg), field.characteristic, alg.nilpotency_class)
+    field, d, s = alg.field, alg.dim, alg.nilpotency_class
+    ring = GenericRing(*int_rows(alg), field.characteristic, s, math.factorial(max(s - 2, 0)))
     om = ring.omega(d)
     entries = {}
     for j in range(d):
@@ -112,5 +115,5 @@ def to_brace(alg, trials=20, seed=None):
             values = field.from_ints([c for _, c in pairs], den)
             entries.setdefault(k, {})[(m, j)] = {out: v for (out, _), v in zip(pairs, values)}
     lambdas = {k: SymmetricMap(field, d, k, e) for k, e in entries.items()}
-    return GradedBrace(field, d, lambdas, class_bound=alg.nilpotency_class,
+    return GradedBrace(field, d, lambdas, class_bound=s,
                        basis_names=alg.basis_names, trials=trials, seed=seed)

@@ -7,13 +7,16 @@ variable indices, coord a basis index of A.  Products of degree >= s
 are zero in A, so every cut here is at most s and loses nothing there.
 
 Coefficients are ints.  Over GF(p) they are residues.  Over Q, with den
-the table's common denominator and E = den * (s-2)!, a term of degree k
-stands for c / E^(k - w): w = 1 for the left factor of a product (the
-generic element sum_i x_i e_i is then all ones), and w = 0 or 1 for the
-right factor, which the product keeps.  The table is multiplied by
-(s-2)! once, so that x.y is sum cx * cy * n with no division, and each
-term of L_x^k(y) is a multiple of (s-2)!^k: exp_L stops at k = s-2 and W,
-cut at s-1, at k = s-3, so each 1/k! and 1/(k+1)! divides exactly.
+the table's common denominator, ``unit`` the table factor the caller
+chooses and E = den * unit, a term of degree k stands for c / E^(k - w):
+w = 1 for the left factor of a product (the generic element
+sum_i x_i e_i is then all ones), and w = 0 or 1 for the right factor,
+which the product keeps.  The table is multiplied by ``unit`` once, so
+that x.y is sum cx * cy * n with no division, and each term of L_x^k(y)
+is a multiple of unit^k: a series that divides L_x^k(y) by j! divides
+exactly when j! divides unit^k.  ``to_brace`` takes unit = (s-2)!:
+exp_L stops at k = s-2 and W, cut at s-1, at k = s-3.  The flows-BCH
+proof takes lcm((s-1)!, M) (``bch.verify_flows_bch``).
 Each value has one int, so equality of elements is equality of dicts.
 """
 
@@ -27,13 +30,13 @@ class GenericRing:
     nilpotency class s and the characteristic p of A's field.
 
     ``rows[i][j]`` holds e_i.e_j as (out, n) pairs with n / den its
-    coordinates (times (s-2)! over Q); ``degree_den`` is E over Q and 1
-    over GF(p)."""
+    coordinates (times ``unit`` over Q; ``unit`` is unused over GF(p));
+    ``degree_den`` is E over Q and 1 over GF(p)."""
 
     __slots__ = ("rows", "p", "s", "degree_den")
 
-    def __init__(self, rows, den, p, s):
-        unit = 1 if p else math.factorial(max(s - 2, 0))
+    def __init__(self, rows, den, p, s, unit):
+        unit = 1 if p else unit
         self.rows = [{j: tuple((o, n * unit) for o, n in pairs) for j, pairs in row.items()}
                      for row in rows]
         self.p, self.s = p, s
@@ -68,6 +71,19 @@ class GenericRing:
             return {key: c % p for key, c in terms.items() if c % p}
         return {key: c for key, c in terms.items() if c}
 
+    def bracket(self, x, y, cut):
+        """[x, y] = x.y - y.x, cut at ``cut``; both factors are left
+        factors, so both must have w = 1."""
+        return _combine(self.product(x, y, cut), self.product(y, x, cut), -1, self.p)
+
+    def w_map(self, x, cut):
+        """W(x) = x + series(x, x, 1), cut at ``cut``."""
+        return _combine(x, self.series(x, x, 1, cut), 1, self.p)
+
+    def exp_l(self, a, y, cut):
+        """exp_L(a, y) = y + series(a, y, 0), cut at ``cut``."""
+        return _combine(y, self.series(a, y, 0, cut), 1, self.p)
+
     def series(self, a, b, offset, cut):
         """sum_{k>=1} L_a^k(b) / (k + offset)!, cut at ``cut``."""
         p, acc, cur = self.p, {}, b
@@ -98,7 +114,7 @@ class GenericRing:
         x = a
         for cut in range(3, self.s):
             x = _combine(a, self.series(x, x, 1, cut), -1, self.p)
-        if _combine(x, self.series(x, x, 1, self.s - 1), 1, self.p) != a:
+        if self.w_map(x, self.s - 1) != a:
             raise ConvergenceFailure("Omega iteration did not stabilize")
         return x
 

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from braceflow.bch import (TruncatedSeries, _bracket_sum, _suffix_tree,
-                           bch_series, dsw_project, expand_bracket_word,
-                           ts_exp, ts_log, verify_flows_bch)
+from braceflow import bch, flows
+from braceflow.bch import (TruncatedSeries, _bracket_sum, _generic_difference,
+                           _sampled_violation, _suffix_tree, bch_series,
+                           dsw_project, expand_bracket_word, ts_exp, ts_log,
+                           verify_flows_bch)
 from braceflow.corpus import corpus, h3, zero_algebra
 from braceflow.errors import NotLieElement, PreconditionViolated
 from braceflow.linalg import Vec
@@ -122,6 +124,15 @@ def test_dsw_rejects_non_lie():
         dsw_project(TruncatedSeries(Q, 2, {"XY": 1}))
 
 
+def test_dsw_over_prime_field_is_the_reduction_of_q():
+    # the int certificate passes mod p, and the terms are Q's reduced
+    field = GF(7)
+    want = [(field.of(t.coefficient), t.letters) for t in dsw_project(bch_series(5))]
+    assert [(t.coefficient, t.letters) for t in dsw_project(bch_series(5, field))] == want
+    with pytest.raises(NotLieElement):
+        dsw_project(TruncatedSeries(field, 3, {"XY": 1, "YX": 1, "XXY": 2}))
+
+
 def test_flows_bch_zero_algebra():
     assert verify_flows_bch(zero_algebra(Q, 3), trials=5) is None
 
@@ -203,17 +214,116 @@ def test_grouped_bch_matches_per_term_brackets(field, bench_generators):
 
 
 def test_flows_bch_multiply_count(monkeypatch):
-    # class 5: 30 distinct proper suffixes at 2 products per bracket,
-    # and W(a), W(b), exp_L(a, W(b)), W(C) at most 4 products each; the
-    # per-term brackets alone took 2 * 146 per trial
+    # the proof runs on the generic kernel's ints: on a passing algebra
+    # no PreLieAlgebra.multiply, no flows series on vectors, and no draw
     alg = corpus(Q)["v5"]
     assert alg.nilpotency_class == 5
-    real, calls = PreLieAlgebra.multiply, []
+    calls = []
 
-    def counted(self, x, y):
-        calls.append(None)
-        return real(self, x, y)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(PreLieAlgebra, "multiply", counted)
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(owner, name, call)
+
+    counted(PreLieAlgebra, "multiply")
+    for name in ("w_map", "exp_L"):
+        counted(flows, name)
+    for name in ("rng_from", "random_vec"):
+        counted(bch, name)
     assert verify_flows_bch(alg, trials=20) is None
-    assert len(calls) <= 20 * (2 * 30 + 4 * 4)
+    assert calls == []
+
+
+def _as_field(alg, field):
+    return PreLieAlgebra(field, alg.dim, {
+        (i, j): dict(pairs) for ((i,), j), pairs in alg.product.table.items()},
+        validate=False)
+
+
+@pytest.mark.parametrize("field", [Q, GF(7), GF(11)], ids=str)
+def test_flows_bch_proof_passes_on_reference_algebras(field, bench_generators):
+    checked = 0
+    for name, alg in _reference_algebras(bench_generators):
+        if field.characteristic:
+            if field.characteristic <= alg.nilpotency_class:
+                continue
+            alg = _as_field(alg, field)
+        terms = dsw_project(bch_series(alg.nilpotency_class, field))
+        assert _generic_difference(alg, terms)[0] == {}, name
+        assert verify_flows_bch(alg, trials=0) is None, name
+        checked += 1
+    assert checked >= 12
+
+
+def _random_nilpotent(rng, field):
+    """An unvalidated table with e_i e_j in the span of the e_k with
+    k > i + j: weights add, so every product of d + 1 elements is 0."""
+    d = rng.randint(3, 6)
+    table = {}
+    for i in range(d):
+        for j in range(d - i - 1):
+            for k in range(i + j + 1, d):
+                if rng.random() < 0.6:
+                    table.setdefault((i, j), {})[k] = (
+                        rng.randrange(field.characteristic) if field.characteristic
+                        else Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return PreLieAlgebra(field, d, table, validate=False)
+
+
+@pytest.mark.parametrize("field", [Q, GF(11), GF(13)], ids=str)
+def test_generic_verdict_equals_sampled_verdict(field):
+    rng = random.Random(field.characteristic + 5)
+    verdicts = set()
+    for _ in range(40):
+        alg = _random_nilpotent(rng, field)
+        terms = dsw_project(bch_series(alg.nilpotency_class, field))
+        proved = verify_flows_bch(alg, trials=0) is None
+        assert proved == (_sampled_violation(alg, terms, 20, None) is None)
+        verdicts.add(proved)
+    assert verdicts == {True, False}
+
+
+def _at_point(diff, degree_den, field, dim, point):
+    """The generic difference as a Vec at the variables' values."""
+    total = Vec.zero(field, dim)
+    for (m, o), c in diff.items():
+        value = field.from_ints([c], degree_den ** (len(m) - 1))[0]
+        for var in m:
+            value = value * point[var]
+        total = total + Vec.basis(field, dim, o) * value
+    return total
+
+
+@pytest.mark.parametrize("field", [Q, GF(11)], ids=str)
+def test_generic_difference_evaluates_to_the_sampled_residual(field):
+    # the ints over E^(k-1), at the point of a random pair, are the
+    # vector lhs - rhs at that pair: the Q scaling divides exactly
+    rng = random.Random(17)
+    for alg in [_not_prelie(field)] + [_random_nilpotent(rng, field) for _ in range(6)]:
+        terms = dsw_project(bch_series(alg.nilpotency_class, field))
+        tree = _suffix_tree((t.coefficient, t.letters) for t in terms)
+        diff, degree_den = _generic_difference(alg, terms)
+        for _ in range(3):
+            a, b = random_vec(field, alg.dim, rng), random_vec(field, alg.dim, rng)
+            c = _bracket_sum(alg, tree, {"X": a, "Y": b})
+            want = (flows.w_map(alg, a) + flows.exp_L(alg, a, flows.w_map(alg, b))
+                    - flows.w_map(alg, c))
+            point = a.entries + b.entries
+            assert _at_point(diff, degree_den, field, alg.dim, point) == want
+
+
+def test_flows_bch_generic_site_without_trials():
+    # with no trial to find it, the violation is reported at the first
+    # monomial of the difference (variables 0..d-1 are a's, d..2d-1 b's):
+    # x_1^2 y_2.  The left side has no such term; on the right
+    # (e1 e2) e1 = e4 is the one nonzero product of e1, e1, e2, reached by
+    # [a,[a,b]]/12 in C (-1/12) and by the bracket in C.C/2 of W(C) (1/4)
+    viol = verify_flows_bch(_not_prelie(Q), trials=0)
+    assert (viol.check, viol.site) == ("flows-BCH identity", ("generic", (0, 0, 5)))
+    assert viol.residual == Vec(Q, (0, 0, 0, Fraction(-1, 6)))
+    viol = verify_flows_bch(_not_prelie(GF(11)), trials=0)
+    assert viol.site == ("generic", (0, 0, 5))
+    assert viol.residual == Vec(GF(11), (0, 0, 0, Fraction(-1, 6)))

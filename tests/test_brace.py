@@ -596,3 +596,25 @@ def test_law_checks_star_count(braces_q, monkeypatch):
     assert check_group(B, trials=0) is None
     d = B.dim
     assert 0 < len(calls) <= d * (d + 3)
+
+
+def test_left_brace_sweep_builds_maps_only_where_the_table_acts(braces_q, monkeypatch):
+    # an empty table builds no left-multiplication map whatever its dim;
+    # otherwise one M_{e_i} per index i in a left tuple, and one M_u per
+    # such i and each j in a left tuple or a right index of the table
+    real, calls = brace._left_map, []
+
+    def counted(B, u, du):
+        calls.append(None)
+        return real(B, u, du)
+
+    monkeypatch.setattr(brace, "_left_map", counted)
+    for d in (1, 40, 400):
+        assert check_left_brace(GradedBrace.trivial(Q, d), trials=0) is None
+    assert calls == []
+    B = braces_q["h3"]  # only e_1 acts, only on e_2: 1 + 2 maps, not 3 + 9
+    rows = B._rows[0]
+    assert {idx for tup, _, _ in rows for idx in tup} == {0}
+    assert {j for _, j, _ in rows} == {1}
+    assert check_left_brace(B, trials=0) is None
+    assert len(calls) == 3

@@ -1,6 +1,8 @@
 """The int kernel of the generic element (``braceflow.generic``): its
 product against the pairwise product it replaced, and its degree cut."""
 
+import math
+
 from hypothesis import given, settings, strategies as st
 
 from braceflow.generic import GenericRing
@@ -39,7 +41,8 @@ def _ring_and_elements(draw, generators):
     for (_, (i,), j, k), val in g.relabel(s.entries, sigma, scales, p).items():
         table.setdefault((i, j), {})[k] = val
     alg = PreLieAlgebra(GF(p) if p else Q, s.dim, table)
-    ring = GenericRing(*int_rows(alg), p, alg.nilpotency_class)
+    ring = GenericRing(*int_rows(alg), p, alg.nilpotency_class,
+                       math.factorial(max(alg.nilpotency_class - 2, 0)))
     monomial = st.lists(st.integers(0, s.dim - 1), max_size=s.nil_class).map(
         lambda m: tuple(sorted(m)))
     coeff = st.integers(1, p - 1) if p else st.integers(-50, 50).filter(bool)
