@@ -426,10 +426,12 @@ def check_group(B, trials=50, seed=None):
     c at once as M_{a∘b} = M_a + M_b + M_a M_b, and on the random
     triples.  0 is a two-sided identity because every L_k has k >= 1 and
     is linear in its right slot.  An inverse (``circ_inverse``) takes at
-    most dim + 3 ``_star`` passes.  ``trials`` and ``seed`` are
-    unused; every law takes them.
+    most dim + 3 ``_star`` passes.  Only the i that occur in some left
+    tuple of the table are visited: for any other i, star(±e_i, ·) = 0,
+    so the inverse of e_i is -e_i.  ``trials`` and ``seed`` are unused;
+    every law takes them.
     """
-    for i in range(B.dim):
+    for i in sorted({idx for tup, _, _ in B._rows[0] for idx in tup}):
         try:
             B.circ_inverse(B.basis_vector(i))
         except ConvergenceFailure:
@@ -524,7 +526,7 @@ def map_span(products, left, right, within=None):
     """
     field, d = left.field, left.ambient_dim
     ech = Echelon(field.characteristic, d if within is None else within.dim)
-    if ech.extend(products(left.int_rows(), right.int_rows())) and within is not None:
+    if ech.extend(products(left.rows, right.rows)) and within is not None:
         return within
     return Subspace.of_echelon(field, d, ech.rows)
 
@@ -532,8 +534,8 @@ def map_span(products, left, right, within=None):
 def map_products(field, maps):
     """products(lefts, rights): a generator of sparse int rows {out: n},
     not yet reduced mod p, spanning ``map_span`` of the subspaces with
-    int basis rows ``lefts`` and ``rights``.  Each map's table is scaled
-    to ints on its own (``to_ints``).
+    echelon rows ``lefts`` and ``rights`` (``Subspace.rows``).  Each
+    map's table is scaled to ints on its own (``to_ints``).
 
     The symmetric product of the u_i is built one slot at a time as a
     sparse map from sorted index tuples to int coefficients, and a

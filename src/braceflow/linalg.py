@@ -1,25 +1,28 @@
 """Exact linear algebra over a ScalarField: dense vectors and matrices,
-and sparse int echelons for spans.
+and subspaces held as sparse int echelons.
 
 Everything is immutable after construction and all operations are pure.
-Subspaces are kept in reduced row-echelon form so that equal subspaces
-compare equal as objects.
 
 Every ``Vec`` holds canonical scalars of its field (``Fraction`` over Q,
 ``Fp`` residues of the field's prime over GF(p)).  The public
 constructor ``Vec(field, entries)`` coerces each entry through
 ``ScalarField.of``, so it accepts ints, strings and foreign input.
 Field arithmetic on canonical scalars yields canonical scalars, so the
-results of vector arithmetic and row reduction are wrapped by
-``Vec._trusted`` without coercing them again.  The structure-constant
-kernels (the brace star, ``PreLieAlgebra.multiply``, brace validation)
-run on Python ints instead: ``ScalarField.to_ints`` turns a
-vector into residues, or into numerators over one common denominator,
-and ``ScalarField.from_ints`` builds the canonical scalars of the result.
-Spans run on ints too: each generator is scaled to ints on its own, a
-scaling that leaves the span unchanged, and reduced as it arrives into
-an ``Echelon`` of sparse int rows; ``Subspace.of_echelon`` builds the
-canonical basis once, and a subspace keeps its int rows for later spans.
+results of vector arithmetic are wrapped by ``Vec._trusted`` without
+coercing them again.  The structure-constant kernels (the brace star,
+``PreLieAlgebra.multiply``, brace validation) run on Python ints
+instead: ``ScalarField.to_ints`` turns a vector into residues, or into
+numerators over one common denominator, and ``ScalarField.from_ints``
+builds the canonical scalars of the result.
+
+There is one row reduction, on ints: each row is scaled to ints on its
+own, a scaling that leaves its span unchanged, and reduced as it arrives
+into an ``Echelon`` of sparse int rows, fraction-free in the manner of
+Bareiss.  A ``Subspace`` is its reduced echelon rows and nothing else;
+the rows are canonical, so equal subspaces compare and hash equal, and
+the basis of field vectors is derived from them when read.  Matrix
+inversion and interpolation row-reduce their augmented matrix as a
+``Subspace``.
 """
 
 import math
@@ -126,11 +129,6 @@ class Mat:
         if any(len(r) != self.ncols for r in self.rows):
             raise DimensionMismatch("ragged rows")
 
-    @classmethod
-    def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
-
     def entry(self, i, j):
         return self.rows[i][j]
 
@@ -139,16 +137,16 @@ class Mat:
         return Mat(self.field, tuple(tuple(a * c for a in row) for row in self.rows))
 
     def inverse(self):
-        """Exact inverse by Gauss-Jordan; raises on singular input."""
-        n = self.nrows
+        """Exact inverse: the row space of [self | I] has the reduced basis
+        [I | self^-1]; raises unless its leads are the first n columns."""
+        n, field = self.nrows, self.field
         if n != self.ncols:
             raise DimensionMismatch("inverse of non-square matrix")
-        aug = [list(row) + list(irow)
-               for row, irow in zip(self.rows, Mat.identity(self.field, n).rows)]
-        rows, pivots = _rref(self.field, aug)
-        if len(pivots) != n or any(c >= n for c in pivots):
+        aug = Subspace(field, 2 * n, [Vec._trusted(field, row + Vec.basis(field, n, i).entries)
+                                      for i, row in enumerate(self.rows)])
+        if any(min(row) >= n for row in aug.rows):
             raise ZeroDivisionError("singular matrix")
-        return Mat(self.field, tuple(tuple(row[n:]) for row in rows))
+        return Mat(field, tuple(v.entries[n:] for v in aug.basis))
 
     def is_upper_triangular(self):
         return all(not self.rows[i][j] for i in range(self.nrows) for j in range(min(i, self.ncols)))
@@ -159,30 +157,6 @@ class Mat:
     def __repr__(self):
         return "[" + "; ".join(
             " ".join(self.field.to_str(e) for e in row) for row in self.rows) + "]"
-
-
-def _rref(field, rows):
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.one / rows[r][c]
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
 
 
 def nonzero(row, p):
@@ -252,12 +226,15 @@ class Echelon:
 
 
 class Subspace:
-    """Linear subspace with a canonical reduced-row-echelon basis.
+    """Linear subspace of F^ambient_dim, held in one canonical form.
 
-    ``_rows`` holds the basis as sparse int rows {col: n}, each at its own
-    nonzero scale, once a span has needed them (``int_rows``)."""
+    ``rows`` are the rows of its reduced ``Echelon``, sparse int rows
+    {col: n} in order of their leads: lead 1 over GF(p), primitive ints
+    with a positive lead over Q.  Equality and hashing read them.  The
+    canonical basis of ``Vec``s (the reduced row-echelon basis, each lead
+    1) is derived from them when read."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "_rows")
+    __slots__ = ("field", "ambient_dim", "rows")
 
     def __init__(self, field, ambient_dim, vectors=()):
         self.field = field
@@ -268,49 +245,44 @@ class Subspace:
                 raise FieldMismatch(f"{field} vs {v.field}")
             if v.dim != ambient_dim:
                 raise DimensionMismatch(f"{ambient_dim} vs {v.dim}")
-            rows.append(list(v.entries))
-        if rows:
-            rows, pivots = _rref(field, rows)
-            rows = rows[:len(pivots)]
-        self.basis = tuple(Vec._trusted(field, tuple(r)) for r in rows)
-        self._rows = None
+            rows.append({c: n for c, n in enumerate(field.to_ints(v.entries)[0]) if n})
+        ech = Echelon(field.characteristic, ambient_dim)
+        ech.extend(rows)
+        self.rows = tuple(ech.rows[lead] for lead in sorted(ech.rows))
 
     @classmethod
     def of_echelon(cls, field, ambient_dim, rows):
-        """The span of an ``Echelon``'s rows {lead: row}: its canonical
-        basis takes one division per entry, by the row's lead."""
+        """The span of an ``Echelon``'s rows {lead: row}, kept as they are."""
         sub = object.__new__(cls)
         sub.field, sub.ambient_dim = field, ambient_dim
-        sub._rows = tuple(rows[lead] for lead in sorted(rows))
-        sub.basis = tuple(Vec._trusted(field, field.from_ints(
-            [row.get(c, 0) for c in range(ambient_dim)], row[min(row)])) for row in sub._rows)
+        sub.rows = tuple(rows[lead] for lead in sorted(rows))
         return sub
-
-    def int_rows(self):
-        """The basis as sparse int rows {col: n}, each basis vector scaled
-        to ints on its own (residues over GF(p), numerators over Q)."""
-        if self._rows is None:
-            self._rows = tuple({c: n for c, n in enumerate(self.field.to_ints(v.entries)[0])
-                                if n} for v in self.basis)
-        return self._rows
 
     @classmethod
     def full(cls, field, dim):
-        return cls(field, dim, (Vec.basis(field, dim, i) for i in range(dim)))
+        return cls.of_echelon(field, dim, {i: {i: 1} for i in range(dim)})
+
+    @property
+    def basis(self):
+        """The reduced row-echelon basis: each row divided by its lead."""
+        field, d = self.field, self.ambient_dim
+        return tuple(Vec._trusted(field, field.from_ints(
+            [row.get(c, 0) for c in range(d)], row[min(row)])) for row in self.rows)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
     def is_zero(self):
-        return not self.basis
+        return not self.rows
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.field == self.field
-                and other.ambient_dim == self.ambient_dim and other.basis == self.basis)
+                and other.ambient_dim == self.ambient_dim and other.rows == self.rows)
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis))
+        return hash((self.field, self.ambient_dim,
+                     tuple(tuple(sorted(row.items())) for row in self.rows)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
@@ -373,7 +345,8 @@ def polynomial_curve_coefficients(curve, field, degree_bound):
         powers = [field.one]
         for _ in range(degree_bound):
             powers.append(powers[-1] * t)
-        aug.append(powers + list(curve(t).entries))
-    rows, pivots = _rref(field, aug)
-    assert pivots == list(range(n)), "Vandermonde system must be nonsingular"
-    return [Vec(field, rows[k][n:]) for k in range(n)]
+        aug.append(Vec._trusted(field, tuple(powers) + curve(t).entries))
+    solved = Subspace(field, len(aug[0]), aug)
+    assert [min(row) for row in solved.rows] == list(range(n)), \
+        "Vandermonde system must be nonsingular"
+    return [Vec._trusted(field, v.entries[n:]) for v in solved.basis]

@@ -618,3 +618,21 @@ def test_left_brace_sweep_builds_maps_only_where_the_table_acts(braces_q, monkey
     assert {j for _, j, _ in rows} == {1}
     assert check_left_brace(B, trials=0) is None
     assert len(calls) == 3
+
+
+def test_group_check_inverts_only_where_the_table_acts(monkeypatch):
+    # e_i in no left tuple has star(±e_i, ·) = 0 and inverse -e_i, so
+    # only the indices that occur in a left tuple are inverted
+    real, calls = GradedBrace.circ_inverse, []
+
+    def counted(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(GradedBrace, "circ_inverse", counted)
+    assert check_group(GradedBrace(Q, 400, {}, validate=False), trials=0) is None
+    assert calls == []
+    B = GradedBrace(Q, 30, {1: {((3,), 7): {8: 1}}, 2: {((3, 5), 8): {9: 1}}},
+                    validate=False)
+    assert check_group(B, trials=0) is None
+    assert calls == [B.basis_vector(3), B.basis_vector(5)]

@@ -1,5 +1,7 @@
-"""Spans on sparse int echelons against the field-scalar reference, and
-the chains whose terms stop at the previous term."""
+"""Spans, inverses and interpolation on sparse int echelons against a
+field-scalar Gauss-Jordan reference, subspaces that compare and hash by
+their echelon rows, and the chains whose terms stop at the previous
+term."""
 
 import itertools
 import random
@@ -10,19 +12,52 @@ import pytest
 
 from braceflow.brace import (GradedBrace, SymmetricMap, map_products, map_span,
                              radical_chains)
-from braceflow.linalg import Echelon, Subspace, Vec, span
+from braceflow.linalg import (Echelon, Mat, Subspace, Vec, polynomial_curve_coefficients,
+                              span)
 from braceflow.prelie import PreLieAlgebra, nilpotency_index
 from braceflow.scalars import GF, Fp, Q
 
 
-def _reference_map_span(maps, left, right):
-    """map_span on field scalars, as it was before the int echelon: the
-    symmetric products of the left basis vectors, pruned by the table's
-    support, contracted with the table in dense columns, then spanned by
-    ``Subspace``."""
-    field, d = left.field, left.ambient_dim
-    lefts = [tuple((i, x) for i, x in enumerate(u.entries) if x) for u in left.basis]
-    rights = [y.entries for y in right.basis]
+def _rref(field, rows):
+    """Reduced row echelon form by Gauss-Jordan on field scalars, in
+    place: (the nonzero rows, their pivot columns).  The reference that
+    the library's int ``Echelon`` is compared against."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.one / rows[r][c]
+        rows[r] = [e * inv for e in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows[:len(pivots)], pivots
+
+
+def _reference_basis(field, vectors):
+    """The canonical basis of the span of ``vectors``, by ``_rref``."""
+    rows, _ = _rref(field, [list(v.entries) for v in vectors])
+    return tuple(Vec(field, row) for row in rows)
+
+
+def _reference_map_span(maps, field, d, left, right):
+    """The canonical basis of map_span on field scalars, as it was before
+    the int echelon: the symmetric products of the ``left`` basis
+    vectors, pruned by the table's support, contracted with the table in
+    dense columns with each ``right`` basis vector, then reduced by
+    ``_rref``."""
+    lefts = [tuple((i, x) for i, x in enumerate(u.entries) if x) for u in left]
+    rights = [y.entries for y in right]
     gens = []
     for lam in maps:
         k = lam.arity
@@ -59,7 +94,7 @@ def _reference_map_span(maps, left, right):
                 nxt = {u: c for u, c in nxt.items() if c}
                 if nxt:
                     stack.append((s, filled + 1, nxt))
-    return span(gens, field=field, dim=d)
+    return _reference_basis(field, gens)
 
 
 def _raw_scalar(field, rng):
@@ -108,18 +143,153 @@ def test_map_span_matches_field_scalar_reference(field):
                 for k in sorted(rng.sample((1, 2, 3), rng.randint(1, 3)))]
         products = map_products(field, maps)
         left, right = _random_subspace(field, d, rng), _random_subspace(field, d, rng)
-        want = _reference_map_span(maps, left, right)
+        want = _reference_map_span(maps, field, d, left.basis, right.basis)
         got = map_span(products, left, right)
-        assert got == want and _canonical(got)
-        # the int rows a span keeps feed the next span unchanged
-        assert map_span(products, got, got) == _reference_map_span(maps, want, want)
+        assert got.basis == want and _canonical(got)
+        # the echelon rows of a span feed the next span unchanged
+        assert map_span(products, got, got).basis == _reference_map_span(
+            maps, field, d, want, want)
         # capped by a subspace that contains it: the span, or that subspace
-        capped = map_span(products, left, right, within=want)
-        assert capped is want
-        assert map_span(products, left, right, within=Subspace.full(field, d)) == want
-        seen.add((left.is_zero(), right.is_zero(), want.is_zero(), want.dim == d))
+        assert map_span(products, left, right, within=got) is got
+        assert map_span(products, left, right, within=Subspace.full(field, d)) == got
+        seen.add((left.is_zero(), right.is_zero(), got.is_zero(), got.dim == d))
     assert {(True, False, True, False), (False, True, True, False)} <= seen
     assert any(not zero and not full for _, _, zero, full in seen)
+
+
+def _random_vectors(field, d, rng):
+    """Up to d + 2 vectors of dim d: sparse, repeated, rescaled, or sums
+    of earlier ones, so that most sets are rank-deficient; sometimes
+    none."""
+    vecs = []
+    for _ in range(rng.choice((0, rng.randint(1, d + 2)))):
+        kind = rng.random() if vecs else 0
+        if kind < 0.5:
+            vecs.append(Vec(field, [_raw_scalar(field, rng) if rng.random() < 0.6 else 0
+                                    for _ in range(d)]))
+        elif kind < 0.75:
+            vecs.append(rng.choice(vecs) * _raw_scalar(field, rng))
+        else:
+            vecs.append(rng.choice(vecs) - rng.choice(vecs) * _raw_scalar(field, rng))
+    return vecs
+
+
+@pytest.mark.parametrize("field", [Q, GF(11)], ids=str)
+def test_span_matches_field_scalar_reference(field):
+    rng = random.Random(31 + field.characteristic)
+    ranks = set()
+    for _ in range(200):
+        d = rng.randint(1, 6)
+        vecs = _random_vectors(field, d, rng)
+        got = span(vecs, field=field, dim=d)
+        want = _reference_basis(field, vecs)
+        assert got.basis == want and got.dim == len(want) and _canonical(got)
+        ranks.add((len(vecs), len(want) < len(vecs), len(want) == d))
+    assert (0, False, False) in ranks  # the empty set
+    assert any(deficient for _, deficient, _ in ranks)
+    assert any(full for _, _, full in ranks)
+
+
+def _reference_inverse(m):
+    n, field = m.nrows, m.field
+    rows, pivots = _rref(field, [list(row) + [field.one if i == j else field.zero
+                                              for j in range(n)]
+                                 for i, row in enumerate(m.rows)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+@pytest.mark.parametrize("field", [Q, GF(11)], ids=str)
+def test_inverse_matches_field_scalar_reference(field):
+    rng = random.Random(47 + field.characteristic)
+    singular = 0
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        rows = [[_raw_scalar(field, rng) if rng.random() < 0.7 else 0 for _ in range(n)]
+                for _ in range(n)]
+        if rng.random() < 0.3:  # a row that depends on the others
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            rows[i] = [field.of(x) * 3 if i != j else 0 for x in rows[j]]
+        m = Mat(field, rows)
+        want = _reference_inverse(m)
+        if want is None:
+            singular += 1
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
+        else:
+            assert m.inverse().rows == want
+    assert singular > 10
+    assert Mat(field, []).inverse().rows == ()
+
+
+@pytest.mark.parametrize("field", [Q, GF(11)], ids=str)
+@pytest.mark.parametrize("degree", [0, 1, 3, 6])
+def test_curve_coefficients_match_field_scalar_reference(field, degree):
+    # a curve that is no polynomial: arbitrary values at the nodes, which
+    # are 2^-k over Q and 1..degree+1 over GF(p)
+    rng = random.Random(59 + degree + field.characteristic)
+    n = degree + 1
+    nodes = ([field.one / field.of(2 ** k) for k in range(n)] if field.characteristic == 0
+             else [field.of(k) for k in range(1, n + 1)])
+    for dim in (1, 3):
+        values = {t: Vec(field, [_raw_scalar(field, rng) for _ in range(dim)])
+                  for t in nodes}
+        aug = []
+        for t in nodes:
+            powers = [field.one]
+            for _ in range(degree):
+                powers.append(powers[-1] * t)
+            aug.append(powers + list(values[t].entries))
+        rows, pivots = _rref(field, aug)
+        assert pivots == list(range(n))
+        want = [Vec(field, row[n:]) for row in rows]
+        assert polynomial_curve_coefficients(values.__getitem__, field, degree) == want
+
+
+def _rescaled(field, vecs, rng):
+    """The same span from other generators: shuffled, each scaled by a
+    nonzero scalar, with a sum of two of them added."""
+    out = []
+    for v in vecs:
+        c = field.zero
+        while not c:
+            c = field.of(_raw_scalar(field, rng))
+        out.append(v * c)
+    if len(vecs) > 1:
+        out.append(out[0] + out[1])
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("field", [Q, GF(7)], ids=str)
+def test_subspaces_compare_and_hash_by_their_rows(field):
+    rng = random.Random(71 + field.characteristic)
+    for _ in range(100):
+        d = rng.randint(1, 5)
+        vecs = _random_vectors(field, d, rng)
+        sub = Subspace(field, d, vecs)
+        other = Subspace(field, d, _rescaled(field, vecs, rng))
+        ech = Echelon(field.characteristic, d)
+        ech.extend({c: n for c, n in enumerate(field.to_ints(v.entries)[0]) if n}
+                   for v in _rescaled(field, vecs, rng))
+        for same in (other, Subspace.of_echelon(field, d, ech.rows),
+                     Subspace(field, d, sub.basis)):
+            assert same == sub and hash(same) == hash(sub)
+            assert same.rows == sub.rows and same.basis == sub.basis
+        if sub.dim == d:
+            full = Subspace.full(field, d)
+            assert full == sub and hash(full) == hash(sub)
+        else:
+            assert sub != Subspace.full(field, d)
+        if not sub.is_zero():
+            assert sub != Subspace(field, d)
+        assert sub != Subspace(field, d + 1, [Vec(field, list(v) + [0]) for v in vecs])
+    for d in (0, 1, 4):
+        units = tuple(Vec.basis(field, d, i) for i in range(d))
+        assert Subspace.full(field, d).basis == units
+        assert Subspace.full(field, d) == Subspace(field, d, units)
+    assert Subspace.full(Q, 3) != Subspace.full(GF(7), 3)
 
 
 def test_echelon_stops_reading_at_its_cap():
