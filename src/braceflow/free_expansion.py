@@ -14,9 +14,9 @@ the expansion valid in every brace of class at most the degree bound is
 The minimum degree of d'_i grows strictly with i, so the sum is finite
 once terms above the degree bound are dropped (they vanish in any brace
 of that class).  Everything here has exact integer left-slot
-coefficients: an integer multiple in a left slot is a sum of copies,
-and a negated word in a left slot is resolved through the same chain
-applied to the cancelling pair (w, -w).
+coefficients: an integer multiple in a left slot is the sum of two
+halves, and a negated word in a left slot is resolved through the same
+chain applied to the cancelling pair (w, -w).
 """
 
 import functools
@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 
 from .brace import class_bound_of
-from .errors import PreconditionViolated, UnboundSymbol, Violation
+from .errors import ConvergenceFailure, PreconditionViolated, UnboundSymbol, Violation
 from .linalg import Mat, Vec
 from .scalars import Q
 
@@ -247,6 +247,19 @@ _ZERO = StarExpr()
 class _Expander:
     """Star-product expansion over pure words at a fixed degree bound.
 
+    A sum is a dict {word: int} in here.  ``_star_left`` takes the left
+    slot as its (word, multiplicity) pairs in word order and applies
+    (A+B)*v = A*v + B*v + corrections(A, B, v): a sum splits at its
+    middle, a multiplicity n into |n|//2 and |n| - |n|//2 of the sign
+    of n, down to w*v and (-w)*v.  So n costs about log2|n| levels, the
+    memo reuses each half, and no memo key names a word twice.  Word
+    values are linearly dependent in braces of bounded class, so the
+    split order picks one of several equal expansions.  The tests
+    compare it with peeling one unit copy at a time: equal word sums on
+    (x+y)*z and the doubling matrices up to degree 6; equal values in
+    braces on seeded left sums and on the degree-7 doubling matrix,
+    where the word sums can differ.
+
     Every internal call carries a ``budget``, the largest output degree
     it must get right.  Correction terms are themselves star products
     sitting in degree-raising positions, so their sub-expansions run at
@@ -258,82 +271,67 @@ class _Expander:
     feeds gains at least deg(v) more.
 
     The memo tables only ever store finished results of a pure
-    function, so sharing an expander across threads can at worst
-    duplicate work, never change a value."""
+    function, and no caller mutates a result, so sharing an expander
+    across threads can at worst duplicate work, never change a value."""
 
     def __init__(self, bound):
         self.bound = bound
         self._left_memo = {}
         self._neg_memo = {}
 
-    def star(self, e1, e2, budget=None):
-        """Expansion of e1 * e2; e1 must have integer coefficients."""
-        budget = self.bound if budget is None else budget
-        units = self._units(e1)
-        out = _ZERO
-        for v, beta in e2._terms.items():  # a sum: the order does not matter
-            piece = self._star_left(units, v, budget)
-            if not piece.is_zero():
-                out = out + piece.scale(beta)
+    def star(self, left, right, budget):
+        """Expansion of left * right for an int sum on the left; linear
+        in the right slot, whose coefficients may be ``Fraction``s."""
+        out = {}
+        if left:
+            pairs = tuple(sorted(left.items(), key=lambda kv: kv[0].sort_key()))
+            for v, beta in right.items():
+                _add(out, self._star_left(pairs, v, budget), beta)
         return out
 
-    def _units(self, expr):
-        units = []
-        for w, c in expr.terms():
-            if c.denominator != 1:
-                raise PreconditionViolated(
-                    f"left star slot needs integer coefficients, got {c}")
-            sign = 1 if c > 0 else -1
-            units.extend((sign, w) for _ in range(abs(c.numerator)))
-        return tuple(units)
-
-    def _star_left(self, units, v, budget):
-        if not units:
-            return _ZERO
-        key = (units, v, budget)
+    def _star_left(self, pairs, v, budget):
+        w, n = pairs[0]
+        if w.degree + v.degree > budget:
+            return {}  # every word of the expansion holds v and a left word
+        if len(pairs) == 1 and n in (1, -1):
+            return {StarWord.product(w, v): 1} if n == 1 else self._neg_star(w, v, budget)
+        key = (pairs, v, budget)
         hit = self._left_memo.get(key)
         if hit is not None:
             return hit
-        sign, w = units[0]
-        if w.degree + v.degree > budget:
-            head = _ZERO
-        elif sign > 0:
-            head = StarExpr.word(StarWord.product(w, v))
+        if len(pairs) > 1:
+            half = len(pairs) // 2
+            a, b = pairs[:half], pairs[half:]
         else:
-            head = self._neg_star(w, v, budget)
-        if len(units) == 1:
-            out = head
-        else:
-            rest = units[1:]
-            a_expr = StarExpr._raw({w: Fraction(sign)})
-            counts = {}
-            for s, u in rest:
-                counts[u] = counts.get(u, 0) + s
-            b_expr = StarExpr._raw({u: Fraction(n) for u, n in counts.items() if n})
-            out = (head + self._star_left(rest, v, budget)
-                   + self._corrections(a_expr, b_expr, v, budget))
+            half = n // 2 if n > 0 else -(-n // 2)
+            a, b = ((w, half),), ((w, n - half),)
+        out = dict(self._star_left(a, v, budget))
+        _add(out, self._star_left(b, v, budget))
+        _add(out, self._corrections(dict(a), dict(b), v, budget))
         self._left_memo[key] = out
         return out
 
     def _corrections(self, d, dp, v, budget):
         """sum_i (-1)^{i+1} ((d_i*d'_i)*v - d_i*(d'_i*v)) along the chain
-        d_{i+1} = d_i + d'_i, d'_{i+1} = d_i * d'_i."""
-        out = _ZERO
-        v_expr = StarExpr.word(v)
+        d_{i+1} = d_i + d'_i, d'_{i+1} = d_i * d'_i, for int sums."""
+        out = {}
+        v_sum = {v: 1}
         for i in range(2 * self.bound + 1):
-            if dp.is_zero():
-                break
-            if 1 + dp.min_degree() + v.degree > budget:
+            if not dp or 1 + min(u.degree for u in dp) + v.degree > budget:
                 break  # this and all later terms truncate to zero
             inner = self.star(d, dp, budget - v.degree)  # d_i * d'_i
-            term = (self.star(inner, v_expr, budget)
-                    - self.star(d, self.star(dp, v_expr, budget - 1), budget))
-            out = out + (term if (i + 1) % 2 == 0 else -term)
-            d, dp = d + dp, inner
+            sign = 1 if i % 2 else -1
+            _add(out, self.star(inner, v_sum, budget), sign)
+            _add(out, self.star(d, self.star(dp, v_sum, budget - 1), budget), -sign)
+            d = dict(d)
+            _add(d, dp)
+            dp = inner
+        else:
+            raise ConvergenceFailure("correction chain did not reach the degree bound")
         return out
 
     def _neg_star(self, w, v, budget):
-        """(-w) * v, resolved from the cancelling pair (w, -w):
+        """(-w) * v, for w*v within the budget, from the pair (w, -w):
 
             0 = (w + (-w))*v
               = w*v + (-w)*v - ((w*(-w))*v - w*((-w)*v))
@@ -345,22 +343,45 @@ class _Expander:
         hit = self._neg_memo.get(key)
         if hit is not None:
             return hit
-        if w.degree + v.degree > budget:
-            self._neg_memo[key] = _ZERO
-            return _ZERO
         ww = StarWord.product(w, w)
-        base = StarExpr.word(StarWord.product(w, v), -1)
+        base = {StarWord.product(w, v): -1}
         if ww.degree + v.degree <= budget:
-            base = base + self._neg_star(ww, v, budget)
-        w_expr = StarExpr.word(w)
-        cur = _ZERO
+            _add(base, self._neg_star(ww, v, budget))
+        w_sum = {w: 1}
+        cur = {}
         for _ in range(budget + 1):
-            nxt = base - self.star(w_expr, cur, budget)
+            nxt = dict(base)
+            _add(nxt, self.star(w_sum, cur, budget), -1)
             if nxt == cur:
                 break
             cur = nxt
+        else:
+            raise ConvergenceFailure("negated left slot did not stabilize")
         self._neg_memo[key] = cur
         return cur
+
+
+def _add(acc, terms, k=1):
+    """acc += k * terms in place, for a nonzero k."""
+    for w, c in terms.items():
+        c = acc.get(w, 0) + k * c
+        if c:
+            acc[w] = c
+        else:
+            del acc[w]
+
+
+def _left_ints(expr):
+    """The int sum of a left-slot expression."""
+    for _, c in expr.terms():
+        if c.denominator != 1:
+            raise PreconditionViolated(
+                f"left star slot needs integer coefficients, got {c}")
+    return {w: c.numerator for w, c in expr._terms.items()}
+
+
+def _expr(terms):
+    return StarExpr._raw({w: Fraction(c) for w, c in terms.items()})
 
 
 @functools.lru_cache(maxsize=None)
@@ -377,7 +398,8 @@ def star_expand(e1, e2, degree_bound):
 
     The left expression must have integer coefficients (a rational
     multiple in a left slot has no universal finite expansion)."""
-    return _expander(degree_bound).star(as_expr(e1), as_expr(e2))
+    left = _left_ints(as_expr(e1))
+    return _expr(_expander(degree_bound).star(left, as_expr(e2)._terms, degree_bound))
 
 
 def expand_sum_star(a, b, c, degree_bound):
@@ -388,26 +410,28 @@ def expand_sum_star(a, b, c, degree_bound):
     x*z + y*z + x*(y*z) - (x*y)*z."""
     if degree_bound < 2:
         raise PreconditionViolated("degree bound must be at least 2")
-    a, b, c = as_expr(a), as_expr(b), as_expr(c)
+    a, b, right = _left_ints(as_expr(a)), _left_ints(as_expr(b)), as_expr(c)._terms
     eng = _expander(degree_bound)
-    out = eng.star(a, c) + eng.star(b, c)
-    for v, beta in c.terms():
-        corr = eng._corrections(a, b, v, degree_bound)
-        if not corr.is_zero():
-            out = out + corr.scale(beta)
-    return out
+    out = eng.star(a, right, degree_bound)
+    _add(out, eng.star(b, right, degree_bound))
+    for v, beta in right.items():
+        _add(out, eng._corrections(a, b, v, degree_bound), beta)
+    return _expr(out)
 
 
 def double_substitution(word, degree_bound):
-    """Expansion of the word with the generator x replaced by x + x.
+    """Expansion of the word with the generator x replaced by x + x."""
+    return _expr(_doubled(word, _expander(degree_bound)))
 
-    Recursive at module level: a nested recursive closure would form a
-    reference cycle that keeps the expander's memo alive after its cache
-    is cleared, until the cyclic collector runs."""
+
+def _doubled(word, eng):
+    """``double_substitution`` as an int sum.  Recursive at module level:
+    a nested recursive closure would form a reference cycle that keeps
+    the expander's memo alive after its cache is cleared, until the
+    cyclic collector runs."""
     if word.is_leaf:
-        return StarExpr.word(word, 2 if word.symbol == "x" else 1)
-    return _expander(degree_bound).star(double_substitution(word.left, degree_bound),
-                                        double_substitution(word.right, degree_bound))
+        return {word: 2 if word.symbol == "x" else 1}
+    return eng.star(_doubled(word.left, eng), _doubled(word.right, eng), eng.bound)
 
 
 @functools.lru_cache(maxsize=None)

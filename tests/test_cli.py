@@ -259,6 +259,7 @@ DOUBLING_MATRIX_SHA256 = {
     "3": "8ee46b30c0f77212b6b4a87593115305762c9f422e393cf5d485e5a747079949",
     "4": "0030d5cab62d37116c719807e6bcd50ac88d642c1cd304a62a3c5f2ce2fa5259",
     "5": "6d10db4095a57131cff5e4c29cb2f373e22eb231e4f6609ee669f1209b7ade69",
+    "6": "cfecb9b447baf88f02267485d31703c27345be8403894d033cc57187aa012f06",
 }
 
 
@@ -267,6 +268,20 @@ def test_doubling_matrix_stdout_pinned(capsys, degree):
     code, out, err = run(capsys, "doubling-matrix", "--degree", degree)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == DOUBLING_MATRIX_SHA256[degree]
+
+
+# degree 7, recorded with the halving split of the star's left slot.
+# Peeling one unit copy at a time printed another matrix (SHA-256
+# 0a3df6d1ece0373ed5f015ca5862f955c3d7d00298288b40997560271c7fc7d4);
+# both are V_{2x,y} = M V_{x,y} in braces of class 7
+# (tests/test_free_expansion.py)
+DOUBLING_MATRIX_7_SHA256 = "5ccebe2b4bf41e2e6d6d2b864f50200cae99d5e949e3e1e45ed48a96d8ffc8e4"
+
+
+def test_doubling_matrix_degree_7_pinned(capsys):
+    code, out, err = run(capsys, "doubling-matrix", "--degree", "7")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DOUBLING_MATRIX_7_SHA256
 
 
 @pytest.mark.parametrize("degree", ["1", "0", "-3"])

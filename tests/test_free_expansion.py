@@ -1,21 +1,23 @@
 import gc
+import itertools
 import random
 
 from fractions import Fraction
 
 import pytest
 
-from braceflow import free_expansion
+from braceflow import free_expansion, to_brace
 from braceflow.brace import GradedBrace
 from braceflow.cli import main
 from braceflow.corpus import corpus_path
-from braceflow.errors import PreconditionViolated, UnboundSymbol
+from braceflow.errors import ConvergenceFailure, PreconditionViolated, UnboundSymbol
 from braceflow.free_expansion import (StarExpr, StarWord, X, Y, Z,
                                       doubling_matrix, double_substitution,
                                       evaluate, expand_sum_star,
                                       scaling_matrix_check, star_expand,
                                       word_order, xy_words, xyz_words)
 from braceflow.linalg import Vec
+from braceflow.prelie import PreLieAlgebra
 from braceflow.sampling import random_vec
 from braceflow.scalars import Q
 
@@ -180,7 +182,7 @@ def test_doubling_matrix_degree_three_exact():
                       (Fraction(0), Fraction(0), Fraction(4)))
 
 
-@pytest.mark.parametrize("bound", [2, 3, 4, 5])
+@pytest.mark.parametrize("bound", [2, 3, 4, 5, 6])
 def test_doubling_matrix_invariants(bound):
     m, words = doubling_matrix(bound)
     assert m.is_upper_triangular()
@@ -291,3 +293,238 @@ def test_matrix_powers_reproduce_limit_sequence(name, braces_q):
         cur = [sum((v * rescaled.entry(i, j) for j, v in enumerate(cur)),
                    Vec.zero(Q, B.dim)) for i in range(len(words))]
         assert cur[0] == witness[n]
+
+
+class _UnrolledExpander:
+    """The expander as it was before the left slot was split by halving:
+    a left coefficient c becomes |c| unit copies of its word, and the
+    star peels one copy per recursion level.  Kept as the reference."""
+
+    def __init__(self, bound):
+        self.bound = bound
+        self._left_memo = {}
+        self._neg_memo = {}
+
+    def star(self, e1, e2, budget=None):
+        budget = self.bound if budget is None else budget
+        units = self._units(e1)
+        out = StarExpr.zero()
+        for v, beta in e2.terms():
+            piece = self._star_left(units, v, budget)
+            if not piece.is_zero():
+                out = out + piece.scale(beta)
+        return out
+
+    def _units(self, expr):
+        units = []
+        for w, c in expr.terms():
+            assert c.denominator == 1
+            sign = 1 if c > 0 else -1
+            units.extend((sign, w) for _ in range(abs(c.numerator)))
+        return tuple(units)
+
+    def _star_left(self, units, v, budget):
+        if not units:
+            return StarExpr.zero()
+        key = (units, v, budget)
+        hit = self._left_memo.get(key)
+        if hit is not None:
+            return hit
+        sign, w = units[0]
+        if w.degree + v.degree > budget:
+            head = StarExpr.zero()
+        elif sign > 0:
+            head = StarExpr.word(StarWord.product(w, v))
+        else:
+            head = self._neg_star(w, v, budget)
+        if len(units) == 1:
+            out = head
+        else:
+            rest = units[1:]
+            counts = {}
+            for s, u in rest:
+                counts[u] = counts.get(u, 0) + s
+            out = (head + self._star_left(rest, v, budget)
+                   + self._corrections(StarExpr.word(w, sign), StarExpr(counts), v, budget))
+        self._left_memo[key] = out
+        return out
+
+    def _corrections(self, d, dp, v, budget):
+        out = StarExpr.zero()
+        v_expr = StarExpr.word(v)
+        for i in range(2 * self.bound + 1):
+            if dp.is_zero() or 1 + dp.min_degree() + v.degree > budget:
+                break
+            inner = self.star(d, dp, budget - v.degree)
+            term = (self.star(inner, v_expr, budget)
+                    - self.star(d, self.star(dp, v_expr, budget - 1), budget))
+            out = out + (term if (i + 1) % 2 == 0 else -term)
+            d, dp = d + dp, inner
+        return out
+
+    def _neg_star(self, w, v, budget):
+        key = (w, v, budget)
+        hit = self._neg_memo.get(key)
+        if hit is not None:
+            return hit
+        if w.degree + v.degree > budget:
+            self._neg_memo[key] = StarExpr.zero()
+            return StarExpr.zero()
+        ww = StarWord.product(w, w)
+        base = StarExpr.word(StarWord.product(w, v), -1)
+        if ww.degree + v.degree <= budget:
+            base = base + self._neg_star(ww, v, budget)
+        w_expr = StarExpr.word(w)
+        cur = StarExpr.zero()
+        for _ in range(budget + 1):
+            nxt = base - self.star(w_expr, cur, budget)
+            if nxt == cur:
+                break
+            cur = nxt
+        self._neg_memo[key] = cur
+        return cur
+
+
+def _unrolled_doubling(word, eng):
+    if word.is_leaf:
+        return StarExpr.word(word, 2 if word.symbol == "x" else 1)
+    return eng.star(_unrolled_doubling(word.left, eng), _unrolled_doubling(word.right, eng))
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4, 5])
+def test_doubling_matrix_matches_unrolled_reference(bound):
+    eng = _UnrolledExpander(bound)
+    m, words = doubling_matrix(bound)
+    index = {w: i for i, w in enumerate(words)}
+    for i, w in enumerate(words):
+        row = [Fraction(0)] * len(words)
+        for mono, coeff in _unrolled_doubling(w, eng).terms():
+            row[index[mono]] = coeff
+        assert m.rows[i] == tuple(row), w
+        assert double_substitution(w, bound) == _unrolled_doubling(w, eng)
+
+
+@pytest.mark.parametrize("bound", [3, 4, 5])
+def test_expand_sum_star_matches_unrolled_reference(bound):
+    eng = _UnrolledExpander(bound)
+    z = StarExpr.word(Z)
+    reference = (eng.star(StarExpr.word(X), z) + eng.star(StarExpr.word(Y), z)
+                 + eng._corrections(StarExpr.word(X), StarExpr.word(Y), Z, bound))
+    assert expand_sum_star(X, Y, Z, bound) == reference
+
+
+LEFT_WORDS = (X, Y, XY, StarWord.product(Y, X), StarWord.product(X, X), X_XY)
+
+
+@pytest.mark.parametrize("bound", [3, 4, 5])
+def test_star_expand_matches_unrolled_reference(bound):
+    # where every split takes one unit copy off the front, as the
+    # reference does (one word of multiplicity up to 3 in size, or two
+    # or three words of multiplicity +-1), the two are one word sum
+    eng = _UnrolledExpander(bound)
+    z = StarExpr.word(Z)
+    rng = random.Random(bound)
+    lefts = [StarExpr.word(w, n) for w in LEFT_WORDS for n in (-3, -2, -1, 1, 2, 3)]
+    for k in (2, 3):
+        for words in itertools.combinations(LEFT_WORDS, k):
+            lefts.append(StarExpr((w, rng.choice((1, -1))) for w in words))
+    for left in lefts:
+        assert star_expand(left, Z, bound) == eng.star(left, z), left
+
+
+@pytest.mark.parametrize("bound", [3, 4, 5])
+def test_star_expand_agrees_with_unrolled_reference_on_braces(bound, braces_q):
+    # seeded left sums of one to three words with multiplicities in
+    # -8..8, negative ones included.  A left sum is not one formal word
+    # sum: its expansion depends on how the sum is split, and from four
+    # units on the halving split and the reference's unit-by-unit peel
+    # can give different word sums.  Both are the star in every brace
+    # of class at most the bound.
+    eng = _UnrolledExpander(bound)
+    z = StarExpr.word(Z)
+    braces = [B for B in braces_q.values() if B.class_bound and B.class_bound <= bound]
+    assert braces
+    rng = random.Random(100 + bound)
+    negatives = 0
+    for _ in range(12):
+        words = rng.sample(LEFT_WORDS, rng.randint(1, 3))
+        left = StarExpr((w, rng.choice([n for n in range(-8, 9) if n])) for w in words)
+        negatives += sum(1 for _, c in left.terms() if c < 0)
+        new, reference = star_expand(left, Z, bound), eng.star(left, z)
+        for B in braces:
+            a, b, c = (random_vec(Q, B.dim, rng) for _ in range(3))
+            bindings = {"x": a, "y": b, "z": c}
+            value = B.star(evaluate(left, bindings, B), c)
+            assert evaluate(new, bindings, B) == value == evaluate(reference, bindings, B)
+    assert negatives
+
+
+def test_star_expand_of_large_multiplicities_stays_shallow(braces_q):
+    # peeling one unit copy per level nested deeper than the default
+    # recursion limit on this left sum at bound 5; halving does not
+    left = StarExpr(((X, 3), (Y, -8), (StarWord.product(Y, X), 7)))
+    expr = star_expand(left, Z, 5)
+    B = braces_q["v5"]
+    rng = random.Random(47)
+    for _ in range(5):
+        a, b, c = (random_vec(Q, B.dim, rng) for _ in range(3))
+        bindings = {"x": a, "y": b, "z": c}
+        assert evaluate(expr, bindings, B) == B.star(evaluate(left, bindings, B), c)
+
+
+@pytest.mark.parametrize("family", ["v6", "T6"])
+def test_degree_seven_doubling_matrix_doubles_x_on_class_seven_braces(family,
+                                                                     bench_generators):
+    # at degree 7 the halving split gives another matrix than peeling
+    # one unit copy at a time gave; both are V_{2x,y} = M V_{x,y} in
+    # every brace of class 7, checked here on two of them
+    s = bench_generators.v(6) if family == "v6" else bench_generators.trees(6)
+    structure = {}
+    for (_, (i,), j, k), val in s.entries.items():
+        structure.setdefault((i, j), {})[k] = val
+    B = to_brace(PreLieAlgebra(Q, s.dim, structure))
+    assert B.class_bound == 7
+    m, words = doubling_matrix(7)
+    rng = random.Random(53)
+    a, b = random_vec(Q, B.dim, rng), random_vec(Q, B.dim, rng)
+    values = [evaluate(w, {"x": a, "y": b}, B) for w in words]
+    for i, w in enumerate(words):
+        doubled = sum((v * m.entry(i, j) for j, v in enumerate(values) if m.entry(i, j)),
+                      Vec.zero(Q, B.dim))
+        assert doubled == evaluate(w, {"x": a + a, "y": b}, B), w
+
+
+def test_left_memo_names_each_word_once():
+    # the left slot is a sum's own (word, multiplicity) pairs, not unit
+    # copies of its words
+    doubling_matrix.cache_clear()
+    free_expansion._expander.cache_clear()
+    doubling_matrix(5)
+    keys = free_expansion._expander(5)._left_memo
+    assert keys
+    for left, _, _ in keys:
+        words = [part for item in left for part in item if isinstance(part, StarWord)]
+        assert len(words) == len(set(words)), left
+
+
+def test_neg_star_that_never_settles_raises():
+    eng = free_expansion._Expander(4)
+    steps = iter(range(1, 1000))
+
+    def drifting_star(left, right, budget):
+        return {XY: next(steps)}  # a new value at every step
+
+    eng.star = drifting_star
+    with pytest.raises(ConvergenceFailure):
+        eng._neg_star(X, Y, 4)
+
+
+def test_correction_chain_that_never_ends_raises():
+    eng = free_expansion._Expander(4)
+
+    def stalled_star(left, right, budget):
+        return {X: 1}  # d'_i keeps degree 1, so no term truncates
+
+    eng.star = stalled_star
+    with pytest.raises(ConvergenceFailure):
+        eng._corrections({X: 1}, {Y: 1}, Z, 4)
