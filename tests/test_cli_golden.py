@@ -2,7 +2,9 @@
 `validate`, `chains` and `roundtrip` on every corpus file and on the
 brace that `to-brace` writes from it, and the SHA-256 of that brace
 file.  An empty brace of dim 400 over Q and a corrupted brace (exit 2)
-are pinned too.  Any change of a byte of this output fails here; the
+are pinned too.  `bch` is pinned on every corpus file, on the brace
+written from it (exit 1: `bch` expects a pre-Lie file), and on v_6..v_8
+over Q and GF(11) with `--trials 0` and `20`.  Any change of a byte of this output fails here; the
 table is regenerated only for an intended change of output, by
 printing ``outcomes`` of each case."""
 
@@ -227,3 +229,113 @@ def test_cli_output_pinned(case, tmp_path):
 
 def test_every_corpus_file_is_pinned():
     assert set(GOLDEN) == set(CORPUS) | {"empty_q400", "corrupted"}
+
+
+def _v_file(path, n):
+    """v_n: e_i e_j = j e_{i+j}, zero past weight n (class n + 1), over Q."""
+    entries = [[i - 1, j - 1, i + j - 1, str(j)]
+               for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
+    path.write_text(json.dumps({"format_version": 1, "kind": "prelie", "field": "Q",
+                                "dim": n, "entries": entries}))
+
+
+def bch_outcomes(case, workdir):
+    """{label: (exit code, SHA-256)} of `bch` for ``case``, a corpus name
+    or "v6".."v8", run with ``workdir`` as the working directory."""
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        if case in CORPUS:
+            path = str(corpus_dir() / f"{case}.json")
+            assert _run("to-brace", path, "--out", "brace.json")[0] == 0
+            return {"bch": _run("bch", path), "brace bch": _run("bch", "brace.json")}
+        _v_file(Path("v.json"), int(case[1:]))
+        return {f"{field} trials {trials}": _run("bch", "v.json", "--field", field,
+                                                  "--trials", trials)
+                for field in ("Q", "11") for trials in ("0", "20")}
+    finally:
+        os.chdir(old)
+
+
+BCH_CASES = CORPUS + ["v6", "v7", "v8"]
+BCH_GOLDEN = {
+    'f4': {
+        'bch': (0, '007e6bef19d9a596f60a9f073ed80e200923668d0086025a4b93e995015fbfa4'),
+        'brace bch': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    },
+    'f4_p11': {
+        'bch': (0, '007e6bef19d9a596f60a9f073ed80e200923668d0086025a4b93e995015fbfa4'),
+        'brace bch': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    },
+    'f4_p7': {
+        'bch': (0, '007e6bef19d9a596f60a9f073ed80e200923668d0086025a4b93e995015fbfa4'),
+        'brace bch': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    },
+    'h3': {
+        'bch': (0, 'edc9f504e110afdbf26e5d8bb43283e06d2cda3477fa5fa74884ca9e2069d0ff'),
+        'brace bch': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    },
+    'h3_p7': {
+        'bch': (0, 'edc9f504e110afdbf26e5d8bb43283e06d2cda3477fa5fa74884ca9e2069d0ff'),
+        'brace bch': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    },
+    'n2': {
+        'bch': (0, 'edc9f504e110afdbf26e5d8bb43283e06d2cda3477fa5fa74884ca9e2069d0ff'),
+        'brace bch': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    },
+    'n2_p7': {
+        'bch': (0, 'edc9f504e110afdbf26e5d8bb43283e06d2cda3477fa5fa74884ca9e2069d0ff'),
+        'brace bch': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    },
+    'v5': {
+        'bch': (0, '45f91d6637cf233fff5b0976f299aedb1a0b9f61045a69310bc1b181ebc39f0b'),
+        'brace bch': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    },
+    'v5_p11': {
+        'bch': (0, '45f91d6637cf233fff5b0976f299aedb1a0b9f61045a69310bc1b181ebc39f0b'),
+        'brace bch': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    },
+    'v5_p7': {
+        'bch': (0, '45f91d6637cf233fff5b0976f299aedb1a0b9f61045a69310bc1b181ebc39f0b'),
+        'brace bch': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    },
+    'zero1': {
+        'bch': (0, '14998e5fe8112d1c36bc48e8624913847145ea4c875a79ec8996c109960d25ed'),
+        'brace bch': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    },
+    'zero2': {
+        'bch': (0, '14998e5fe8112d1c36bc48e8624913847145ea4c875a79ec8996c109960d25ed'),
+        'brace bch': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    },
+    'zero3': {
+        'bch': (0, '14998e5fe8112d1c36bc48e8624913847145ea4c875a79ec8996c109960d25ed'),
+        'brace bch': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    },
+    'v6': {
+        'Q trials 0': (0, '8da606da8925b50395674688b022ba4f6ee4682fae223a4deaafda7883487d80'),
+        'Q trials 20': (0, 'aad8918d1152aa0c22b56d2a139b98e9cc25a1ff29c4c5ff1647097398d3aecd'),
+        '11 trials 0': (0, '8da606da8925b50395674688b022ba4f6ee4682fae223a4deaafda7883487d80'),
+        '11 trials 20': (0, 'aad8918d1152aa0c22b56d2a139b98e9cc25a1ff29c4c5ff1647097398d3aecd'),
+    },
+    'v7': {
+        'Q trials 0': (0, '84ea6562cbbc2d48169668d82a1d24c7003c3aca31eba19acc6612bccdf02030'),
+        'Q trials 20': (0, '41bf490626315dd06ac1ef9e8680bae4250490de873b2365da303c84636c5e9b'),
+        '11 trials 0': (0, '84ea6562cbbc2d48169668d82a1d24c7003c3aca31eba19acc6612bccdf02030'),
+        '11 trials 20': (0, '41bf490626315dd06ac1ef9e8680bae4250490de873b2365da303c84636c5e9b'),
+    },
+    'v8': {
+        'Q trials 0': (0, 'f5351da87ce562929f4405b6c347770769d14cc34735706b2c844dc814b591ce'),
+        'Q trials 20': (0, '30af151827f23f48d6652ef1eb76deab1eef5d0b598ac41b7135f52b1cf0238b'),
+        '11 trials 0': (0, 'f5351da87ce562929f4405b6c347770769d14cc34735706b2c844dc814b591ce'),
+        '11 trials 20': (0, '30af151827f23f48d6652ef1eb76deab1eef5d0b598ac41b7135f52b1cf0238b'),
+    },
+}
+
+
+@pytest.mark.parametrize("case", BCH_CASES)
+def test_bch_output_pinned(case, tmp_path):
+    assert bch_outcomes(case, tmp_path) == BCH_GOLDEN[case]
+
+
+def test_every_bch_case_is_pinned():
+    assert set(BCH_GOLDEN) == set(BCH_CASES)
