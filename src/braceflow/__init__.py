@@ -10,11 +10,10 @@ large prime field, with no floating point anywhere.
 from .brace import (ChainReport, GradedBrace, SymmetricMap, check_fbrace,
                     check_group, check_left_brace, radical_chains,
                     star_subspaces)
-from .bch import (BracketTerm, TruncatedSeries, bch_series, dsw_project,
-                  ts_exp, ts_log, verify_flows_bch)
+from .bch import verify_flows_bch
 from .errors import (AlgebraError, AlgebraFileError, CharacteristicTooSmall,
                      ConvergenceFailure, DimensionMismatch, FieldMismatch,
-                     InternalInconsistency, NotLieElement, NotPreLie,
+                     InternalInconsistency, NotPreLie,
                      PreconditionViolated, ValidationFailure, Violation)
 from .flows import circ, exp_L, omega, star, to_brace, w_map
 from .free_expansion import (StarExpr, StarWord, doubling_matrix, evaluate,

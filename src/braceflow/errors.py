@@ -31,10 +31,6 @@ class UnboundSymbol(AlgebraError):
     """A formal expression was evaluated with a generator left unbound."""
 
 
-class NotLieElement(AlgebraError):
-    """A series failed the left-bracketing re-expansion certificate."""
-
-
 class NotPreLie(AlgebraError):
     """A product extracted from a brace failed the pre-Lie identity,
     signalling that the input was not a genuine strongly nilpotent brace."""

@@ -1,18 +1,22 @@
+import functools
+import math
 import random
 
 from fractions import Fraction
 
 import pytest
 
+from bch_reference import (NotLieElement, TruncatedSeries, bch_series,
+                           bracket_sum, dsw_project, expand_bracket_word,
+                           generic_dsw_c, suffix_tree, ts_exp, ts_log)
 from braceflow import bch, flows
-from braceflow.bch import (TruncatedSeries, _bracket_sum, _generic_difference,
-                           _sampled_violation, _suffix_tree, bch_series,
-                           dsw_project, expand_bracket_word, ts_exp, ts_log,
-                           verify_flows_bch)
+from braceflow.bch import (_generic_difference, _generic_ring, _sampled_violation,
+                           generic_c, vec_c, verify_flows_bch)
 from braceflow.corpus import corpus, h3, zero_algebra
-from braceflow.errors import NotLieElement, PreconditionViolated
+from braceflow.errors import CharacteristicTooSmall, PreconditionViolated
 from braceflow.linalg import Vec
-from braceflow.prelie import PreLieAlgebra
+from braceflow.generic import GenericRing
+from braceflow.prelie import PreLieAlgebra, int_rows
 from braceflow.sampling import random_vec
 from braceflow.scalars import GF, Q
 
@@ -204,10 +208,10 @@ def test_grouped_bch_matches_per_term_brackets(field, bench_generators):
             alg = PreLieAlgebra(field, alg.dim, {
                 (i, j): dict(pairs) for ((i,), j), pairs in alg.product.table.items()})
         terms = dsw_project(bch_series(alg.nilpotency_class, field))
-        tree = _suffix_tree((t.coefficient, t.letters) for t in terms)
+        tree = suffix_tree((t.coefficient, t.letters) for t in terms)
         for _ in range(3):
             a, b = random_vec(field, alg.dim, rng), random_vec(field, alg.dim, rng)
-            assert _bracket_sum(alg, tree, {"X": a, "Y": b}) == \
+            assert bracket_sum(alg, tree, {"X": a, "Y": b}) == \
                 _per_term_bch(alg, terms, a, b), name
         checked += 1
     assert checked >= 9
@@ -251,8 +255,7 @@ def test_flows_bch_proof_passes_on_reference_algebras(field, bench_generators):
             if field.characteristic <= alg.nilpotency_class:
                 continue
             alg = _as_field(alg, field)
-        terms = dsw_project(bch_series(alg.nilpotency_class, field))
-        assert _generic_difference(alg, terms)[0] == {}, name
+        assert _generic_difference(alg)[0] == {}, name
         assert verify_flows_bch(alg, trials=0) is None, name
         checked += 1
     assert checked >= 12
@@ -279,9 +282,8 @@ def test_generic_verdict_equals_sampled_verdict(field):
     verdicts = set()
     for _ in range(40):
         alg = _random_nilpotent(rng, field)
-        terms = dsw_project(bch_series(alg.nilpotency_class, field))
         proved = verify_flows_bch(alg, trials=0) is None
-        assert proved == (_sampled_violation(alg, terms, 20, None) is None)
+        assert proved == (_sampled_violation(alg, 20, None) is None)
         verdicts.add(proved)
     assert verdicts == {True, False}
 
@@ -303,12 +305,10 @@ def test_generic_difference_evaluates_to_the_sampled_residual(field):
     # vector lhs - rhs at that pair: the Q scaling divides exactly
     rng = random.Random(17)
     for alg in [_not_prelie(field)] + [_random_nilpotent(rng, field) for _ in range(6)]:
-        terms = dsw_project(bch_series(alg.nilpotency_class, field))
-        tree = _suffix_tree((t.coefficient, t.letters) for t in terms)
-        diff, degree_den = _generic_difference(alg, terms)
+        diff, degree_den = _generic_difference(alg)
         for _ in range(3):
             a, b = random_vec(field, alg.dim, rng), random_vec(field, alg.dim, rng)
-            c = _bracket_sum(alg, tree, {"X": a, "Y": b})
+            c = vec_c(alg, a, b)
             want = (flows.w_map(alg, a) + flows.exp_L(alg, a, flows.w_map(alg, b))
                     - flows.w_map(alg, c))
             point = a.entries + b.entries
@@ -327,3 +327,109 @@ def test_flows_bch_generic_site_without_trials():
     viol = verify_flows_bch(_not_prelie(GF(11)), trials=0)
     assert viol.site == ("generic", (0, 0, 5))
     assert viol.residual == Vec(GF(11), (0, 0, 0, Fraction(-1, 6)))
+
+
+def test_flows_bch_characteristic_at_most_the_class():
+    # every denominator of the recursion has its primes below the class
+    # s, and the Nullstellensatz needs degrees below p: p <= s is refused
+    alg = _as_field(corpus(Q)["v5"], GF(5))
+    with pytest.raises(CharacteristicTooSmall, match="must exceed the nilpotency class 5"):
+        verify_flows_bch(alg)
+
+
+def test_recursion_low_degrees():
+    # Z_1 = a + b, Z_2 = [a, b]/2, Z_3 = ([a, [a, b]] + [b, [b, a]])/12,
+    # read on the free words of the reference series' algebra
+    x, y = TruncatedSeries.generator(Q, 3, "X"), TruncatedSeries.generator(Q, 3, "Y")
+    parts = bch._bch_parts(4, x, y, lambda u, v: u * v - v * u,
+                           lambda pairs: sum((u.scale(q) for u, q in pairs),
+                                             TruncatedSeries.zero(Q, 3)))
+    assert sum(parts, TruncatedSeries.zero(Q, 3)) == bch_series(3)
+
+
+@functools.lru_cache(maxsize=None)
+def _dsw_terms(s, field):
+    return tuple(dsw_project(bch_series(s, field)))
+
+
+def _algebra(field, dim, entries):
+    """The algebra of generator entries {(1, (i,), j, k): value}, over
+    ``field`` (the values read mod p there)."""
+    structure = {}
+    for (_, (i,), j, k), val in entries.items():
+        structure.setdefault((i, j), {})[k] = val
+    return PreLieAlgebra(field, dim, structure)
+
+
+def _direct_sum(first, second):
+    entries = dict(first.entries)
+    for (deg, (i,), j, k), val in second.entries.items():
+        entries[(deg, (i + first.dim,), j + first.dim, k + first.dim)] = val
+    return f"{first.name}+{second.name}", first.dim + second.dim, entries
+
+
+def _property_algebras(generators):
+    """(name, dim, entries) of classes 2..10: v_n, T_n, upper(m), h3, f4,
+    direct sums and seeded relabellings of them over Q."""
+    g = generators
+    plain = ([g.v(n) for n in range(1, 10)] + [g.trees(n) for n in range(1, 6)]
+             + [g.upper(m) for m in range(2, 6)] + [g.h3(), g.f4()])
+    out = [(s.name, s.dim, s.entries) for s in plain]
+    out += [_direct_sum(g.v(3), g.trees(3)), _direct_sum(g.upper(4), g.v(5)),
+            _direct_sum(g.h3(), g.f4())]
+    for s in (g.v(6), g.trees(4), g.upper(5), g.v(9)):
+        sigma, scales = g.relabelling(s.dim, 11)
+        out.append((f"{s.name}~", s.dim, g.relabel(s.entries, sigma, scales, 0)))
+    return out
+
+
+def _next_prime_above(s):
+    return next(p for p in range(s + 1, 2 * s + 3) if all(p % q for q in range(2, p)))
+
+
+@pytest.mark.parametrize("prime", [False, True], ids=["Q", "GF(p)"])
+def test_recursion_equals_dsw_at_generic_pair(prime, bench_generators):
+    # C from the recursion, in the kernel verify_flows_bch uses, equals
+    # the DSW bracket sum.  Over Q that kernel's unit is u = 2(s-1)!, and
+    # the DSW sum needs a unit U that its denominators divide too: a
+    # degree-k term c / (den u)^(k-1) is c (U/u)^(k-1) / (den U)^(k-1)
+    classes = set()
+    for name, dim, entries in _property_algebras(bench_generators):
+        s = _algebra(Q, dim, entries).nilpotency_class
+        field = GF(_next_prime_above(s)) if prime else Q
+        alg = _algebra(field, dim, entries)
+        terms = _dsw_terms(s, field)
+        ring = bch._generic_ring(alg)
+        if prime:  # residues: the table unit is unused
+            ref_ring, scale = ring, 1
+        else:
+            unit = 2 * math.factorial(s - 1)
+            big = math.lcm(unit, Q.to_ints([t.coefficient for t in terms])[1])
+            ref_ring, scale = GenericRing(*int_rows(alg), 0, s, big), big // unit
+        a = {((i,), i): 1 for i in range(dim)}
+        b = {((dim + i,), i): 1 for i in range(dim)}
+        got = {(m, o): c * scale ** (len(m) - 1) for (m, o), c in generic_c(ring, a, b).items()}
+        assert got == generic_dsw_c(ref_ring, terms, dim), (name, field)
+        classes.add(s)
+    assert classes == set(range(2, 11))
+
+
+@pytest.mark.parametrize("field", [Q, GF(11), GF(13)], ids=str)
+def test_vec_recursion_equals_dsw_on_random_pairs(field, bench_generators):
+    # the failure path's C on vectors is the DSW bracket sum, on
+    # pre-Lie algebras, where the commutator satisfies Jacobi
+    rng = random.Random(field.characteristic + 3)
+    checked = 0
+    for name, dim, entries in _property_algebras(bench_generators):
+        alg = _algebra(Q, dim, entries)
+        s = alg.nilpotency_class
+        if field.characteristic:
+            if field.characteristic <= s:
+                continue
+            alg = _algebra(field, dim, entries)
+        tree = suffix_tree((t.coefficient, t.letters) for t in _dsw_terms(s, field))
+        for _ in range(2):
+            a, b = random_vec(field, dim, rng), random_vec(field, dim, rng)
+            assert vec_c(alg, a, b) == bracket_sum(alg, tree, {"X": a, "Y": b}), name
+        checked += 1
+    assert checked >= 15
