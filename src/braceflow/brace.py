@@ -532,10 +532,12 @@ def map_span(products, left, right, within=None):
 
 
 def map_products(field, maps):
-    """products(lefts, rights): a generator of sparse int rows {out: n},
-    not yet reduced mod p, spanning ``map_span`` of the subspaces with
-    echelon rows ``lefts`` and ``rights`` (``Subspace.rows``).  Each
-    map's table is scaled to ints on its own (``to_ints``).
+    """products(lefts, rights, fresh=None): a generator of sparse int
+    rows {out: n}, not yet reduced mod p, spanning ``map_span`` of the
+    subspaces with echelon rows ``lefts`` and ``rights``
+    (``Subspace.rows``); with ``fresh``, only of the left multisets with
+    a slot among the first ``fresh`` lefts (``linalg.strong_chain``).
+    Each map's table is scaled to ints on its own (``to_ints``).
 
     The symmetric product of the u_i is built one slot at a time as a
     sparse map from sorted index tuples to int coefficients, and a
@@ -556,8 +558,9 @@ def map_products(field, maps):
                 for sub in itertools.combinations(tup, m)}
         tables.append((lam.arity, by_left, live))
 
-    def products(lefts, rights):
+    def products(lefts, rights, fresh=None):
         lefts = [tuple(u.items()) for u in lefts]
+        firsts = len(lefts) if fresh is None else fresh
         for k, by_left, live in tables:
             stack = [(0, 0, {(): 1})]  # (first slot, slots filled, product)
             while stack:
@@ -565,7 +568,7 @@ def map_products(field, maps):
                 if filled == k:
                     yield from _contract(poly, by_left, rights)
                     continue
-                for s in range(first, len(lefts)):
+                for s in range(first, len(lefts) if filled else firsts):
                     nxt = {}
                     for t, c in poly.items():
                         for i, x in lefts[s]:

@@ -491,15 +491,13 @@ def scaling_matrix_check(B, a, b, n_max):
     bound = max(class_bound_of(B), 2)
     m, basis = doubling_matrix(bound)
     field = B.field
-    n_words = len(basis)
     two_m_inv = m.inverse() * Fraction(2)
-    rows = [[field.of(two_m_inv.entry(i, j)) for j in range(n_words)]
-            for i in range(n_words)]
+    # 2 M^-1 is upper triangular: only its nonzero entries are read
+    rows = [[(j, field.of(c)) for j, c in enumerate(row) if c] for row in two_m_inv.rows]
 
     cur = [evaluate(StarExpr.word(w), {"x": a, "y": b}, B) for w in basis]
     for n in range(1, n_max + 1):
-        cur = [sum((v * rows[i][j] for j, v in enumerate(cur)),
-                   Vec.zero(field, B.dim)) for i in range(n_words)]
+        cur = [sum((cur[j] * c for j, c in row), Vec.zero(field, B.dim)) for row in rows]
         scale_in = field.inv_int(2 ** n)
         scale_out = field.of(2 ** n)
         for i, w in enumerate(basis):

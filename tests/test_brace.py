@@ -204,14 +204,14 @@ def _reference_star_span(B, left, right):
     return span(gens, field=B.field, dim=B.dim)
 
 
-def _reference_strong_chain(B):
-    """The strong chain written out: each term spans the reference spans
+def _reference_strong_chain(B, star_span=_reference_star_span):
+    """The strong chain written out: each term spans the ``star_span``s
     of all its j-products, up to the first zero term or 2 * dim + 3."""
     chain = [Subspace.full(B.field, B.dim)]
     while len(chain) < 2 * B.dim + 3 and not chain[-1].is_zero():
         i = len(chain) + 1
         gens = [v for j in range(1, i)
-                for v in _reference_star_span(B, chain[j - 1], chain[i - j - 1]).basis]
+                for v in star_span(B, chain[j - 1], chain[i - j - 1]).basis]
         chain.append(span(gens, field=B.field, dim=B.dim))
     return tuple(chain)
 
@@ -275,6 +275,37 @@ def test_star_subspaces_matches_direct_span(braces_q, braces_cache, monkeypatch)
                         == _reference_star_span(B, left, right)), where
     assert any(not rep.strongly_nilpotent for rep in reports.values())
     assert calls and all(within is not None for within in calls)
+
+
+@pytest.mark.parametrize("field", [Q, GF(13)], ids=str)
+def test_strong_chain_counts_each_pair_of_levels_once(field, bench_generators):
+    # the strong chain, built from the lefts of D_j outside D_{j+1}, is
+    # the sum over every pair of levels of the star spans, on deep
+    # chains, on one that stalls (D_3 = D_4, D_5 = .. = D_8, D_9 = 0) and
+    # on one whose left multisets mix two levels
+    g = bench_generators
+    inputs = []
+    for s in (g.v(10), g.trees(5), g.upper(5)):
+        structure = {}
+        for (_, (i,), j, k), val in s.entries.items():
+            structure.setdefault((i, j), {})[k] = val
+        inputs.append(to_brace(PreLieAlgebra(field, s.dim, structure), trials=0))
+    stalling = {((0,), 0): {1: 1}, ((0,), 1): {2: 1}, ((1,), 1): {2: 1},
+                ((1,), 2): {3: 1}, ((2,), 2): {3: 1}}
+    inputs.append(GradedBrace(field, 4, {1: SymmetricMap(field, 4, 1, stalling)},
+                              validate=False))
+    # L(e1, e1; e1) = e2, L(e1, e2; e2) = e3: D_3 = <e3> comes only from
+    # a left multiset with one slot outside D_2 and one in it
+    mixed = {((0, 0), 0): {1: 1}, ((0, 1), 1): {2: 1}}
+    inputs.append(GradedBrace(field, 4, {2: SymmetricMap(field, 4, 2, mixed)},
+                              validate=False))
+    for B in inputs:
+        rep = radical_chains(B)
+        assert rep.strong == _reference_strong_chain(B, star_subspaces)
+    for B, dims in zip(inputs[-2:], [(4, 3, 2, 2, 1, 1, 1, 1, 0), (4, 2, 1, 0)]):
+        rep = radical_chains(B)
+        assert rep.dims(rep.strong) == dims
+        assert rep.strong == _reference_strong_chain(B)
 
 
 def test_validation_compiles_products_once(braces_q, monkeypatch):

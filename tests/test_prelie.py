@@ -5,7 +5,8 @@ import pytest
 
 from braceflow.corpus import corpus, f4, h3, n2, v5, zero_algebra
 from braceflow.errors import CharacteristicTooSmall, ValidationFailure, Violation
-from braceflow.linalg import Subspace, Vec, span
+from braceflow.brace import map_products
+from braceflow.linalg import Subspace, Vec, span, strong_chain
 from braceflow.prelie import (PreLieAlgebra, check_prelie_identity,
                               nilpotency_index)
 from braceflow.sampling import random_ints, random_vec
@@ -181,17 +182,24 @@ def test_nilpotency_index_not_nilpotent():
     assert nilpotency_index(bad) is None
 
 
-def _dense_nilpotency_index(alg):
-    """nilpotency_index as a dense sweep: D_i is spanned by the products
-    of all pairs of basis vectors of D_j and D_{i-j}, 0 < j < i."""
+def _dense_chain(alg, cap):
+    """The chain D_1..D_i of ``strong_chain`` as a dense sweep, up to its
+    first zero term or D_cap: D_i is spanned by the products of all
+    pairs of basis vectors of D_j and D_{i-j}, 0 < j < i."""
     chain = [Subspace.full(alg.field, alg.dim)]
-    for i in range(2, alg.dim + 3):
+    for i in range(2, cap + 1):
         gens = [alg.multiply(u, v) for j in range(1, i)
                 for u in chain[j - 1].basis for v in chain[i - j - 1].basis]
         chain.append(span(gens, field=alg.field, dim=alg.dim))
         if chain[-1].is_zero():
-            return i
-    return None
+            break
+    return tuple(chain)
+
+
+def _dense_nilpotency_index(alg):
+    """nilpotency_index as a dense sweep (``_dense_chain``)."""
+    chain = _dense_chain(alg, alg.dim + 2)
+    return len(chain) if chain[-1].is_zero() else None
 
 
 @pytest.mark.parametrize("field", [Q, GF(7), GF(11)], ids=str)
@@ -214,6 +222,34 @@ def test_nilpotency_index_matches_dense_sweep(field):
     indices = [nilpotency_index(alg) for alg in algs]
     assert indices == [_dense_nilpotency_index(alg) for alg in algs]
     assert None in indices and 8 in indices
+
+
+def _stalling_table(field):
+    """e1e1 = e2, e1e2 = e3, e2e2 = e3, e2e3 = e4, e3e3 = e4, not pre-Lie:
+    its chain stalls at D_3 = D_4 = <e3, e4> and D_5 = .. = D_8 = <e4>,
+    and falls to D_9 = 0."""
+    return PreLieAlgebra(field, 4, {(0, 0): {1: 1}, (0, 1): {2: 1}, (1, 1): {2: 1},
+                                    (1, 2): {3: 1}, (2, 2): {3: 1}}, validate=False)
+
+
+@pytest.mark.parametrize("field", [Q, GF(13)], ids=str)
+def test_strong_chain_terms_match_dense_sweep(field, bench_generators):
+    # each pair of chain levels is counted once (the lefts of D_j that
+    # are not in D_{j+1} first), and spans what the sum over all pairs
+    # of basis vectors spans, term by term, on deep and stalling chains
+    cases = []
+    for s in (bench_generators.v(10), bench_generators.trees(5), bench_generators.upper(5)):
+        structure = {}
+        for (_, (i,), j, k), val in s.entries.items():
+            structure.setdefault((i, j), {})[k] = val
+        cases.append(PreLieAlgebra(field, s.dim, structure, validate=False))
+    cases.append(_stalling_table(field))
+    for alg in cases:
+        terms, index = strong_chain(field, alg.dim, map_products(field, [alg.product]), 12)
+        chain = tuple(Subspace.of_echelon(field, alg.dim, t) for t in terms)
+        assert chain == _dense_chain(alg, 12)
+        assert index == len(chain)
+    assert [t.dim for t in chain] == [4, 3, 2, 2, 1, 1, 1, 1, 0]
 
 
 def _products_of(alg, factors):
