@@ -70,20 +70,7 @@ def _generic_ring(alg):
                        2 * math.factorial(s - 1))
 
 
-def _generic_difference(alg):
-    """W(a)∘W(b) - W(C(a, b)) at the generic pair, on ints, and the
-    ring's E: a term of degree k stands for c / E^(k-1) over Q (see
-    ``verify_flows_bch``)."""
-    ring, d = _generic_ring(alg), alg.dim
-    s, p = ring.s, ring.p
-    a = {((i,), i): 1 for i in range(d)}
-    b = {((d + i,), i): 1 for i in range(d)}
-    c = generic_c(ring, a, b)
-    lhs = _combine(ring.w_map(a, s), ring.exp_l(a, ring.w_map(b, s), s), 1, p)
-    return _combine(lhs, ring.w_map(c, s), -1, p), ring.degree_den
-
-
-def generic_c(ring, a, b):
+def _generic_c(ring, a, b):
     """C(a, b) for elements a, b of ``ring`` with w = 1, such as the
     generic pair.  Over Q each division of the recursion is exact when
     the ring's table unit is a multiple of 2 (s-1)! (``verify_flows_bch``)."""
@@ -92,13 +79,13 @@ def generic_c(ring, a, b):
     def combine(pairs):
         acc = {}
         for x, q in pairs:
-            num, den = q.numerator, q.denominator
             if q == 1:
                 _add(acc, x, p)
             elif p:
-                num = num * pow(den, -1, p)
-                _add(acc, {key: c * num for key, c in x.items()}, p)
+                f = q.numerator * pow(q.denominator, -1, p)
+                _add(acc, {key: c * f for key, c in x.items()}, p)
             else:
+                num, den = q.numerator, q.denominator
                 _add(acc, {key: c * num // den for key, c in x.items()}, 0)
         return acc
 
@@ -108,7 +95,20 @@ def generic_c(ring, a, b):
     return c
 
 
-def vec_c(alg, a, b):
+def _generic_difference(alg):
+    """W(a)∘W(b) - W(C(a, b)) at the generic pair, on ints, and the
+    ring's E: a term of degree k stands for c / E^(k-1) over Q (see
+    ``verify_flows_bch``)."""
+    ring, d = _generic_ring(alg), alg.dim
+    s, p = ring.s, ring.p
+    a = {((i,), i): 1 for i in range(d)}
+    b = {((d + i,), i): 1 for i in range(d)}
+    c = _generic_c(ring, a, b)
+    lhs = _combine(ring.w_map(a, s), ring.exp_l(a, ring.w_map(b, s), s), 1, p)
+    return _combine(lhs, ring.w_map(c, s), -1, p), ring.degree_den
+
+
+def _vec_c(alg, a, b):
     """C(a, b) on vectors, with the algebra's commutator."""
     zero = Vec.zero(alg.field, alg.dim)
     parts = _bch_parts(alg.nilpotency_class, a, b, alg.lie_bracket,
@@ -124,7 +124,7 @@ def _sampled_violation(alg, trials, seed):
         a = random_vec(alg.field, alg.dim, rng)
         b = random_vec(alg.field, alg.dim, rng)
         lhs = flows.w_map(alg, a) + flows.exp_L(alg, a, flows.w_map(alg, b))
-        rhs = flows.w_map(alg, vec_c(alg, a, b))
+        rhs = flows.w_map(alg, _vec_c(alg, a, b))
         if lhs != rhs:
             return Violation("flows-BCH identity", ("random", t), lhs - rhs)
     return None

@@ -16,7 +16,8 @@ that x.y is sum cx * cy * n with no division, and each term of L_x^k(y)
 is a multiple of unit^k: a series that divides L_x^k(y) by j! divides
 exactly when j! divides unit^k.  ``to_brace`` takes unit = (s-2)!:
 exp_L stops at k = s-2 and W, cut at s-1, at k = s-3.  The flows-BCH
-proof takes lcm((s-1)!, M) (``bch.verify_flows_bch``).
+proof takes 2 (s-1)!, which also makes every division of Varadarajan's
+recursion exact (``bch.verify_flows_bch``).
 Each value has one int, so equality of elements is equality of dicts.
 """
 

@@ -11,7 +11,7 @@ from bch_reference import (NotLieElement, TruncatedSeries, bch_series,
                            generic_dsw_c, suffix_tree, ts_exp, ts_log)
 from braceflow import bch, flows
 from braceflow.bch import (_generic_difference, _generic_ring, _sampled_violation,
-                           generic_c, vec_c, verify_flows_bch)
+                           _generic_c, _vec_c, verify_flows_bch)
 from braceflow.corpus import corpus, h3, zero_algebra
 from braceflow.errors import CharacteristicTooSmall, PreconditionViolated
 from braceflow.linalg import Vec
@@ -308,7 +308,7 @@ def test_generic_difference_evaluates_to_the_sampled_residual(field):
         diff, degree_den = _generic_difference(alg)
         for _ in range(3):
             a, b = random_vec(field, alg.dim, rng), random_vec(field, alg.dim, rng)
-            c = vec_c(alg, a, b)
+            c = _vec_c(alg, a, b)
             want = (flows.w_map(alg, a) + flows.exp_L(alg, a, flows.w_map(alg, b))
                     - flows.w_map(alg, c))
             point = a.entries + b.entries
@@ -408,7 +408,7 @@ def test_recursion_equals_dsw_at_generic_pair(prime, bench_generators):
             ref_ring, scale = GenericRing(*int_rows(alg), 0, s, big), big // unit
         a = {((i,), i): 1 for i in range(dim)}
         b = {((dim + i,), i): 1 for i in range(dim)}
-        got = {(m, o): c * scale ** (len(m) - 1) for (m, o), c in generic_c(ring, a, b).items()}
+        got = {(m, o): c * scale ** (len(m) - 1) for (m, o), c in _generic_c(ring, a, b).items()}
         assert got == generic_dsw_c(ref_ring, terms, dim), (name, field)
         classes.add(s)
     assert classes == set(range(2, 11))
@@ -430,6 +430,6 @@ def test_vec_recursion_equals_dsw_on_random_pairs(field, bench_generators):
         tree = suffix_tree((t.coefficient, t.letters) for t in _dsw_terms(s, field))
         for _ in range(2):
             a, b = random_vec(field, dim, rng), random_vec(field, dim, rng)
-            assert vec_c(alg, a, b) == bracket_sum(alg, tree, {"X": a, "Y": b}), name
+            assert _vec_c(alg, a, b) == bracket_sum(alg, tree, {"X": a, "Y": b}), name
         checked += 1
     assert checked >= 15
