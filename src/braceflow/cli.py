@@ -88,7 +88,7 @@ def cmd_validate(args):
 
 def cmd_to_brace(args):
     alg = _load(args, "prelie")
-    B = flows.to_brace(alg, trials=args.trials, seed=args.seed)
+    B = flows.to_brace(alg)
     fileio.write_file(B, args.out)
     print(f"wrote {args.out} (brace, dim {B.dim}, class {B.class_bound})")
     return 0
@@ -105,10 +105,10 @@ def cmd_to_prelie(args):
 def cmd_roundtrip(args):
     obj = _load(args)
     if isinstance(obj, PreLieAlgebra):
-        viol = limits.roundtrip_prelie(obj, trials=args.trials, seed=args.seed)
+        viol = limits.roundtrip_prelie(obj)
         label = "pre-Lie round trip"
     else:
-        viol = limits.roundtrip_brace(obj, trials=args.trials, seed=args.seed)
+        viol = limits.roundtrip_brace(obj)
         label = "brace round trip"
     if viol is not None:
         return _fail(viol)
@@ -118,9 +118,9 @@ def cmd_roundtrip(args):
 
 def cmd_chains(args):
     obj = _load(args)
-    if isinstance(obj, PreLieAlgebra):
-        obj = flows.to_brace(obj, trials=args.trials, seed=args.seed)
-    for line in obj.chains.lines():
+    report = (brace.radical_chains(flows.to_brace(obj)) if isinstance(obj, PreLieAlgebra)
+              else obj.chains)  # a brace file's chains were proven while loading
+    for line in report.lines():
         print(line)
     return 0
 

@@ -26,8 +26,8 @@ per degree, so that 1/k! divides exactly and equality needs no gcd.
 
 import math
 
-from .brace import GradedBrace, SymmetricMap, _multinomial
-from .errors import ConvergenceFailure, InternalInconsistency
+from .brace import GradedBrace, _multinomial
+from .errors import ConvergenceFailure
 from .generic import GenericRing
 from .prelie import int_rows
 
@@ -87,7 +87,7 @@ def star(alg, a, b):
     return circ(alg, a, b) - a - b
 
 
-def to_brace(alg, trials=20, seed=None):
+def to_brace(alg):
     """Extract the graded brace of the group of flows.
 
     Omega is computed once at the generic element a = sum_i x_i e_i,
@@ -95,9 +95,9 @@ def to_brace(alg, trials=20, seed=None):
     coefficient of x^alpha by multinomial(alpha) gives the value of the
     symmetric multilinear map L_|alpha| on (e^alpha; e_j), built once from
     its int over the kernel's denominator (``generic.GenericRing``, the
-    table scaled by (s-2)!).  The result is admitted through
-    ``GradedBrace`` validation, whose random checks take ``trials`` and
-    ``seed``; the star is not evaluated twice.
+    table scaled by (s-2)!).  By the correspondence theorem the flows of
+    a validated algebra of class s form a strongly nilpotent brace of
+    class <= s, so it is returned unvalidated with ``class_bound=s``.
     """
     field, d, s = alg.field, alg.dim, alg.nilpotency_class
     ring = GenericRing(*int_rows(alg), field.characteristic, s, math.factorial(max(s - 2, 0)))
@@ -106,14 +106,11 @@ def to_brace(alg, trials=20, seed=None):
     for j in range(d):
         by_key = {}
         for (m, out), c in ring.series(om, {((), j): 1}, 0, ring.s).items():
-            if not m:
-                raise InternalInconsistency("generic star has a nonzero constant term")
             by_key.setdefault(m, []).append((out, c))
         for m, pairs in by_key.items():
             k = len(m)
             den = ring.degree_den ** k * _multinomial(k, [m.count(i) for i in set(m)])
             values = field.from_ints([c for _, c in pairs], den)
             entries.setdefault(k, {})[(m, j)] = {out: v for (out, _), v in zip(pairs, values)}
-    lambdas = {k: SymmetricMap(field, d, k, e) for k, e in entries.items()}
-    return GradedBrace(field, d, lambdas, class_bound=s,
-                       basis_names=alg.basis_names, trials=trials, seed=seed)
+    return GradedBrace(field, d, entries, class_bound=s,
+                       basis_names=alg.basis_names, validate=False)

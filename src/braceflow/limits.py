@@ -64,10 +64,10 @@ def _first_difference(lam, lam2):
     return next((key for key in keys if lam.table.get(key) != lam2.table.get(key)), None)
 
 
-def roundtrip_prelie(alg, trials=20, seed=None):
+def roundtrip_prelie(alg):
     """PASS (None) iff to_prelie(to_brace(alg)) reproduces the structure
     constants of alg exactly."""
-    back = to_prelie(to_brace(alg, trials=trials, seed=seed))
+    back = to_prelie(to_brace(alg))
     key = _first_difference(back.product, alg.product)
     if key is None:
         return None
@@ -75,10 +75,10 @@ def roundtrip_prelie(alg, trials=20, seed=None):
                      back.product.value(*key) - alg.product.value(*key))
 
 
-def roundtrip_brace(B, trials=20, seed=None):
+def roundtrip_brace(B):
     """PASS (None) iff to_brace(to_prelie(B)) reproduces every graded
     map of B exactly."""
-    back = to_brace(to_prelie(B), trials=trials, seed=seed)
+    back = to_brace(to_prelie(B))
     for k in sorted(set(B.lambdas) | set(back.lambdas)):
         key = _first_difference(B.lambda_map(k), back.lambda_map(k))
         if key is not None:

@@ -148,13 +148,15 @@ def nilpotency_index(alg):
 
     Computes the descending chain D_1 = A, D_i = span of all products
     D_j * D_{i-j} (0 < j < i), i.e. the span of all products of exactly
-    i elements with any bracketing.  Each D_i lies in D_{i-1}, so for a
-    nilpotent algebra the chain reaches zero within d+1 steps; it is
-    built up to D_{d+2} before giving up.  D_j * D_{i-j} is spanned from
-    the support of the product table on ints, as the brace's radical
-    chains are (a span does not change when a generator is scaled), into
-    one echelon per term that stops at the dimension of the term before
-    (``strong_chain``).  No basis is built.
+    i elements with any bracketing.  Each D_i lies in D_{i-1}, but the
+    chain can stall and fall later, so building it up to D_{d+2} is a
+    budget, not a theorem: the unvalidated table e1e1 = e2, e1e2 = e2e2 =
+    e3, e2e3 = e3e3 = e4 has D_9 = 0 (class 9) and gets None.  A sound
+    stop is the stall rule of ROADMAP.md (radical chains).  D_j * D_{i-j}
+    is spanned from the support of the product table on ints, as the
+    brace's radical chains are (a span does not change when a generator
+    is scaled), into one echelon per term that stops at the dimension of
+    the term before (``strong_chain``).  No basis is built.
     """
     return strong_chain(alg.field, alg.dim, map_products(alg.field, [alg.product]),
                         alg.dim + 2)[1]

@@ -170,8 +170,8 @@ def _criterion_9_axiom_suites(field, braces_cache):
     for name, alg in corpus(field).items():
         B = braces_cache(name, field)
         assert check_left_brace(B, trials=20) is None, name
-        assert check_group(B, trials=20) is None, name
-        assert check_fbrace(B, trials=20) is None, name
+        assert check_group(B) is None, name
+        assert check_fbrace(B) is None, name
         from braceflow.limits import to_prelie
         assert check_prelie_identity(to_prelie(B)) is None, name
 

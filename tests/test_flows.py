@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -11,8 +12,9 @@ import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from braceflow import fileio, flows
+from braceflow import brace, fileio, flows, sampling
 from braceflow.bch import verify_flows_bch
+from braceflow.brace import GradedBrace, radical_chains, validation_stages
 from braceflow.corpus import corpus, corpus_dir, f4, n2, zero_algebra
 from braceflow.errors import ConvergenceFailure, PreconditionViolated
 from braceflow.flows import (_omega_fixed_point, circ, exp_L, omega, star,
@@ -398,7 +400,7 @@ def _dense_extraction(alg):
 
 
 def _assert_tables_match_dense_extraction(alg):
-    B = to_brace(alg, trials=0)
+    B = to_brace(alg)
     got = {k: {key: lam.value(*key) for key in lam.table}
            for k, lam in B.lambdas.items()}
     assert got == _dense_extraction(alg), (alg.dim, alg.nilpotency_class)
@@ -470,26 +472,79 @@ def test_to_brace_matches_dense_extraction_on_relabellings(data, bench_generator
     _assert_tables_match_dense_extraction(_generated(g, s, GF(p) if p else Q, sigma, scales))
 
 
-@pytest.mark.parametrize("trials", [0, 3])
-def test_extraction_makes_no_multiply_call(monkeypatch, trials):
-    # the generic product reads the table, and the star is evaluated once:
-    # no PreLieAlgebra.multiply, and no flows star on vectors
+def _reference_structures(generators):
+    """The corpus, v_3..v_6, T_3..T_5 and upper(3..5) as bench/generators.py
+    ``Structure``s (a corpus algebra as its name, dim, class and int
+    entries)."""
+    out = [SimpleNamespace(name=name, dim=alg.dim, nil_class=alg.nilpotency_class,
+                           entries={(1, (i,), j, o): int(c)
+                                    for ((i,), j), pairs in alg.product.table.items()
+                                    for o, c in pairs})
+           for name, alg in corpus(Q).items()]
+    out += [generators.v(n) for n in range(3, 7)]
+    out += [generators.trees(n) for n in range(3, 6)]
+    return out + [generators.upper(m) for m in range(3, 6)]
+
+
+@pytest.mark.parametrize("field_of", ["Q", "smallest prime", "GF(11)"])
+def test_to_brace_output_passes_full_validation(field_of, bench_generators):
+    # to_brace admits its brace by the correspondence theorem and checks
+    # nothing; the full brace validation with 20 random triples is the
+    # reference, run on an unvalidated copy of every brace it returns,
+    # over Q, GF(p) with p the smallest prime above the class and GF(11),
+    # plain and under a seeded relabelling
+    g = bench_generators
+    for s in _reference_structures(g):
+        p = {"Q": 0, "smallest prime": _smallest_prime_above(s.nil_class),
+             "GF(11)": 11}[field_of]
+        field = GF(p) if p else Q
+        for sigma, scales in ((None, None), g.relabelling(s.dim, 5)):
+            alg = _generated(g, s, field, sigma, scales)
+            B = to_brace(alg)
+            assert B.chains is None and B.class_bound == alg.nilpotency_class
+            copy = GradedBrace(field, B.dim, B.lambdas, class_bound=B.class_bound,
+                               basis_names=B.basis_names, validate=False)
+            chain_lines = list(radical_chains(B).lines())
+            assert list(validation_stages(copy, trials=20)) == [
+                "left-brace laws: PASS", "group laws: PASS", "F-linearity: PASS",
+                *chain_lines], (s.name, field)
+            assert copy.chains.strong_index <= alg.nilpotency_class, (s.name, field)
+            assert list(copy.chains.lines()) == chain_lines
+
+
+def _called(watched, thunk):
+    """The names in ``watched`` ({name: function}) called while ``thunk``
+    runs, under any name they are bound to."""
+    codes = {func.__code__: name for name, func in watched.items()}
+    called = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            called.append(codes[frame.f_code])
+
+    sys.setprofile(hook)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return called
+
+
+def test_extraction_makes_no_multiply_call():
+    # the generic product reads the table, the star is evaluated once and
+    # the brace is admitted by the theorem: no PreLieAlgebra.multiply, no
+    # flows star on vectors, no brace check and no random draw
+    watched = {"multiply": PreLieAlgebra.multiply, "omega": flows.omega,
+               "w_map": flows.w_map, "exp_L": flows.exp_L,
+               "check_left_brace": brace.check_left_brace,
+               "check_group": brace.check_group,
+               "radical_chains": brace.radical_chains, "rng_from": sampling.rng_from}
     alg = _v(5, Q)
-    calls = []
-
-    def counted(owner, name):
-        real = getattr(owner, name)
-
-        def call(*args):
-            calls.append(name)
-            return real(*args)
-        monkeypatch.setattr(owner, name, call)
-
-    counted(PreLieAlgebra, "multiply")
-    for name in ("omega", "w_map", "exp_L"):
-        counted(flows, name)
-    to_brace(alg, trials=trials, seed=5)
-    assert calls == []
+    out = []
+    assert _called(watched, lambda: out.append(to_brace(alg))) == []
+    # the watch sees the checks when validation does run
+    assert set(_called(watched, lambda: list(validation_stages(out[0])))) == {
+        "check_left_brace", "check_group", "radical_chains", "rng_from"}
 
 
 @pytest.mark.parametrize("field", [Q, GF(7)])

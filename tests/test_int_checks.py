@@ -161,8 +161,7 @@ def test_left_brace_random_triples_match_field_scalars(int_check_braces):
 def test_fbrace_trials_match_field_scalars(int_check_braces):
     for where, B in int_check_braces:
         for seed in SEEDS:
-            assert check_fbrace(B, trials=8, seed=seed) == _reference_fbrace(B, 8, seed), (
-                where, seed)
+            assert check_fbrace(B) == _reference_fbrace(B, 8, seed), (where, seed)
 
 
 def test_circ_inverse_matches_field_scalars(int_check_braces):
