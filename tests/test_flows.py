@@ -530,7 +530,8 @@ def _called(watched, thunk):
     return called
 
 
-def test_extraction_makes_no_multiply_call():
+@pytest.mark.parametrize("trials", [0, 3])
+def test_extraction_makes_no_multiply_call(trials):
     # the generic product reads the table, the star is evaluated once and
     # the brace is admitted by the theorem: no PreLieAlgebra.multiply, no
     # flows star on vectors, no brace check and no random draw
@@ -542,8 +543,9 @@ def test_extraction_makes_no_multiply_call():
     alg = _v(5, Q)
     out = []
     assert _called(watched, lambda: out.append(to_brace(alg))) == []
-    # the watch sees the checks when validation does run
-    assert set(_called(watched, lambda: list(validation_stages(out[0])))) == {
+    # the watch sees the checks when validation does run, with or without
+    # random triples, and still no multiply or flows star
+    assert set(_called(watched, lambda: list(validation_stages(out[0], trials, 5)))) == {
         "check_left_brace", "check_group", "radical_chains", "rng_from"}
 
 
