@@ -21,19 +21,17 @@ C is this recursion's value.
 
 The identity, a polynomial identity in the coordinates of a and b, is
 proved once at the generic pair on the ints of ``generic.GenericRing``
-(``verify_flows_bch``).
+(``verify_flows_bch``), the whole verdict: no pair of vectors is drawn.
 """
 
 import math
 
 from fractions import Fraction
 
-from . import flows
 from .errors import CharacteristicTooSmall, Violation
 from .generic import GenericRing, _add, _combine
 from .linalg import Vec
 from .prelie import int_rows
-from .sampling import random_vec, rng_from
 
 
 def _bernoulli_over_factorial(top):
@@ -108,29 +106,7 @@ def _generic_difference(alg):
     return _combine(lhs, ring.w_map(c, s), -1, p), ring.degree_den
 
 
-def _vec_c(alg, a, b):
-    """C(a, b) on vectors, with the algebra's commutator."""
-    zero = Vec.zero(alg.field, alg.dim)
-    parts = _bch_parts(alg.nilpotency_class, a, b, alg.lie_bracket,
-                       lambda pairs: sum((x * q for x, q in pairs), zero))
-    return sum(parts, zero)
-
-
-def _sampled_violation(alg, trials, seed):
-    """The first of ``trials`` seeded random pairs (a, b) at which
-    W(a)∘W(b) = W(C(a, b)) fails on vectors, as a Violation, or None."""
-    rng = rng_from(seed)
-    for t in range(trials):
-        a = random_vec(alg.field, alg.dim, rng)
-        b = random_vec(alg.field, alg.dim, rng)
-        lhs = flows.w_map(alg, a) + flows.exp_L(alg, a, flows.w_map(alg, b))
-        rhs = flows.w_map(alg, _vec_c(alg, a, b))
-        if lhs != rhs:
-            return Violation("flows-BCH identity", ("random", t), lhs - rhs)
-    return None
-
-
-def verify_flows_bch(alg, trials=20, seed=None):
+def verify_flows_bch(alg):
     """Exact proof of W(a)∘W(b) = W(C(a,b)) for all a, b: None when it
     holds, else a Violation.  C is the BCH series under the algebra's
     commutator [u, v] = u.v - v.u, by Varadarajan's recursion.
@@ -162,12 +138,9 @@ def verify_flows_bch(alg, trials=20, seed=None):
     12(n + 1), which divides u^2.  So every division is exact, as is
     each division of L_x^k(x) by (k+1)! in W, k <= s-2.
 
-    On failure the ``trials`` seeded random pairs are tried on vectors
-    first, and the first failing pair t is reported at ``("random", t)``
-    with residual lhs - rhs.  Only if none fails is the site
-    ``("generic", monomial)``, the first monomial of the difference in
-    (degree, variables) order, with its coefficient vector as residual.
-    A passing input draws nothing."""
+    A failure is reported at ``("generic", monomial)``, the first
+    monomial of the difference in (degree, variables) order, with its
+    coefficient vector as residual.  Nothing is drawn."""
     s, p = alg.nilpotency_class, alg.field.characteristic
     if p and p <= s:
         raise CharacteristicTooSmall(
@@ -175,9 +148,6 @@ def verify_flows_bch(alg, trials=20, seed=None):
     diff, degree_den = _generic_difference(alg)
     if not diff:
         return None
-    viol = _sampled_violation(alg, trials, seed)
-    if viol is not None:
-        return viol
     m = min((m for m, _ in diff), key=lambda m: (len(m), m))
     residual = alg.field.from_ints([diff.get((m, o), 0) for o in range(alg.dim)],
                                    degree_den ** (len(m) - 1))

@@ -337,7 +337,7 @@ def _left_map(B, u, du):
     return cols
 
 
-def check_left_brace(B, trials=50, seed=None):
+def check_left_brace(B, trials, seed=None):
     """Exact check of the left-brace law on all basis triples plus
     seeded random triples:
 

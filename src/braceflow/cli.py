@@ -127,7 +127,7 @@ def cmd_chains(args):
 
 def cmd_bch(args):
     alg = _load(args, "prelie")
-    viol = bch_mod.verify_flows_bch(alg, trials=args.trials, seed=args.seed)
+    viol = bch_mod.verify_flows_bch(alg)
     if viol is not None:
         return _fail(viol)
     print(f"flows-BCH identity: PASS (class {alg.nilpotency_class}, "

@@ -9,12 +9,25 @@ the brackets must reproduce the series degree by degree, which
 certifies that each homogeneous part is a Lie element.  That
 certificate runs on ints, each bracket word expanded into signed words.
 Every step grows like 2^s in the degree bound s.
+
+``vec_c`` and ``sampled_violation`` are the flows-BCH check on vectors:
+C by the library's recursion under ``alg.lie_bracket``, and the
+identity W(a)∘W(b) = W(C(a, b)) at seeded random pairs through
+``flows.w_map`` and ``flows.exp_L``.  ``bch.verify_flows_bch`` proves
+the identity at the generic pair instead, and is tested against them,
+also on the unvalidated tables of ``random_nilpotent``.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from braceflow.errors import AlgebraError, FieldMismatch, PreconditionViolated
+from braceflow import flows
+from braceflow.bch import _bch_parts
+from braceflow.errors import AlgebraError, FieldMismatch, PreconditionViolated, Violation
 from braceflow.generic import _add
+from braceflow.linalg import Vec
+from braceflow.prelie import PreLieAlgebra
+from braceflow.sampling import random_vec, rng_from
 from braceflow.scalars import Q
 
 
@@ -308,3 +321,41 @@ def generic_dsw_c(ring, terms, d):
     tree = suffix_tree(zip(ints, (t.letters for t in terms)))
     return {key: n // big_m for key, n in
             generic_bracket_sum(ring, tree, {"X": a, "Y": b}, ring.s).items()}
+
+
+def vec_c(alg, a, b):
+    """C(a, b) on vectors, with the algebra's commutator."""
+    zero = Vec.zero(alg.field, alg.dim)
+    parts = _bch_parts(alg.nilpotency_class, a, b, alg.lie_bracket,
+                       lambda pairs: sum((x * q for x, q in pairs), zero))
+    return sum(parts, zero)
+
+
+def sampled_violation(alg, trials, seed):
+    """The first of ``trials`` seeded random pairs (a, b) at which
+    W(a)∘W(b) = W(C(a, b)) fails on vectors, as a Violation at
+    ``("random", t)`` with residual lhs - rhs, or None."""
+    rng = rng_from(seed)
+    for t in range(trials):
+        a = random_vec(alg.field, alg.dim, rng)
+        b = random_vec(alg.field, alg.dim, rng)
+        lhs = flows.w_map(alg, a) + flows.exp_L(alg, a, flows.w_map(alg, b))
+        rhs = flows.w_map(alg, vec_c(alg, a, b))
+        if lhs != rhs:
+            return Violation("flows-BCH identity", ("random", t), lhs - rhs)
+    return None
+
+
+def random_nilpotent(rng, field):
+    """An unvalidated table with e_i e_j in the span of the e_k with
+    k > i + j: weights add, so every product of d + 1 elements is 0."""
+    d = rng.randint(3, 6)
+    table = {}
+    for i in range(d):
+        for j in range(d - i - 1):
+            for k in range(i + j + 1, d):
+                if rng.random() < 0.6:
+                    table.setdefault((i, j), {})[k] = (
+                        rng.randrange(field.characteristic) if field.characteristic
+                        else Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return PreLieAlgebra(field, d, table, validate=False)

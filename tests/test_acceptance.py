@@ -162,7 +162,7 @@ def test_criterion_08_bch():
     assert c == expected
     for name, alg in corpus(Q).items():
         assert alg.nilpotency_class <= 5
-        assert verify_flows_bch(alg, trials=20) is None, name
+        assert verify_flows_bch(alg) is None, name
     report(8, "BCH low degrees match; W(a)∘W(b) = W(C(a,b)) on the corpus")
 
 

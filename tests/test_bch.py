@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 
 from fractions import Fraction
 
@@ -8,10 +9,10 @@ import pytest
 
 from bch_reference import (NotLieElement, TruncatedSeries, bch_series,
                            bracket_sum, dsw_project, expand_bracket_word,
-                           generic_dsw_c, suffix_tree, ts_exp, ts_log)
-from braceflow import bch, flows
-from braceflow.bch import (_generic_difference, _generic_ring, _sampled_violation,
-                           _generic_c, _vec_c, verify_flows_bch)
+                           generic_dsw_c, random_nilpotent, sampled_violation,
+                           suffix_tree, ts_exp, ts_log, vec_c)
+from braceflow import bch, flows, sampling
+from braceflow.bch import _generic_c, _generic_difference, verify_flows_bch
 from braceflow.corpus import corpus, h3, zero_algebra
 from braceflow.errors import CharacteristicTooSmall, PreconditionViolated
 from braceflow.linalg import Vec
@@ -138,20 +139,20 @@ def test_dsw_over_prime_field_is_the_reduction_of_q():
 
 
 def test_flows_bch_zero_algebra():
-    assert verify_flows_bch(zero_algebra(Q, 3), trials=5) is None
+    assert verify_flows_bch(zero_algebra(Q, 3)) is None
 
 
 def test_flows_bch_h3():
-    assert verify_flows_bch(h3(), trials=20) is None
+    assert verify_flows_bch(h3()) is None
 
 
 @pytest.mark.parametrize("name", ["n2", "f4", "v5"])
 def test_flows_bch_corpus(name):
-    assert verify_flows_bch(corpus(Q)[name], trials=10) is None
+    assert verify_flows_bch(corpus(Q)[name]) is None
 
 
 def test_flows_bch_prime_field():
-    assert verify_flows_bch(corpus(GF(7))["v5"], trials=10) is None
+    assert verify_flows_bch(corpus(GF(7))["v5"]) is None
 
 
 def _not_prelie(field):
@@ -161,14 +162,24 @@ def _not_prelie(field):
 
 
 def test_flows_bch_fails_off_the_prelie_identity():
-    # law, site and residual as the per-term bracket sum with the Omega
-    # fixed point reported them
+    # the violation is reported at the first monomial of the difference
+    # (variables 0..d-1 are a's, d..2d-1 b's): x_1^2 y_2.  The left side
+    # has no such term; on the right (e1 e2) e1 = e4 is the one nonzero
+    # product of e1, e1, e2, reached by [a,[a,b]]/12 in C (-1/12) and by
+    # the bracket in C.C/2 of W(C) (1/4)
     alg = _not_prelie(Q)
     assert alg.nilpotency_class == 4
-    viol = verify_flows_bch(alg, trials=20)
+    viol = verify_flows_bch(alg)
+    assert (viol.check, viol.site) == ("flows-BCH identity", ("generic", (0, 0, 5)))
+    assert viol.residual == Vec(Q, (0, 0, 0, Fraction(-1, 6)))
+    viol = verify_flows_bch(_not_prelie(GF(11)))
+    assert (viol.check, viol.site) == ("flows-BCH identity", ("generic", (0, 0, 5)))
+    assert viol.residual == Vec(GF(11), (0, 0, 0, Fraction(-1, 6)))
+    # the vector reference fails there too, at the first seeded pair
+    viol = sampled_violation(alg, 20, None)
     assert (viol.check, viol.site) == ("flows-BCH identity", ("random", 0))
     assert viol.residual == Vec(Q, (0, 0, 0, Fraction(32, 9)))
-    viol = verify_flows_bch(_not_prelie(GF(11)), trials=20, seed=0)
+    viol = sampled_violation(_not_prelie(GF(11)), 20, 0)
     assert (viol.check, viol.site) == ("flows-BCH identity", ("random", 1))
     assert viol.residual == Vec(GF(11), (0, 0, 0, 8))
 
@@ -217,27 +228,25 @@ def test_grouped_bch_matches_per_term_brackets(field, bench_generators):
     assert checked >= 9
 
 
-def test_flows_bch_multiply_count(monkeypatch):
-    # the proof runs on the generic kernel's ints: on a passing algebra
-    # no PreLieAlgebra.multiply, no flows series on vectors, and no draw
-    alg = corpus(Q)["v5"]
-    assert alg.nilpotency_class == 5
+def test_flows_bch_multiply_count():
+    # the proof runs on the generic kernel's ints, passing or failing: no
+    # PreLieAlgebra.multiply, no flows series on vectors, and no draw,
+    # under any name the functions are bound to
+    codes = {f.__code__: f.__name__ for f in (PreLieAlgebra.multiply, flows.w_map,
+                                              flows.exp_L, sampling.rng_from,
+                                              sampling.random_ints)}
     calls = []
 
-    def counted(owner, name):
-        real = getattr(owner, name)
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(codes[frame.f_code])
 
-        def call(*args):
-            calls.append(name)
-            return real(*args)
-        monkeypatch.setattr(owner, name, call)
-
-    counted(PreLieAlgebra, "multiply")
-    for name in ("w_map", "exp_L"):
-        counted(flows, name)
-    for name in ("rng_from", "random_vec"):
-        counted(bch, name)
-    assert verify_flows_bch(alg, trials=20) is None
+    sys.setprofile(hook)
+    try:
+        assert verify_flows_bch(corpus(Q)["v5"]) is None
+        assert verify_flows_bch(_not_prelie(Q)) is not None
+    finally:
+        sys.setprofile(None)
     assert calls == []
 
 
@@ -256,24 +265,9 @@ def test_flows_bch_proof_passes_on_reference_algebras(field, bench_generators):
                 continue
             alg = _as_field(alg, field)
         assert _generic_difference(alg)[0] == {}, name
-        assert verify_flows_bch(alg, trials=0) is None, name
+        assert verify_flows_bch(alg) is None, name
         checked += 1
     assert checked >= 12
-
-
-def _random_nilpotent(rng, field):
-    """An unvalidated table with e_i e_j in the span of the e_k with
-    k > i + j: weights add, so every product of d + 1 elements is 0."""
-    d = rng.randint(3, 6)
-    table = {}
-    for i in range(d):
-        for j in range(d - i - 1):
-            for k in range(i + j + 1, d):
-                if rng.random() < 0.6:
-                    table.setdefault((i, j), {})[k] = (
-                        rng.randrange(field.characteristic) if field.characteristic
-                        else Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-    return PreLieAlgebra(field, d, table, validate=False)
 
 
 @pytest.mark.parametrize("field", [Q, GF(11), GF(13)], ids=str)
@@ -281,9 +275,9 @@ def test_generic_verdict_equals_sampled_verdict(field):
     rng = random.Random(field.characteristic + 5)
     verdicts = set()
     for _ in range(40):
-        alg = _random_nilpotent(rng, field)
-        proved = verify_flows_bch(alg, trials=0) is None
-        assert proved == (_sampled_violation(alg, 20, None) is None)
+        alg = random_nilpotent(rng, field)
+        proved = verify_flows_bch(alg) is None
+        assert proved == (sampled_violation(alg, 20, None) is None)
         verdicts.add(proved)
     assert verdicts == {True, False}
 
@@ -304,29 +298,15 @@ def test_generic_difference_evaluates_to_the_sampled_residual(field):
     # the ints over E^(k-1), at the point of a random pair, are the
     # vector lhs - rhs at that pair: the Q scaling divides exactly
     rng = random.Random(17)
-    for alg in [_not_prelie(field)] + [_random_nilpotent(rng, field) for _ in range(6)]:
+    for alg in [_not_prelie(field)] + [random_nilpotent(rng, field) for _ in range(6)]:
         diff, degree_den = _generic_difference(alg)
         for _ in range(3):
             a, b = random_vec(field, alg.dim, rng), random_vec(field, alg.dim, rng)
-            c = _vec_c(alg, a, b)
+            c = vec_c(alg, a, b)
             want = (flows.w_map(alg, a) + flows.exp_L(alg, a, flows.w_map(alg, b))
                     - flows.w_map(alg, c))
             point = a.entries + b.entries
             assert _at_point(diff, degree_den, field, alg.dim, point) == want
-
-
-def test_flows_bch_generic_site_without_trials():
-    # with no trial to find it, the violation is reported at the first
-    # monomial of the difference (variables 0..d-1 are a's, d..2d-1 b's):
-    # x_1^2 y_2.  The left side has no such term; on the right
-    # (e1 e2) e1 = e4 is the one nonzero product of e1, e1, e2, reached by
-    # [a,[a,b]]/12 in C (-1/12) and by the bracket in C.C/2 of W(C) (1/4)
-    viol = verify_flows_bch(_not_prelie(Q), trials=0)
-    assert (viol.check, viol.site) == ("flows-BCH identity", ("generic", (0, 0, 5)))
-    assert viol.residual == Vec(Q, (0, 0, 0, Fraction(-1, 6)))
-    viol = verify_flows_bch(_not_prelie(GF(11)), trials=0)
-    assert viol.site == ("generic", (0, 0, 5))
-    assert viol.residual == Vec(GF(11), (0, 0, 0, Fraction(-1, 6)))
 
 
 def test_flows_bch_characteristic_at_most_the_class():
@@ -416,7 +396,7 @@ def test_recursion_equals_dsw_at_generic_pair(prime, bench_generators):
 
 @pytest.mark.parametrize("field", [Q, GF(11), GF(13)], ids=str)
 def test_vec_recursion_equals_dsw_on_random_pairs(field, bench_generators):
-    # the failure path's C on vectors is the DSW bracket sum, on
+    # the reference's C on vectors is the DSW bracket sum, on
     # pre-Lie algebras, where the commutator satisfies Jacobi
     rng = random.Random(field.characteristic + 3)
     checked = 0
@@ -430,6 +410,6 @@ def test_vec_recursion_equals_dsw_on_random_pairs(field, bench_generators):
         tree = suffix_tree((t.coefficient, t.letters) for t in _dsw_terms(s, field))
         for _ in range(2):
             a, b = random_vec(field, dim, rng), random_vec(field, dim, rng)
-            assert _vec_c(alg, a, b) == bracket_sum(alg, tree, {"X": a, "Y": b}), name
+            assert vec_c(alg, a, b) == bracket_sum(alg, tree, {"X": a, "Y": b}), name
         checked += 1
     assert checked >= 15

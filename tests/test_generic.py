@@ -1,12 +1,17 @@
 """The int kernel of the generic element (``braceflow.generic``): its
-product against the pairwise product it replaced, and its degree cut."""
+product against the pairwise product it replaced, its degree cut, and
+W(Omega(a)) = a, which ``GenericRing.omega`` does not check itself."""
 
 import math
+import random
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from bch_reference import random_nilpotent
 from braceflow.generic import GenericRing
-from braceflow.prelie import PreLieAlgebra, int_rows
+from braceflow.prelie import PreLieAlgebra, check_prelie_identity, int_rows
 from braceflow.scalars import GF, Q
 
 
@@ -28,6 +33,13 @@ def _pairwise_product(rows, p, cut, x, y):
     return {key: c for key, c in terms.items() if c}
 
 
+def _to_brace_ring(alg):
+    """The generic kernel as ``to_brace`` builds it: table unit (s-2)!."""
+    s = alg.nilpotency_class
+    return GenericRing(*int_rows(alg), alg.field.characteristic, s,
+                       math.factorial(max(s - 2, 0)))
+
+
 @st.composite
 def _ring_and_elements(draw, generators):
     """A seeded relabelling of v_n, T_n or upper(m) over Q or GF(p), its
@@ -41,8 +53,7 @@ def _ring_and_elements(draw, generators):
     for (_, (i,), j, k), val in g.relabel(s.entries, sigma, scales, p).items():
         table.setdefault((i, j), {})[k] = val
     alg = PreLieAlgebra(GF(p) if p else Q, s.dim, table)
-    ring = GenericRing(*int_rows(alg), p, alg.nilpotency_class,
-                       math.factorial(max(alg.nilpotency_class - 2, 0)))
+    ring = _to_brace_ring(alg)
     monomial = st.lists(st.integers(0, s.dim - 1), max_size=s.nil_class).map(
         lambda m: tuple(sorted(m)))
     coeff = st.integers(1, p - 1) if p else st.integers(-50, 50).filter(bool)
@@ -69,3 +80,32 @@ def test_product_emits_no_term_at_or_above_the_cut(data, bench_generators):
         assert all(len(m) < cut for m, _ in got)
         # the cut only drops terms: below it, the full product is kept
         assert got == {key: c for key, c in full.items() if len(key[0]) < cut}
+
+
+def _w_of_omega_is_generic(ring):
+    """W(Omega(a)) = a at the generic element a, below the cut s - 1
+    that ``omega`` computes to."""
+    a = {((i,), i): 1 for i in range(len(ring.rows))}
+    return ring.w_map(ring.omega(len(ring.rows)), ring.s - 1) == a
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(data=st.data())
+def test_w_of_omega_is_the_generic_element(data, bench_generators):
+    ring, _, _ = data.draw(_ring_and_elements(bench_generators))
+    assert _w_of_omega_is_generic(ring)
+
+
+@pytest.mark.parametrize("field", [Q, GF(11), GF(13)], ids=str)
+def test_w_of_omega_off_the_prelie_identity(field):
+    # the fixed point needs only nilpotency: W - id has no term below
+    # degree 2, so it holds on tables that are not pre-Lie as well
+    rng = random.Random(field.characteristic + 23)
+    checked = 0
+    for _ in range(30):
+        alg = random_nilpotent(rng, field)
+        if check_prelie_identity(alg) is None:
+            continue
+        assert _w_of_omega_is_generic(_to_brace_ring(alg)), alg.product.table
+        checked += 1
+    assert checked >= 10
