@@ -162,19 +162,10 @@ def _not_prelie(field):
 
 
 def test_flows_bch_fails_off_the_prelie_identity():
-    # the violation is reported at the first monomial of the difference
-    # (variables 0..d-1 are a's, d..2d-1 b's): x_1^2 y_2.  The left side
-    # has no such term; on the right (e1 e2) e1 = e4 is the one nonzero
-    # product of e1, e1, e2, reached by [a,[a,b]]/12 in C (-1/12) and by
-    # the bracket in C.C/2 of W(C) (1/4)
     alg = _not_prelie(Q)
     assert alg.nilpotency_class == 4
-    viol = verify_flows_bch(alg)
-    assert (viol.check, viol.site) == ("flows-BCH identity", ("generic", (0, 0, 5)))
-    assert viol.residual == Vec(Q, (0, 0, 0, Fraction(-1, 6)))
-    viol = verify_flows_bch(_not_prelie(GF(11)))
-    assert (viol.check, viol.site) == ("flows-BCH identity", ("generic", (0, 0, 5)))
-    assert viol.residual == Vec(GF(11), (0, 0, 0, Fraction(-1, 6)))
+    for field in (Q, GF(11)):
+        assert verify_flows_bch(_not_prelie(field)).check == "flows-BCH identity"
     # the vector reference fails there too, at the first seeded pair
     viol = sampled_violation(alg, 20, None)
     assert (viol.check, viol.site) == ("flows-BCH identity", ("random", 0))
@@ -183,6 +174,19 @@ def test_flows_bch_fails_off_the_prelie_identity():
     assert (viol.check, viol.site) == ("flows-BCH identity", ("random", 1))
     assert viol.residual == Vec(GF(11), (0, 0, 0, 8))
 
+
+def test_flows_bch_generic_site_without_trials():
+    # verify_flows_bch draws no trial: the violation is reported at the
+    # first monomial of the difference (variables 0..d-1 are a's, d..2d-1
+    # b's): x_1^2 y_2.  The left side has no such term; on the right
+    # (e1 e2) e1 = e4 is the one nonzero product of e1, e1, e2, reached by
+    # [a,[a,b]]/12 in C (-1/12) and by the bracket in C.C/2 of W(C) (1/4)
+    viol = verify_flows_bch(_not_prelie(Q))
+    assert (viol.check, viol.site) == ("flows-BCH identity", ("generic", (0, 0, 5)))
+    assert viol.residual == Vec(Q, (0, 0, 0, Fraction(-1, 6)))
+    viol = verify_flows_bch(_not_prelie(GF(11)))
+    assert viol.site == ("generic", (0, 0, 5))
+    assert viol.residual == Vec(GF(11), (0, 0, 0, Fraction(-1, 6)))
 
 def _per_term_bch(alg, terms, a, b):
     """C(a, b) with each BCH term bracketed on its own, left to right."""
