@@ -225,16 +225,18 @@ class GradedBrace:
     and is linear in its right slot, right distributivity, F-linearity
     and the identity 0 hold by construction, and associativity of ∘ on a
     triple is the left-brace law on it.  Unless disabled, construction
-    runs ``validation_stages``: the left-brace law, inverses and strong
-    nilpotency.  ``class_bound`` is either declared (and then checked
-    against the strong nilpotency index) or proven (set to that index);
+    runs ``validation_stages``: reconstruction from L_1, or else the
+    left-brace law, inverses and strong nilpotency.  ``class_bound`` is
+    either declared (and then checked against the strong nilpotency
+    index) or proven (set to that index);
     it is None on an unvalidated brace that declares none.  ``chains`` is
-    the ChainReport that validation proved, None on an unvalidated brace.
+    the ChainReport that validation proved and ``prelie`` the validated
+    pre-Lie algebra of its L_1, both None on an unvalidated brace.
     ``_products`` keeps the chains' ``map_products`` (``_products_of``).
     """
 
     __slots__ = ("field", "dim", "lambdas", "class_bound", "basis_names", "chains",
-                 "_rows", "_products")
+                 "prelie", "_rows", "_products")
 
     def __init__(self, field, dim, lambdas, class_bound=None, basis_names=None,
                  validate=True):
@@ -258,7 +260,7 @@ class GradedBrace:
         if len(self.basis_names) != dim:
             raise DimensionMismatch("basis name count != dim")
         self.class_bound = class_bound
-        self.chains = None
+        self.chains = self.prelie = None
         if validate:
             for _ in validation_stages(self):
                 pass
@@ -449,15 +451,45 @@ def check_fbrace(B):
 
 
 def validation_stages(B, trials=20, seed=None):
-    """Run the checks that admit ``B`` to the correspondence, in order:
-    left-brace law (stage "left-brace laws"), inverses (stage "group
-    laws"; the other brace and group laws hold by the graded form),
-    F-linearity (structural, ``check_fbrace``), radical chains, strong
-    nilpotency, declared ``class_bound`` (set to the strong index when
-    none is declared), characteristic above the strong index.  Yields one
-    line per passed law and chain; raises at the first failure.  Only the
-    left-brace law draws: ``trials`` random triples from ``seed``.  Once
-    every stage has passed, ``B.chains`` holds the chain report."""
+    """Run the checks that admit ``B`` to the correspondence.  Yields one
+    line per passed law and chain; raises at the first failure.  Once
+    every stage has passed, ``B.chains`` holds the chain report and
+    ``B.prelie`` the pre-Lie algebra of L_1.
+
+    First by reconstruction (``_reconstruction``), which draws nothing
+    and can only decide PASS.  A strongly nilpotent F-brace of class
+    s < p is ``to_brace`` of its L_1, and the flows brace of a nilpotent
+    pre-Lie algebra of class s < p is such a brace, of strong index s.
+    So B is admitted when L_1 is a pre-Lie algebra, nilpotent of class
+    s < p (``prelie.validation_stages``, a basis sweep of a bilinear
+    identity), s is at most any declared ``class_bound`` and
+    ``to_brace(L_1)`` has B's tables exactly.  Its lines are the ones
+    ``_checked_stages`` prints on B: the three laws, then the chains,
+    read off L_1's table (``flows.table_chains``).
+
+    On any failure ``_checked_stages`` runs.  If it passes, its random
+    half missed what the reconstruction found, and the reconstruction's
+    reason is raised: L_1's own failure, or the first table key where B
+    and ``to_brace(L_1)`` differ (``table_difference``).
+    """
+    reason = _reconstruction(B)
+    if reason is None:
+        yield from ("left-brace laws: PASS", "group laws: PASS", "F-linearity: PASS")
+        yield from B.chains.lines()
+        return
+    yield from _checked_stages(B, trials, seed)
+    raise reason
+
+
+def _checked_stages(B, trials, seed=None):
+    """Check B law by law, in order: left-brace law (stage "left-brace
+    laws"), inverses (stage "group laws"; the other brace and group laws
+    hold by the graded form), F-linearity (structural, ``check_fbrace``),
+    radical chains, strong nilpotency, declared ``class_bound`` (set to
+    the strong index when none is declared), characteristic above the
+    strong index.  Yields one line per passed law and chain; raises at
+    the first failure.  Only the left-brace law draws: ``trials`` random
+    triples from ``seed``."""
     for name, check in (("left-brace laws", lambda B: check_left_brace(B, trials, seed)),
                         ("group laws", check_group), ("F-linearity", check_fbrace)):
         viol = check(B)
@@ -478,7 +510,49 @@ def validation_stages(B, trials=20, seed=None):
     if p and p <= report.strong_index:
         raise CharacteristicTooSmall(
             f"characteristic {p} must exceed the nilpotency class {report.strong_index}")
-    B.chains = report
+
+
+def _reconstruction(B):
+    """None once B is admitted as the flows brace of its L_1, with
+    ``B.prelie``, ``B.chains`` and (unless declared) ``B.class_bound``
+    set; else the ValidationFailure that says why not.  ``flows`` and
+    ``prelie`` import this module, so they are imported here."""
+    from . import flows, prelie
+    alg = prelie.PreLieAlgebra(B.field, B.dim, B.lambda_map(1),
+                               basis_names=B.basis_names, validate=False)
+    try:
+        for _ in prelie.validation_stages(alg):
+            pass
+    except (ValidationFailure, CharacteristicTooSmall) as exc:
+        return ValidationFailure(str(exc), getattr(exc, "violation", None))
+    s = alg.nilpotency_class
+    if B.class_bound is not None and s > B.class_bound:
+        return ValidationFailure(
+            f"nilpotency class {s} of L_1 exceeds declared class bound {B.class_bound}")
+    viol = table_difference(B, flows.to_brace(alg))
+    if viol is not None:
+        return ValidationFailure(str(viol), viol)
+    if B.class_bound is None:
+        B.class_bound = s
+    B.chains, B.prelie = flows.table_chains(alg), alg
+    return None
+
+
+def first_difference(lam, lam2):
+    """The first key, in sorted order, where two SymmetricMaps differ, or None."""
+    keys = sorted(set(lam.table) | set(lam2.table))
+    return next((key for key in keys if lam.table.get(key) != lam2.table.get(key)), None)
+
+
+def table_difference(B, other):
+    """None iff the braces B and ``other`` have the same graded maps, else
+    a "brace round trip" Violation at (k,) + the first key where their
+    degree-k maps differ, for the least such k."""
+    for k in sorted(set(B.lambdas) | set(other.lambdas)):
+        key = first_difference(B.lambda_map(k), other.lambda_map(k))
+        if key is not None:
+            return Violation("brace round trip", (k,) + key)
+    return None
 
 
 def class_bound_of(B):
@@ -646,7 +720,17 @@ def radical_chains(B):
     chain descends, so each term stops spanning at the dimension of the
     one before (``map_span``, ``strong_chain``), all from one compile of
     the tables (``_products_of``).  The strong chain's cap of 2d+3 terms
-    is a budget, not a theorem (``prelie.nilpotency_index``)."""
+    is a budget, not a theorem (``prelie.nilpotency_index``).  On the
+    flows brace of a nilpotent pre-Lie algebra of class s < p the report
+    is the one read off the algebra's table (``flows.table_chains``)."""
+    terms, strong_index = strong_chain(B.field, B.dim, _products_of(B), 2 * B.dim + 3)
+    return chain_report(B, terms, strong_index)
+
+
+def chain_report(B, terms, strong_index):
+    """The ChainReport of B's left and right chains, computed here, and
+    of the strong chain given as its ``Echelon`` terms and index
+    (``linalg.strong_chain``)."""
     field, d = B.field, B.dim
     full = Subspace.full(field, d)
 
@@ -661,7 +745,5 @@ def radical_chains(B):
 
     left, left_index = one_sided(lambda s: star_subspaces(B, full, s, within=s))
     right, right_index = one_sided(lambda s: star_subspaces(B, s, full, within=s))
-
-    terms, strong_index = strong_chain(field, d, _products_of(B), 2 * d + 3)
     strong = tuple(Subspace.of_echelon(field, d, t) for t in terms)
     return ChainReport(left, right, strong, left_index, right_index, strong_index)

@@ -50,8 +50,9 @@ def _read(args):
     """Read ``args.path`` unvalidated, over ``--field`` when given.
 
     Returns its kind ("prelie" or "brace"), the object, and the lazy
-    generator of that kind's validation stages: braces are checked with
-    the command's ``--trials`` and ``--seed``."""
+    generator of that kind's validation stages: a brace that
+    reconstruction does not admit is checked with the command's
+    ``--trials`` and ``--seed``."""
     obj = fileio.read_file(args.path, validate=False, field=args.field)
     if isinstance(obj, PreLieAlgebra):
         return "prelie", obj, prelie.validation_stages(obj)
@@ -118,7 +119,7 @@ def cmd_roundtrip(args):
 
 def cmd_chains(args):
     obj = _load(args)
-    report = (brace.radical_chains(flows.to_brace(obj)) if isinstance(obj, PreLieAlgebra)
+    report = (flows.table_chains(obj) if isinstance(obj, PreLieAlgebra)
               else obj.chains)  # a brace file's chains were proven while loading
     for line in report.lines():
         print(line)

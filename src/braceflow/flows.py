@@ -26,10 +26,10 @@ per degree, so that 1/k! divides exactly and equality needs no gcd.
 
 import math
 
-from .brace import GradedBrace, _multinomial
+from .brace import GradedBrace, _multinomial, chain_report
 from .errors import ConvergenceFailure
 from .generic import GenericRing
-from .prelie import int_rows
+from .prelie import int_rows, nilpotency_chain
 
 
 def _series(alg, mul, a, b, offset):
@@ -114,3 +114,49 @@ def to_brace(alg):
             entries.setdefault(k, {})[(m, j)] = {out: v for (out, _), v in zip(pairs, values)}
     return GradedBrace(field, d, entries, class_bound=s,
                        basis_names=alg.basis_names, validate=False)
+
+
+def table_chains(alg):
+    """The radical chains of ``to_brace(alg)``, read off alg's table: the
+    ``radical_chains`` of the degree-1 brace with star(a, b) = a.b.
+
+    Proof that the two ChainReports are equal, for alg nilpotent of class
+    s over a field of characteristic p = 0 or p > s.  Write U.V for the
+    span of the products u.v and U*V for the span of the stars star(u, v)
+    of the flows brace, u in U and v in V.  A product of k + 1 elements is
+    zero for k >= s - 1, so star(x, y) = exp_L(Omega(x), y) - y
+    = sum_{k=1}^{s-2} L_{Omega(x)}^k y / k!, and every k! here and in W
+    is a unit, as k < p.
+
+    Lemma.  If U, V are subspaces with U.U ⊆ U and U.V ⊆ V, then
+    U*V = U.V.  Every product of copies of an x in U lies in U: one of
+    m >= 2 factors is u.v, u and v products of fewer copies.  W(x) is x
+    plus a combination of such products, and so is Omega(x), the fixed
+    point of x' <- x - (W(x') - x') started at x; so both lie in U.
+    (⊆) L_{Omega(x)}^{k-1} y lies in V by U.V ⊆ V, so each term of
+    star(x, y) lies in Omega(x).V ⊆ U.V.  (⊇) For x in U, y in V and t in
+    F, W(tx) lies in U and Omega(W(tx)) = tx, so U*V holds
+    star(W(tx), y) = sum_{k=1}^{s-2} t^k c_k with c_k = L_x^k y / k!.
+    The s - 2 nodes t = 1, ..., s - 2 are distinct and nonzero, as
+    s - 2 < p, so the matrix (t^k) is t times a Vandermonde matrix,
+    invertible, and c_1 = x.y is a combination of the values.
+
+    The chains, by induction on the term, the brace's and the table's
+    terms being equal before it:
+    - left, A^{i+1} = A * A^i: U = A, V = A^i.  A.A ⊆ A, and
+      A.A^i = A^{i+1} ⊆ A^i, since A^2 ⊆ A^1 and A^{i+1} ⊆ A^i gives
+      A.A^{i+1} ⊆ A.A^i.
+    - right, A^(i+1) = A^(i) * A: U = A^(i), V = A.  U.V ⊆ A, and
+      U.U ⊆ U.A = A^(i+1) ⊆ U, by the same descent.
+    - strong, D_i = sum_{0<j<i} D_j * D_{i-j}: U = D_j, V = D_{i-j}.
+      D_j.D_j ⊆ D_{2j} ⊆ D_j and D_j.D_{i-j} ⊆ D_i ⊆ D_{i-j}, by the
+      definition and the descent of ``linalg.strong_chain``.
+    ``radical_chains`` builds each term from the spans of the terms
+    before it, and a Subspace is its canonical echelon rows, so the two
+    reports agree term by term, stops and indices included.  The strong
+    chain is the one ``prelie.nilpotency_index`` takes, so its index is s
+    and its terms are the ones validating alg kept (``nilpotency_chain``).
+    """
+    terms = nilpotency_chain(alg)
+    return chain_report(GradedBrace(alg.field, alg.dim, {1: alg.product}, validate=False),
+                        terms, len(terms))

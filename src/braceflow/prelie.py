@@ -24,7 +24,7 @@ class PreLieAlgebra:
     takes as it is; omitted products are zero.
     """
 
-    __slots__ = ("field", "dim", "product", "basis_names", "_class")
+    __slots__ = ("field", "dim", "product", "basis_names", "_chain")
 
     def __init__(self, field, dim, structure, basis_names=None, validate=True):
         self.field = field
@@ -39,7 +39,7 @@ class PreLieAlgebra:
             f"e{i + 1}" for i in range(dim))
         if len(self.basis_names) != dim:
             raise DimensionMismatch("basis name count != dim")
-        self._class = None
+        self._chain = None
         if validate:
             for _ in validation_stages(self):
                 pass
@@ -48,12 +48,7 @@ class PreLieAlgebra:
     def nilpotency_class(self):
         """The class s of a nilpotent algebra; PreconditionViolated on an
         unvalidated algebra that is not nilpotent."""
-        if self._class is None:
-            s = nilpotency_index(self)
-            if s is None:
-                raise PreconditionViolated("algebra is not nilpotent")
-            self._class = s
-        return self._class
+        return len(nilpotency_chain(self))
 
     def basis_vector(self, i):
         return Vec.basis(self.field, self.dim, i)
@@ -86,7 +81,6 @@ def validation_stages(alg):
     s = nilpotency_index(alg)
     if s is None:
         raise ValidationFailure("algebra is not nilpotent")
-    alg._class = s
     yield f"nilpotent: class {s}"
     p = alg.field.characteristic
     if p and p <= s:
@@ -156,7 +150,20 @@ def nilpotency_index(alg):
     is spanned from the support of the product table on ints, as the
     brace's radical chains are (a span does not change when a generator
     is scaled), into one echelon per term that stops at the dimension of
-    the term before (``strong_chain``).  No basis is built.
+    the term before (``strong_chain``).  No basis is built.  The terms
+    of a chain that vanishes are kept on alg (``nilpotency_chain``).
     """
-    return strong_chain(alg.field, alg.dim, map_products(alg.field, [alg.product]),
-                        alg.dim + 2)[1]
+    terms, s = strong_chain(alg.field, alg.dim, map_products(alg.field, [alg.product]),
+                            alg.dim + 2)
+    if s is not None:
+        alg._chain = terms
+    return s
+
+
+def nilpotency_chain(alg):
+    """The terms D_1, ..., D_s = 0 of ``nilpotency_index``'s chain, as
+    ``Echelon`` rows {lead: row}: spanned once and kept on alg.
+    PreconditionViolated if alg is not nilpotent."""
+    if alg._chain is None and nilpotency_index(alg) is None:
+        raise PreconditionViolated("algebra is not nilpotent")
+    return alg._chain

@@ -6,6 +6,7 @@ stages reach the traced checks."""
 
 import importlib
 import importlib.util
+import json
 
 from pathlib import Path
 
@@ -50,11 +51,27 @@ def test_validate_stages_reach_traced_checks(tracing, tmp_path, capsys, braces_q
     assert code == 0
     for name in ("prelie.check_prelie_identity", "prelie.nilpotency_index"):
         assert calls[name] == 1, name
+    # an admitted brace is reconstructed: L_1's checks and one extraction,
+    # and no brace check (its chains are read off L_1's table)
     path = tmp_path / "n2_brace.json"
     fileio.write_file(braces_q["n2"], path)
     code, calls = _traced_calls(tracing, "validate", str(path))
     assert code == 0
+    for name in ("prelie.check_prelie_identity", "prelie.nilpotency_index",
+                 "flows.to_brace"):
+        assert calls[name] == 1, name
+    for name in ("brace.check_left_brace", "brace.check_group",
+                 "brace.check_fbrace", "brace.radical_chains"):
+        assert calls[name] == 0, name
+    # a brace the reconstruction rejects (its L_1 has class 3 > 2) reaches
+    # every brace check, and no extraction
+    doc = json.loads(fileio.dumps(braces_q["n2"]))
+    doc["class_bound"] = 2
+    path.write_text(json.dumps(doc))
+    code, calls = _traced_calls(tracing, "validate", str(path))
+    assert code == 2
     for name in ("brace.check_left_brace", "brace.check_group",
                  "brace.check_fbrace", "brace.radical_chains"):
         assert calls[name] == 1, name
+    assert calls["flows.to_brace"] == 0
     capsys.readouterr()

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braceflow import brace, to_brace
-from braceflow.brace import (GradedBrace, SymmetricMap, check_fbrace,
+from braceflow.brace import (GradedBrace, SymmetricMap, _checked_stages, check_fbrace,
                              check_group, check_left_brace, radical_chains,
                              star_subspaces, validation_stages)
 from braceflow.corpus import corpus
-from braceflow.errors import (ConvergenceFailure, DimensionMismatch, FieldMismatch,
-                              ValidationFailure, Violation)
+from braceflow.errors import (AlgebraError, CharacteristicTooSmall, ConvergenceFailure,
+                              DimensionMismatch, FieldMismatch, ValidationFailure,
+                              Violation)
 from braceflow.linalg import Subspace, Vec, span
 from braceflow.prelie import PreLieAlgebra
 from braceflow.sampling import random_vec, rng_from
@@ -565,6 +566,96 @@ def test_law_stages_match_full_sweep(braces_cache, bench_generators):
     assert outcomes.count(None) >= 21
     assert outcomes.count("left-brace law (a+b+a*b)*c") >= 21
     assert outcomes.count("circ inverse") >= 6
+
+
+def _stages_outcome(stages):
+    """The lines a stage generator yields, and the (type, message,
+    Violation) of the error it ends with, or None."""
+    lines = []
+    try:
+        for line in stages:
+            lines.append(line)
+    except AlgebraError as exc:
+        return lines, (type(exc), str(exc), getattr(exc, "violation", None))
+    return lines, None
+
+
+def _copy(B):
+    return GradedBrace(B.field, B.dim, B.lambdas, class_bound=B.class_bound,
+                       basis_names=B.basis_names, validate=False)
+
+
+def test_validation_outcome_is_the_checked_stages_outcome(braces_cache, bench_generators):
+    # the reconstruction decides only PASS: on the law mutants and the
+    # chain inputs, validation yields and raises exactly what the checked
+    # stages do, and every brace it admits passes them
+    verdicts = []
+    for where, B in (_law_mutants(braces_cache, bench_generators)
+                     + _chain_inputs(braces_cache)):
+        admitted = _copy(B)
+        got = _stages_outcome(validation_stages(admitted, 3, 5))
+        assert got == _stages_outcome(_checked_stages(_copy(B), 3, 5)), where
+        assert (admitted.prelie is None) == (got[1] is not None), where
+        verdicts.append(got[1] is None)
+    assert verdicts.count(True) >= 60 and verdicts.count(False) >= 140
+
+
+def _top_entry_off_by_one():
+    """v5's brace with its first top-degree structure constant plus one."""
+    B = to_brace(corpus(Q)["v5"])
+    top = max(B.lambdas)
+    key = min(B.lambdas[top].table)
+    return _corrupt(B, top, key, B.lambdas[top].table[key][0][0])
+
+
+_RING_GF3 = {1: {((i,), j): {i + j + 1: 1} for i in range(7) for j in range(7) if i + j + 1 < 7}}
+
+
+@pytest.mark.parametrize("trials", [0, 20])
+@pytest.mark.parametrize("make, error, message", [
+    (_top_entry_off_by_one, ValidationFailure,
+     "left-brace law (a+b+a*b)*c violated at (0, 0, 0) residual (0, 0, 0, 6)"),
+    (lambda: GradedBrace(GF(3), 7, _RING_GF3, validate=False), CharacteristicTooSmall,
+     "characteristic 3 must exceed the nilpotency class 8"),
+    (lambda: GradedBrace(Q, 4, to_brace(corpus(Q)["f4"]).lambdas, class_bound=2,
+                         validate=False), ValidationFailure,
+     "strong nilpotency index 4 exceeds declared class bound 2"),
+    (lambda: GradedBrace(Q, 4, {1: {((0,), 1): {2: 1}, ((2,), 0): {3: 1}}}, validate=False),
+     ValidationFailure,
+     "left-brace law (a+b+a*b)*c violated at (0, 1, 0) residual (0, 0, 0, 1)")],
+    ids=["top entry off by one", "p <= s", "class bound exceeded", "L_1 not pre-Lie"])
+def test_rejected_braces_fail_as_the_checked_stages(make, error, message, trials):
+    # each reconstruction failure falls back to the checked stages, which
+    # fail as they did before the reconstruction: same lines, same error
+    got = _stages_outcome(validation_stages(make(), trials))
+    assert got == _stages_outcome(_checked_stages(make(), trials))
+    assert got[1][:2] == (error, message)
+
+
+def _missed_by_the_basis_sweep():
+    """star(a, b) = 6 a_0 a_1 a_2 b_0 e_3, a single degree-3 entry.  The
+    law fails off the basis, but a basis pair has at most two of the
+    coordinates 0, 1, 2.  L_1 = 0, whose flows brace is the trivial one."""
+    return GradedBrace(Q, 4, {3: {((0, 1, 2), 0): {3: 1}}}, validate=False)
+
+
+def test_checks_that_miss_fail_at_the_table_key():
+    # without random triples the checked stages pass this non-brace; the
+    # reconstruction then fails it at the first key where it differs
+    # from to_brace(L_1)
+    lines = ["left-brace laws: PASS", "group laws: PASS", "F-linearity: PASS",
+             "left: 4,1,0 nilpotent index 3", "right: 4,1,0 nilpotent index 3",
+             "strong: 4,1,0 strongly nilpotent index 3"]
+    assert _stages_outcome(_checked_stages(_missed_by_the_basis_sweep(), 0)) == (lines, None)
+    viol = Violation("brace round trip", (3, (0, 1, 2), 0))
+    B = _missed_by_the_basis_sweep()
+    assert _stages_outcome(validation_stages(B, 0)) == (
+        lines, (ValidationFailure, str(viol), viol))
+    assert B.chains is None and B.prelie is None
+    # a random triple finds the law's own violation, as before
+    got = _stages_outcome(validation_stages(_missed_by_the_basis_sweep(), 20))
+    assert got == _stages_outcome(_checked_stages(_missed_by_the_basis_sweep(), 20))
+    assert got[1][2].site == ("random", 0)
 
 
 def _per_triple_left_brace(B, trials, seed):

@@ -85,6 +85,27 @@ def test_validate_without_class_bound(capsys, tmp_path, braces_q):
     assert out.endswith("strong: 4,3,2,0 strongly nilpotent index 4\nVALID\n")
 
 
+def test_validate_fails_at_the_table_key_when_the_checks_miss(capsys, tmp_path):
+    # star(a, b) = 6 a_0 a_1 a_2 b_0 e_4 breaks the law off the basis
+    # only; with --trials 0 the checks pass it, and the reconstruction
+    # fails it where it differs from the flows brace of L_1 = 0
+    doc = {"format_version": 1, "kind": "brace", "field": "Q", "dim": 4,
+           "entries": [[3, [0, 1, 2], 0, 3, "1"]]}
+    path = tmp_path / "miss.json"
+    path.write_text(json.dumps(doc))
+    head = "kind: brace\nfield: Q\ndim: 4\n"
+    assert run(capsys, "validate", str(path), "--trials", "0") == (
+        2, head + "left-brace laws: PASS\ngroup laws: PASS\nF-linearity: PASS\n"
+        "left: 4,1,0 nilpotent index 3\nright: 4,1,0 nilpotent index 3\n"
+        "strong: 4,1,0 strongly nilpotent index 3\n"
+        "FAIL: brace round trip violated at (3, (0, 1, 2), 0)\n", "")
+    assert run(capsys, "validate", str(path)) == (
+        2, head + "FAIL: left-brace law (a+b+a*b)*c violated at ('random', 0) "
+        "residual (0, 0, 0, -34)\n", "")
+    assert run(capsys, "chains", str(path), "--trials", "0") == (
+        2, "FAIL: brace round trip violated at (3, (0, 1, 2), 0)\n", "")
+
+
 def _ring_brace_file(tmp_path, class_bound):
     """The adjoint brace a*b = ab of x Q[x]/(x^8), basis x..x^7: dim 7,
     only a degree-1 part, strong index 8."""
@@ -345,7 +366,9 @@ def test_repeated_runs_byte_identical(capsys, tmp_path, braces_q):
 
 @pytest.mark.parametrize("command", ["to-prelie", "chains", "roundtrip"])
 def test_brace_load_checks_take_trials(capsys, tmp_path, monkeypatch, braces_q, command):
-    path = _brace_file(tmp_path, braces_q["h3"])
+    # an admitted brace draws nothing, whatever --trials says; a brace the
+    # reconstruction rejects (h3's L_1 has class 3 > 2) runs the checks,
+    # which draw --trials random triples
     random_ints, drawn = brace.random_ints, []
 
     def counting_random_ints(*args):
@@ -354,12 +377,12 @@ def test_brace_load_checks_take_trials(capsys, tmp_path, monkeypatch, braces_q, 
 
     monkeypatch.setattr(brace, "random_ints", counting_random_ints)
     out = ["--out", str(tmp_path / "out.json")] if command == "to-prelie" else []
-    code, _, _ = run(capsys, command, path, "--trials", "0", *out)
-    assert code == 0
-    assert drawn == []
-    code, _, _ = run(capsys, command, path, "--trials", "1", *out)
-    assert code == 0
-    assert drawn
+    for class_bound, code in ((3, 0), (2, 2)):
+        path = _brace_file(tmp_path, braces_q["h3"], class_bound=class_bound)
+        assert run(capsys, command, path, "--trials", "0", *out)[0] == code
+        assert drawn == []
+        assert run(capsys, command, path, "--trials", "1", *out)[0] == code
+        assert bool(drawn) == (code == 2)
 
 
 def test_fbrace_is_structural(capsys, tmp_path, monkeypatch, braces_q):
@@ -404,9 +427,12 @@ def _calls(func, thunk):
 @pytest.mark.parametrize("kind", ["prelie", "brace"])
 def test_chains_computes_chains_once(capsys, tmp_path, braces_q, kind):
     path = corpus_file("f4") if kind == "prelie" else _brace_file(tmp_path, braces_q["f4"])
+    # one ChainReport is built (for both kinds it is read off f4's table,
+    # whose strong chain validation kept) and no brace's chains are spanned
     result = []
-    assert _calls(brace.radical_chains,
+    assert _calls(brace.chain_report,
                   lambda: result.append(run(capsys, "chains", path))) == 1
+    assert _calls(brace.radical_chains, lambda: run(capsys, "chains", path)) == 0
     assert result[0][:2] == (0, "left: 4,3,1,0 nilpotent index 4\n"
                                 "right: 4,3,1,0 nilpotent index 4\n"
                                 "strong: 4,3,2,0 strongly nilpotent index 4\n")

@@ -14,11 +14,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from braceflow import brace, fileio, flows, sampling
 from braceflow.bch import verify_flows_bch
-from braceflow.brace import GradedBrace, radical_chains, validation_stages
+from braceflow.brace import GradedBrace, _checked_stages, radical_chains, validation_stages
 from braceflow.corpus import corpus, corpus_dir, f4, n2, zero_algebra
-from braceflow.errors import ConvergenceFailure, PreconditionViolated
+from braceflow.errors import ConvergenceFailure, PreconditionViolated, ValidationFailure
 from braceflow.flows import (_omega_fixed_point, circ, exp_L, omega, star,
-                             to_brace, w_map)
+                             table_chains, to_brace, w_map)
 from braceflow.limits import to_prelie
 from braceflow.linalg import Vec, span
 from braceflow.prelie import PreLieAlgebra
@@ -486,41 +486,81 @@ def _reference_structures(generators):
     return out + [generators.upper(m) for m in range(3, 6)]
 
 
+def _assert_admitted_and_checked(B, where):
+    """Validation admits an unvalidated copy of B by reconstruction, and
+    the checked stages, with 20 random triples, pass on another copy with
+    the same lines; radical_chains of the brace is the ChainReport read
+    off L_1's table."""
+    admitted, checked = (GradedBrace(B.field, B.dim, B.lambdas, class_bound=B.class_bound,
+                                     basis_names=B.basis_names, validate=False)
+                         for _ in range(2))
+    lines = list(validation_stages(admitted, trials=20))
+    assert admitted.prelie is not None, where
+    assert list(_checked_stages(checked, trials=20)) == lines, where
+    assert radical_chains(checked) == admitted.chains, where
+    assert admitted.class_bound == admitted.chains.strong_index, where
+
+
+def _field_of(name, s):
+    p = {"Q": 0, "smallest prime": _smallest_prime_above(s.nil_class), "GF(11)": 11}[name]
+    return GF(p) if p else Q
+
+
 @pytest.mark.parametrize("field_of", ["Q", "smallest prime", "GF(11)"])
 def test_to_brace_output_passes_full_validation(field_of, bench_generators):
     # to_brace admits its brace by the correspondence theorem and checks
-    # nothing; the full brace validation with 20 random triples is the
+    # nothing; the checked stages with 20 random triples are the
     # reference, run on an unvalidated copy of every brace it returns,
     # over Q, GF(p) with p the smallest prime above the class and GF(11),
-    # plain and under a seeded relabelling
+    # plain and under a seeded relabelling of the algebra
     g = bench_generators
     for s in _reference_structures(g):
-        p = {"Q": 0, "smallest prime": _smallest_prime_above(s.nil_class),
-             "GF(11)": 11}[field_of]
-        field = GF(p) if p else Q
+        field = _field_of(field_of, s)
         for sigma, scales in ((None, None), g.relabelling(s.dim, 5)):
             alg = _generated(g, s, field, sigma, scales)
             B = to_brace(alg)
             assert B.chains is None and B.class_bound == alg.nilpotency_class
-            copy = GradedBrace(field, B.dim, B.lambdas, class_bound=B.class_bound,
-                               basis_names=B.basis_names, validate=False)
-            chain_lines = list(radical_chains(B).lines())
-            assert list(validation_stages(copy, trials=20)) == [
-                "left-brace laws: PASS", "group laws: PASS", "F-linearity: PASS",
-                *chain_lines], (s.name, field)
-            assert copy.chains.strong_index <= alg.nilpotency_class, (s.name, field)
-            assert list(copy.chains.lines()) == chain_lines
+            _assert_admitted_and_checked(B, (s.name, field))
+            assert radical_chains(B) == table_chains(alg)
+
+
+@pytest.mark.parametrize("field_of", ["Q", "smallest prime", "GF(11)"])
+def test_admitted_braces_pass_the_checked_stages(field_of, bench_generators):
+    # the reconstruction admits a brace with no brace check and no draw;
+    # the checked stages are the reference on every brace it admits: the
+    # corpus braces and the flows braces of v_3..v_6, T_3..T_5 and
+    # upper(3..5), given as brace tables, plain and under a seeded
+    # relabelling of the brace's own basis, declaring their class or no
+    # bound
+    g = bench_generators
+    for s in _reference_structures(g):
+        field = _field_of(field_of, s)
+        p = field.characteristic
+        flows_brace = to_brace(_generated(g, s, field))
+        entries = {(k, tup, j, o): c.r if p else c for k, lam in flows_brace.lambdas.items()
+                   for (tup, j), pairs in lam.table.items() for o, c in pairs}
+        for seed in (None, 7):
+            table = entries if seed is None else g.relabel(
+                entries, *g.relabelling(s.dim, seed), p)
+            lambdas = {}
+            for (k, tup, j, o), c in table.items():
+                lambdas.setdefault(k, {}).setdefault((tup, j), {})[o] = c
+            for bound in (s.nil_class, None):
+                B = GradedBrace(field, s.dim, lambdas, class_bound=bound, validate=False)
+                _assert_admitted_and_checked(B, (s.name, field, seed, bound))
 
 
 def _called(watched, thunk):
-    """The names in ``watched`` ({name: function}) called while ``thunk``
-    runs, under any name they are bound to."""
+    """(name, first argument) of each call of the functions in ``watched``
+    ({name: function}) while ``thunk`` runs, under any name they are
+    bound to."""
     codes = {func.__code__: name for name, func in watched.items()}
     called = []
 
     def hook(frame, event, arg):
         if event == "call" and frame.f_code in codes:
-            called.append(codes[frame.f_code])
+            called.append((codes[frame.f_code],
+                           frame.f_locals[frame.f_code.co_varnames[0]]))
 
     sys.setprofile(hook)
     try:
@@ -543,10 +583,21 @@ def test_extraction_makes_no_multiply_call(trials):
     alg = _v(5, Q)
     out = []
     assert _called(watched, lambda: out.append(to_brace(alg))) == []
-    # the watch sees the checks when validation does run, with or without
-    # random triples, and still no multiply or flows star
-    assert set(_called(watched, lambda: list(validation_stages(out[0], trials, 5)))) == {
+    B = out[0]
+    # validation admits it by reconstruction, with or without random
+    # triples: no draw and no brace check, and the chains are read off
+    # L_1's table
+    assert _called(watched, lambda: list(validation_stages(B, trials, 5))) == []
+    assert B.chains == table_chains(alg)
+    # the watch sees the checks, on the brace itself, when the
+    # reconstruction rejects it (a declared class bound below the class),
+    # and still no multiply or flows star
+    low = GradedBrace(Q, B.dim, B.lambdas, class_bound=B.class_bound - 1, validate=False)
+    called = _called(watched, lambda: pytest.raises(
+        ValidationFailure, list, validation_stages(low, trials, 5)))
+    assert {name for name, _ in called} == {
         "check_left_brace", "check_group", "radical_chains", "rng_from"}
+    assert all(arg is low for name, arg in called if name != "rng_from")
 
 
 @pytest.mark.parametrize("field", [Q, GF(7)])
