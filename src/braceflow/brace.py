@@ -518,11 +518,8 @@ def _reconstruction(B):
     set; else the ValidationFailure that says why not.  ``flows`` and
     ``prelie`` import this module, so they are imported here."""
     from . import flows, prelie
-    alg = prelie.PreLieAlgebra(B.field, B.dim, B.lambda_map(1),
-                               basis_names=B.basis_names, validate=False)
     try:
-        for _ in prelie.validation_stages(alg):
-            pass
+        alg = prelie.PreLieAlgebra(B.field, B.dim, B.lambda_map(1), basis_names=B.basis_names)
     except (ValidationFailure, CharacteristicTooSmall) as exc:
         return ValidationFailure(str(exc), getattr(exc, "violation", None))
     s = alg.nilpotency_class

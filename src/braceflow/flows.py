@@ -139,7 +139,8 @@ def table_chains(alg):
     star(W(tx), y) = sum_{k=1}^{s-2} t^k c_k with c_k = L_x^k y / k!.
     The s - 2 nodes t = 1, ..., s - 2 are distinct and nonzero, as
     s - 2 < p, so the matrix (t^k) is t times a Vandermonde matrix,
-    invertible, and c_1 = x.y is a combination of the values.
+    invertible, and c_1 = x.y is a combination of the values.  (For
+    s <= 2 every product and every star is 0.)
 
     The chains, by induction on the term, the brace's and the table's
     terms being equal before it:
