@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 
 from .errors import CharacteristicTooSmall, Violation
-from .generic import GenericRing, _add, _combine
+from .generic import GenericRing, _add, _by_coord, _combine
 from .linalg import Vec
 from .prelie import int_rows
 
@@ -87,8 +87,17 @@ def _generic_c(ring, a, b):
                 _add(acc, {key: c * num // den for key, c in x.items()}, 0)
         return acc
 
+    grouped = {}  # id -> (element, its _by_coord): each element is grouped once
+
+    def group(x):
+        hit = grouped.get(id(x))
+        if hit is None:
+            hit = grouped[id(x)] = (x, _by_coord(x))
+        return hit[1]
+
     c = {}
-    for part in _bch_parts(ring.s, a, b, lambda x, y: ring.bracket(x, y, ring.s), combine):
+    for part in _bch_parts(ring.s, a, b, lambda x, y: ring.bracket(x, y, ring.s, group),
+                           combine):
         c.update(part)
     return c
 

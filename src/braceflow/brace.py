@@ -46,9 +46,11 @@ class SymmetricMap:
     residue and den is 1, over Q den is the least common denominator of
     the row coefficients.  Entries whose multinomial is zero in the field
     are dropped.  ``top`` is the largest arity of a row (here ``arity``).
+    ``_spans`` is the table compiled for ``map_products``, once, when
+    first spanned (``_compiled``).
     """
 
-    __slots__ = ("field", "dim", "arity", "table", "_rows")
+    __slots__ = ("field", "dim", "arity", "table", "_rows", "_spans")
 
     def __init__(self, field, dim, arity, entries=()):
         self.field = field
@@ -87,6 +89,7 @@ class SymmetricMap:
         ints = iter(ints)
         self._rows = (tuple((tup, j, tuple((k, next(ints)) for k, _ in out))
                             for tup, j, out in kept), den, arity)
+        self._spans = None
 
     def is_zero(self):
         return not self.table
@@ -232,11 +235,10 @@ class GradedBrace:
     it is None on an unvalidated brace that declares none.  ``chains`` is
     the ChainReport that validation proved and ``prelie`` the validated
     pre-Lie algebra of its L_1, both None on an unvalidated brace.
-    ``_products`` keeps the chains' ``map_products`` (``_products_of``).
     """
 
     __slots__ = ("field", "dim", "lambdas", "class_bound", "basis_names", "chains",
-                 "prelie", "_rows", "_products")
+                 "prelie", "_rows")
 
     def __init__(self, field, dim, lambdas, class_bound=None, basis_names=None,
                  validate=True):
@@ -254,7 +256,6 @@ class GradedBrace:
                 clean[k] = lam
         self.lambdas = clean
         self._rows = _merge_rows(clean.values())
-        self._products = None
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             f"e{i + 1}" for i in range(dim))
         if len(self.basis_names) != dim:
@@ -463,14 +464,16 @@ def validation_stages(B, trials=20, seed=None):
     So B is admitted when L_1 is a pre-Lie algebra, nilpotent of class
     s < p (``prelie.validation_stages``, a basis sweep of a bilinear
     identity), s is at most any declared ``class_bound`` and
-    ``to_brace(L_1)`` has B's tables exactly.  Its lines are the ones
+    ``to_brace(L_1)`` has B's tables exactly, compared on ints with no
+    brace built (``flows.is_flows_brace``).  Its lines are the ones
     ``_checked_stages`` prints on B: the three laws, then the chains,
     read off L_1's table (``flows.table_chains``).
 
     On any failure ``_checked_stages`` runs.  If it passes, its random
     half missed what the reconstruction found, and the reconstruction's
     reason is raised: L_1's own failure, or the first table key where B
-    and ``to_brace(L_1)`` differ (``table_difference``).
+    and ``to_brace(L_1)`` differ (``table_difference``; only then is
+    ``to_brace(L_1)`` built).
     """
     reason = _reconstruction(B)
     if reason is None:
@@ -478,7 +481,7 @@ def validation_stages(B, trials=20, seed=None):
         yield from B.chains.lines()
         return
     yield from _checked_stages(B, trials, seed)
-    raise reason
+    raise reason()
 
 
 def _checked_stages(B, trials, seed=None):
@@ -515,20 +518,28 @@ def _checked_stages(B, trials, seed=None):
 def _reconstruction(B):
     """None once B is admitted as the flows brace of its L_1, with
     ``B.prelie``, ``B.chains`` and (unless declared) ``B.class_bound``
-    set; else the ValidationFailure that says why not.  ``flows`` and
-    ``prelie`` import this module, so they are imported here."""
+    set; else a function that returns the ValidationFailure saying why
+    not.  The tables are compared on ints (``flows.is_flows_brace``),
+    stopping at the first coordinate where they differ; only that
+    function builds ``to_brace(L_1)``, to name the first differing table
+    key.  ``flows`` and ``prelie`` import this module, so they are
+    imported here."""
     from . import flows, prelie
     try:
         alg = prelie.PreLieAlgebra(B.field, B.dim, B.lambda_map(1), basis_names=B.basis_names)
     except (ValidationFailure, CharacteristicTooSmall) as exc:
-        return ValidationFailure(str(exc), getattr(exc, "violation", None))
+        failure = ValidationFailure(str(exc), getattr(exc, "violation", None))
+        return lambda: failure
     s = alg.nilpotency_class
     if B.class_bound is not None and s > B.class_bound:
-        return ValidationFailure(
+        failure = ValidationFailure(
             f"nilpotency class {s} of L_1 exceeds declared class bound {B.class_bound}")
-    viol = table_difference(B, flows.to_brace(alg))
-    if viol is not None:
-        return ValidationFailure(str(viol), viol)
+        return lambda: failure
+    if not flows.is_flows_brace(B, alg):
+        def failure():
+            viol = table_difference(B, flows.to_brace(alg))
+            return ValidationFailure(str(viol), viol)
+        return failure
     if B.class_bound is None:
         B.class_bound = s
     B.chains, B.prelie = flows.table_chains(alg), alg
@@ -572,14 +583,7 @@ def star_subspaces(B, left, right, within=None):
     multisets {u_1, ..., u_k} of left basis vectors and y in the right
     basis, which ``map_span`` computes from the table's support.
     """
-    return map_span(_products_of(B), left, right, within)
-
-
-def _products_of(B):
-    """B's ``map_products``, compiled once and kept on B."""
-    if B._products is None:
-        B._products = map_products(B.field, B.lambdas.values())
-    return B._products
+    return map_span(map_products(B.field, B.lambdas.values()), left, right, within)
 
 
 def map_span(products, left, right, within=None):
@@ -608,18 +612,35 @@ def map_products(field, maps):
     subspaces with echelon rows ``lefts`` and ``rights``
     (``Subspace.rows``); with ``fresh``, only of the left multisets with
     a slot among the first ``fresh`` lefts (``linalg.strong_chain``).
-    Each map's table is scaled to ints on its own (``to_ints``).
 
-    The symmetric product of the u_i is built one slot at a time as a
-    sparse map from sorted index tuples to int coefficients, and a
-    partial tuple that is no sub-multiset of a table key is pruned with
-    everything that extends it.  The products are then contracted with
-    the table by left tuple.
+    Each map's table is compiled once and kept on the map
+    (``_compiled``), and its arity selects the path.  A table of arity 1
+    (a pre-Lie product, L_1) has one left slot, so each left row u is a
+    multiset of its own, and ``_degree_one`` takes no multiset stack.  A
+    table of arity k > 1 goes through the multisets of k lefts
+    (``_multisets``).
     """
     p = field.characteristic
-    tables = []
-    for lam in maps:
-        ints, _ = field.to_ints([c for pairs in lam.table.values() for _, c in pairs])
+    tables = [(lam.arity, _compiled(lam)) for lam in maps]
+
+    def products(lefts, rights, fresh=None):
+        lefts = [tuple(u.items()) for u in lefts]
+        firsts = len(lefts) if fresh is None else fresh
+        for k, table in tables:
+            if k == 1:
+                yield from _degree_one(table[0], lefts[:firsts], rights)
+            else:
+                yield from _multisets(k, table, lefts, firsts, rights, p)
+    return products
+
+
+def _compiled(lam):
+    """(by_left, live) of a SymmetricMap, built once and kept on lam: its
+    table scaled to ints on its own (``to_ints``; a span is unchanged when
+    one generator is scaled) as {tup: [(j, [(out, n), ...]), ...]}, and
+    the sub-multisets of its left tuples."""
+    if lam._spans is None:
+        ints, _ = lam.field.to_ints([c for pairs in lam.table.values() for _, c in pairs])
         ints = iter(ints)
         by_left = {}
         for (tup, j), pairs in lam.table.items():
@@ -627,29 +648,60 @@ def map_products(field, maps):
         # sub-tuples of a sorted tuple are sorted: these are the sub-multisets
         live = {sub for tup in by_left for m in range(lam.arity + 1)
                 for sub in itertools.combinations(tup, m)}
-        tables.append((lam.arity, by_left, live))
+        lam._spans = by_left, live
+    return lam._spans
 
-    def products(lefts, rights, fresh=None):
-        lefts = [tuple(u.items()) for u in lefts]
-        firsts = len(lefts) if fresh is None else fresh
-        for k, by_left, live in tables:
-            stack = [(0, 0, {(): 1})]  # (first slot, slots filled, product)
-            while stack:
-                first, filled, poly = stack.pop()
-                if filled == k:
-                    yield from _contract(poly, by_left, rights)
-                    continue
-                for s in range(first, len(lefts) if filled else firsts):
-                    nxt = {}
-                    for t, c in poly.items():
-                        for i, x in lefts[s]:
-                            u = tuple(sorted(t + (i,)))
-                            if u in live:
-                                nxt[u] = nxt.get(u, 0) + c * x
-                    nxt = nonzero(nxt, p)
-                    if nxt:
-                        stack.append((s, filled + 1, nxt))
-    return products
+
+def _degree_one(by_left, lefts, rights):
+    """The int rows u.y of an arity-1 table (``_compiled``) for the left
+    rows u (item tuples) and the right rows y: the column map
+    j -> u.e_j of each u is built once, and each y is sent through it by
+    its nonzero entries."""
+    for u in lefts:
+        cols = {}
+        for i, x in u:
+            for j, out in by_left.get((i,), ()):
+                col = cols.setdefault(j, {})
+                for o, n in out:
+                    col[o] = col.get(o, 0) + x * n
+        if not cols:
+            continue
+        for y in rights:
+            g = {}
+            for j, w in y.items():
+                col = cols.get(j)
+                if col is not None:
+                    for o, v in col.items():
+                        g[o] = g.get(o, 0) + w * v
+            if g:
+                yield g
+
+
+def _multisets(k, table, lefts, firsts, rights, p):
+    """The int rows of an arity-k table (``_compiled``) on the multisets
+    of k ``lefts`` (item tuples) with a slot among the first ``firsts``,
+    and the right rows.  The symmetric product of the u_i is built one
+    slot at a time as a sparse map from sorted index tuples to int
+    coefficients, and a partial tuple that is no sub-multiset of a table
+    key is pruned with everything that extends it.  The products are
+    then contracted with the table by left tuple."""
+    by_left, live = table
+    stack = [(0, 0, {(): 1})]  # (first slot, slots filled, product)
+    while stack:
+        first, filled, poly = stack.pop()
+        if filled == k:
+            yield from _contract(poly, by_left, rights)
+            continue
+        for s in range(first, len(lefts) if filled else firsts):
+            nxt = {}
+            for t, c in poly.items():
+                for i, x in lefts[s]:
+                    u = tuple(sorted(t + (i,)))
+                    if u in live:
+                        nxt[u] = nxt.get(u, 0) + c * x
+            nxt = nonzero(nxt, p)
+            if nxt:
+                stack.append((s, filled + 1, nxt))
 
 
 def _contract(poly, by_left, rights):
@@ -716,11 +768,12 @@ def radical_chains(B):
     A^[j] * A^[i-j], until each vanishes or provably stabilizes.  Each
     chain descends, so each term stops spanning at the dimension of the
     one before (``map_span``, ``strong_chain``), all from one compile of
-    the tables (``_products_of``).  The strong chain's cap of 2d+3 terms
+    each table (``map_products``).  The strong chain's cap of 2d+3 terms
     is a budget, not a theorem (``prelie.nilpotency_index``).  On the
     flows brace of a nilpotent pre-Lie algebra of class s < p the report
     is the one read off the algebra's table (``flows.table_chains``)."""
-    terms, strong_index = strong_chain(B.field, B.dim, _products_of(B), 2 * B.dim + 3)
+    terms, strong_index = strong_chain(B.field, B.dim,
+                                       map_products(B.field, B.lambdas.values()), 2 * B.dim + 3)
     return chain_report(B, terms, strong_index)
 
 

@@ -28,7 +28,7 @@ import math
 
 from .brace import GradedBrace, _multinomial, chain_report
 from .errors import ConvergenceFailure
-from .generic import GenericRing
+from .generic import GenericRing, _by_coord
 from .prelie import int_rows, nilpotency_chain
 
 
@@ -87,33 +87,72 @@ def star(alg, a, b):
     return circ(alg, a, b) - a - b
 
 
+def _generic_stars(alg):
+    """(E, stars): the generic kernel's ``degree_den`` E, and lazily for
+    each j the int terms {(m, out): c} of star(a, e_j) at the generic
+    element a = sum_i x_i e_i, where c / E^k is multinomial(m)
+    L_k(e^m; e_j)_out, k = len(m) <= s - 2.  Omega is computed and
+    grouped by coordinate once, on the table scaled by (s-2)!
+    (``generic.GenericRing``)."""
+    s = alg.nilpotency_class
+    ring = GenericRing(*int_rows(alg), alg.field.characteristic, s,
+                       math.factorial(max(s - 2, 0)))
+    om = _by_coord(ring.omega(alg.dim))
+    return ring.degree_den, (ring.series(om, {((), j): 1}, 0, s) for j in range(alg.dim))
+
+
 def to_brace(alg):
     """Extract the graded brace of the group of flows.
 
     Omega is computed once at the generic element a = sum_i x_i e_i,
-    then a*e_j = exp_L(Omega(a), e_j) - e_j for each j; dividing the
-    coefficient of x^alpha by multinomial(alpha) gives the value of the
-    symmetric multilinear map L_|alpha| on (e^alpha; e_j), built once from
-    its int over the kernel's denominator (``generic.GenericRing``, the
-    table scaled by (s-2)!).  By the correspondence theorem the flows of
+    then a*e_j = exp_L(Omega(a), e_j) - e_j for each j
+    (``_generic_stars``); dividing the coefficient of x^alpha by
+    multinomial(alpha) gives the value of the symmetric multilinear map
+    L_|alpha| on (e^alpha; e_j), built once from its int over the
+    kernel's denominator.  By the correspondence theorem the flows of
     a validated algebra of class s form a strongly nilpotent brace of
     class <= s, so it is returned unvalidated with ``class_bound=s``.
     """
-    field, d, s = alg.field, alg.dim, alg.nilpotency_class
-    ring = GenericRing(*int_rows(alg), field.characteristic, s, math.factorial(max(s - 2, 0)))
-    om = ring.omega(d)
+    field, d = alg.field, alg.dim
+    E, stars = _generic_stars(alg)
     entries = {}
-    for j in range(d):
+    for j, terms in enumerate(stars):
         by_key = {}
-        for (m, out), c in ring.series(om, {((), j): 1}, 0, ring.s).items():
+        for (m, out), c in terms.items():
             by_key.setdefault(m, []).append((out, c))
         for m, pairs in by_key.items():
             k = len(m)
-            den = ring.degree_den ** k * _multinomial(k, [m.count(i) for i in set(m)])
+            den = E ** k * _multinomial(k, [m.count(i) for i in set(m)])
             values = field.from_ints([c for _, c in pairs], den)
             entries.setdefault(k, {})[(m, j)] = {out: v for (out, _), v in zip(pairs, values)}
-    return GradedBrace(field, d, entries, class_bound=s,
+    return GradedBrace(field, d, entries, class_bound=alg.nilpotency_class,
                        basis_names=alg.basis_names, validate=False)
+
+
+def is_flows_brace(B, alg):
+    """Whether ``brace.table_difference(B, to_brace(alg))`` is None,
+    decided on ints, with no scalar or brace built, and stopping at the
+    first j whose terms differ.  B's compiled rows (``B._rows``) hold
+    multinomial(m) L_k(e^m; e_j)_out as n / den and ``_generic_stars`` as
+    c / E^k, so the maps agree iff c * den = n * E^k (over GF(p),
+    den = E = 1 and these are residues).  to_brace(alg) has no degree
+    above s - 2; that is checked on B's maps, since the rows drop an
+    entry whose multinomial is 0 mod p (only at a degree k >= p > s)."""
+    s = alg.nilpotency_class
+    if any(k > s - 2 for k in B.lambdas):
+        return False
+    rows, den, _ = B._rows
+    E, stars = _generic_stars(alg)
+    want = [{} for _ in range(B.dim)]
+    for tup, j, out in rows:
+        scale = E ** len(tup)
+        for o, n in out:
+            want[j][(tup, o)] = n * scale
+    for j, terms in enumerate(stars):
+        wj = want[j]
+        if len(terms) != len(wj) or any(wj.get(key) != c * den for key, c in terms.items()):
+            return False
+    return True
 
 
 def table_chains(alg):

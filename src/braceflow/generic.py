@@ -5,6 +5,10 @@ its product (``prelie.int_rows``).  An element is a dict
 {(monomial, coord): c} of nonzero ints: a monomial is a sorted tuple of
 variable indices, coord a basis index of A.  Products of degree >= s
 are zero in A, so every cut here is at most s and loses nothing there.
+A product x.y reads the table by right index and x grouped by
+coordinate (``_by_coord``), so a caller groups a left factor it reuses
+once: a series its fixed left factor, the extraction Omega for every
+e_j, and the flows-BCH recursion each of its elements.
 
 Coefficients are ints.  Over GF(p) they are residues.  Over Q, with den
 the table's common denominator, ``unit`` the table factor the caller
@@ -28,38 +32,40 @@ class GenericRing:
     """The product of A on elements of A ⊗ F[x]/(deg >= cut), the
     nilpotency class s and the characteristic p of A's field.
 
-    ``rows[i][j]`` holds e_i.e_j as (out, n) pairs with n / den its
+    ``cols[j][i]`` holds e_i.e_j as (out, n) pairs with n / den its
     coordinates (times ``unit`` over Q; ``unit`` is unused over GF(p));
     ``degree_den`` is E over Q and 1 over GF(p)."""
 
-    __slots__ = ("rows", "p", "s", "degree_den")
+    __slots__ = ("cols", "p", "s", "degree_den")
 
     def __init__(self, rows, den, p, s, unit):
         unit = 1 if p else unit
-        self.rows = [{j: tuple((o, n * unit) for o, n in pairs) for j, pairs in row.items()}
-                     for row in rows]
+        self.cols = [{} for _ in rows]
+        for i, row in enumerate(rows):
+            for j, pairs in row.items():
+                self.cols[j][i] = tuple((o, n * unit) for o, n in pairs)
         self.p, self.s = p, s
         self.degree_den = 1 if p else den * unit
 
-    def product(self, x, y, cut):
-        """x.y with every term of degree >= cut dropped.
+    def product(self, xs, y, cut):
+        """x.y with every term of degree >= cut dropped, for x grouped by
+        coordinate (``_by_coord``).
 
-        y's terms are grouped by coordinate, in degree order, and for each
-        term of x at coordinate i only the j with e_i.e_j nonzero and a
-        term of y are visited; the terms at j stop at the cut."""
-        rows, p = self.rows, self.p
-        ys = _by_coord(y)
+        For each term of y at coordinate j only the i with e_i.e_j nonzero
+        and a term of x are visited (``cols``); x's terms at i come in
+        degree order and stop at the cut."""
+        cols, p = self.cols, self.p
         terms = {}
-        for (mx, i), cx in x.items():
-            row = rows[i]
-            room = cut - len(mx)
-            for j in (row if len(row) < len(ys) else ys):
-                pairs = row.get(j)
-                yj = ys.get(j)
-                if pairs is None or yj is None:
+        for (my, j), cy in y.items():
+            col = cols[j]
+            room = cut - len(my)
+            for i in (col if len(col) < len(xs) else xs):
+                pairs = col.get(i)
+                xi = xs.get(i)
+                if pairs is None or xi is None:
                     continue
-                for dy, my, cy in yj:
-                    if dy >= room:
+                for dx, mx, cx in xi:
+                    if dx >= room:
                         break
                     m = tuple(sorted(mx + my))
                     c = cx * cy
@@ -70,25 +76,28 @@ class GenericRing:
             return {key: c % p for key, c in terms.items() if c % p}
         return {key: c for key, c in terms.items() if c}
 
-    def bracket(self, x, y, cut):
+    def bracket(self, x, y, cut, group):
         """[x, y] = x.y - y.x, cut at ``cut``; both factors are left
-        factors, so both must have w = 1."""
-        return _combine(self.product(x, y, cut), self.product(y, x, cut), -1, self.p)
+        factors, so both must have w = 1.  ``group(v)`` is ``_by_coord(v)``,
+        which a caller that brackets one element many times can keep."""
+        return _combine(self.product(group(x), y, cut), self.product(group(y), x, cut),
+                        -1, self.p)
 
     def w_map(self, x, cut):
         """W(x) = x + series(x, x, 1), cut at ``cut``."""
-        return _combine(x, self.series(x, x, 1, cut), 1, self.p)
+        return _combine(x, self.series(_by_coord(x), x, 1, cut), 1, self.p)
 
     def exp_l(self, a, y, cut):
         """exp_L(a, y) = y + series(a, y, 0), cut at ``cut``."""
-        return _combine(y, self.series(a, y, 0, cut), 1, self.p)
+        return _combine(y, self.series(_by_coord(a), y, 0, cut), 1, self.p)
 
-    def series(self, a, b, offset, cut):
-        """sum_{k>=1} L_a^k(b) / (k + offset)!, cut at ``cut``."""
+    def series(self, xs, b, offset, cut):
+        """sum_{k>=1} L_a^k(b) / (k + offset)!, cut at ``cut``, for the
+        fixed left factor a grouped by coordinate (``_by_coord``) once."""
         p, acc, cur = self.p, {}, b
         f = math.factorial(offset)
         for k in range(1, self.s):
-            cur = self.product(a, cur, cut)
+            cur = self.product(xs, cur, cut)
             if not cur:
                 break
             f *= k + offset
@@ -113,7 +122,7 @@ class GenericRing:
         a = {((i,), i): 1 for i in range(d)}
         x = a
         for cut in range(3, self.s):
-            x = _combine(a, self.series(x, x, 1, cut), -1, self.p)
+            x = _combine(a, self.series(_by_coord(x), x, 1, cut), -1, self.p)
         return x
 
 

@@ -168,11 +168,24 @@ def nonzero(row, p):
 
 
 def _eliminate(row, piv, c, p):
-    """a * row - b * piv with b / a = row[c] / piv[c] in lowest terms: the
-    int row ``row`` with its column c cleared by ``piv``."""
+    """Clear column c of the int row ``row`` by ``piv``, in place: row
+    becomes a * row - b * piv with b / a = row[c] / piv[c] in lowest
+    terms, reduced mod p over GF(p), without its zero entries.  Over
+    GF(p) a pivot's lead is 1, so a = 1."""
     g = math.gcd(piv[c], row[c])
     a, b = piv[c] // g, row[c] // g
-    return nonzero({o: a * row.get(o, 0) - b * piv.get(o, 0) for o in row.keys() | piv.keys()}, p)
+    if a != 1:
+        for o in row:
+            row[o] *= a
+    for o, n in piv.items():
+        v = row.get(o, 0) - b * n
+        if p:
+            v %= p
+        if v:
+            row[o] = v
+        else:
+            del row[o]
+    return row
 
 
 def _normalized(row, p):
@@ -210,15 +223,15 @@ class Echelon:
         if len(ech) >= self.cap:
             return True
         for row in rows:
-            row = nonzero(row, p)
+            row = nonzero(row, p)  # a copy, eliminated in place
             for c in [c for c in row if c in ech]:
-                row = _eliminate(row, ech[c], c, p)
+                _eliminate(row, ech[c], c, p)
             if row:
                 row = _normalized(row, p)
                 lead = min(row)
                 for c, q in ech.items():
                     if lead in q:
-                        ech[c] = _normalized(_eliminate(q, row, lead, p), p)
+                        ech[c] = _normalized(_eliminate(dict(q), row, lead, p), p)
                 ech[lead] = row
                 if len(ech) >= self.cap:
                     return True

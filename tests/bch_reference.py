@@ -24,7 +24,7 @@ from fractions import Fraction
 from braceflow import flows
 from braceflow.bch import _bch_parts
 from braceflow.errors import AlgebraError, FieldMismatch, PreconditionViolated, Violation
-from braceflow.generic import _add
+from braceflow.generic import _add, _by_coord
 from braceflow.linalg import Vec
 from braceflow.prelie import PreLieAlgebra
 from braceflow.sampling import random_vec, rng_from
@@ -303,7 +303,7 @@ def generic_bracket_sum(ring, node, gens, cut):
     if cut > 2:
         for letter, child in children.items():
             u = generic_bracket_sum(ring, child, gens, cut - 1)
-            _add(acc, ring.bracket(u, gens[letter], cut), ring.p)
+            _add(acc, ring.bracket(u, gens[letter], cut, _by_coord), ring.p)
     return acc
 
 

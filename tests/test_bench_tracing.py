@@ -8,11 +8,12 @@ import importlib
 import importlib.util
 import json
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from braceflow import fileio
+from braceflow import fileio, flows
 from braceflow.cli import main
 from braceflow.corpus import corpus_path
 
@@ -46,21 +47,26 @@ def _traced_calls(tracing, *argv):
     return code, {name: calls for name, (calls, _) in per_name.items()}
 
 
+def _brace_file(path, B):
+    fileio.write_file(B, path)
+    return str(path)
+
+
 def test_validate_stages_reach_traced_checks(tracing, tmp_path, capsys, braces_q):
     code, calls = _traced_calls(tracing, "validate", str(corpus_path("h3")))
     assert code == 0
     for name in ("prelie.check_prelie_identity", "prelie.nilpotency_index"):
         assert calls[name] == 1, name
-    # an admitted brace is reconstructed: L_1's checks and one extraction,
-    # and no brace check (its chains are read off L_1's table)
+    # an admitted brace is reconstructed: L_1's checks and a comparison of
+    # the tables on ints, with no extraction and no brace check (its
+    # chains are read off L_1's table)
     path = tmp_path / "n2_brace.json"
     fileio.write_file(braces_q["n2"], path)
     code, calls = _traced_calls(tracing, "validate", str(path))
     assert code == 0
-    for name in ("prelie.check_prelie_identity", "prelie.nilpotency_index",
-                 "flows.to_brace"):
+    for name in ("prelie.check_prelie_identity", "prelie.nilpotency_index"):
         assert calls[name] == 1, name
-    for name in ("brace.check_left_brace", "brace.check_group",
+    for name in ("flows.to_brace", "brace.check_left_brace", "brace.check_group",
                  "brace.check_fbrace", "brace.radical_chains"):
         assert calls[name] == 0, name
     # a brace the reconstruction rejects (its L_1 has class 3 > 2) reaches
@@ -74,4 +80,34 @@ def test_validate_stages_reach_traced_checks(tracing, tmp_path, capsys, braces_q
                  "brace.check_fbrace", "brace.radical_chains"):
         assert calls[name] == 1, name
     assert calls["flows.to_brace"] == 0
+    # a table that differs from to_brace(L_1) (v5's first top-degree
+    # entry plus one) is rejected on ints; the checks then fail it at the
+    # left-brace law, so no extraction names the differing key
+    doc = json.loads(fileio.dumps(braces_q["v5"]))
+    top = max(entry[0] for entry in doc["entries"])
+    entry = next(e for e in doc["entries"] if e[0] == top)
+    entry[-1] = str(Fraction(entry[-1]) + 1)
+    path.write_text(json.dumps(doc))
+    code, calls = _traced_calls(tracing, "validate", str(path))
+    assert code == 2
+    assert calls["brace.check_left_brace"] == 1
+    assert calls["flows.to_brace"] == 0
     capsys.readouterr()
+
+
+def test_roundtrip_of_an_admitted_brace_extracts_nothing(tracing, tmp_path, capsys, braces_q,
+                                                         monkeypatch):
+    # admission compared the brace with to_brace(L_1) already, so the
+    # brace round trip evaluates the generic kernel once, for admission,
+    # and builds no flows brace
+    real, kernel = flows._generic_stars, []
+    monkeypatch.setattr(flows, "_generic_stars", lambda alg: kernel.append(alg) or real(alg))
+    for name in ("f4", "v5"):
+        path = _brace_file(tmp_path / f"{name}.json", braces_q[name])
+        kernel.clear()
+        code, calls = _traced_calls(tracing, "roundtrip", path)
+        assert code == 0
+        assert calls["flows.to_brace"] == 0, name
+        assert calls["prelie.nilpotency_index"] == 1, name
+        assert len(kernel) == 1, name
+    assert capsys.readouterr().out == "brace round trip: PASS\n" * 2

@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 from braceflow import brace, to_brace
 from braceflow.brace import (GradedBrace, SymmetricMap, _checked_stages, check_fbrace,
                              check_group, check_left_brace, radical_chains,
-                             star_subspaces, validation_stages)
+                             star_subspaces, table_difference, validation_stages)
 from braceflow.corpus import corpus
 from braceflow.errors import (AlgebraError, CharacteristicTooSmall, ConvergenceFailure,
                               DimensionMismatch, FieldMismatch, ValidationFailure,
                               Violation)
+from braceflow.flows import is_flows_brace
 from braceflow.linalg import Subspace, Vec, span
 from braceflow.prelie import PreLieAlgebra
 from braceflow.sampling import random_vec, rng_from
@@ -309,18 +310,41 @@ def test_strong_chain_counts_each_pair_of_levels_once(field, bench_generators):
         assert rep.strong == _reference_strong_chain(B)
 
 
+def _fresh_maps(B):
+    """B's graded maps rebuilt from their tables: equal maps, none of
+    them compiled for spans yet."""
+    return {k: SymmetricMap(B.field, B.dim, k,
+                            {key: dict(pairs) for key, pairs in lam.table.items()})
+            for k, lam in B.lambdas.items()}
+
+
 def test_validation_compiles_products_once(braces_q, monkeypatch):
-    # every term of the three chains spans from one compile of the tables
-    real, calls = brace.map_products, []
-    monkeypatch.setattr(brace, "map_products", lambda *args: calls.append(args) or real(*args))
+    # every term of the three chains spans from one compile of each
+    # table: an admitted brace spans only L_1's table, compiled once for
+    # the strong chain of L_1's validation and the left and right chains;
+    # the checked stages compile each of the brace's tables once
+    real, compiled = brace._compiled, []
+
+    def counted(lam):
+        if lam._spans is None:
+            compiled.append(lam)
+        return real(lam)
+
+    monkeypatch.setattr(brace, "_compiled", counted)
     for name in ("f4", "v5"):
         B = braces_q[name]
         want = radical_chains(B)
-        calls.clear()
-        built = GradedBrace(B.field, B.dim, B.lambdas, class_bound=B.class_bound)
-        assert len(calls) == 1, name
+        maps = _fresh_maps(B)
+        compiled.clear()
+        built = GradedBrace(B.field, B.dim, maps, class_bound=B.class_bound)
+        assert compiled == [maps[1]], name
         assert built.chains == want
         assert len(want.left) + len(want.right) > 4
+        maps = _fresh_maps(B)
+        compiled.clear()
+        assert radical_chains(GradedBrace(B.field, B.dim, maps, validate=False)) == want
+        assert sorted(map(id, compiled)) == sorted(map(id, maps.values())), name
+        assert len(maps) > 1
 
 
 def _odd_degree_three_brace():
@@ -585,11 +609,25 @@ def _copy(B):
                        basis_names=B.basis_names, validate=False)
 
 
+def _int_verdict_is_the_table_difference(B):
+    """Assert that the int comparison of B with to_brace(L_1) decides as
+    ``table_difference`` does, the reference; its verdict, or None when
+    L_1 is no pre-Lie algebra of class below p."""
+    try:
+        alg = PreLieAlgebra(B.field, B.dim, B.lambda_map(1))
+    except (ValidationFailure, CharacteristicTooSmall):
+        return None
+    same = is_flows_brace(B, alg)
+    assert same == (table_difference(B, to_brace(alg)) is None)
+    return same
+
+
 def test_validation_outcome_is_the_checked_stages_outcome(braces_cache, bench_generators):
     # the reconstruction decides only PASS: on the law mutants and the
     # chain inputs, validation yields and raises exactly what the checked
-    # stages do, and every brace it admits passes them
-    verdicts = []
+    # stages do, and every brace it admits passes them; its int comparison
+    # of the tables decides as table_difference does
+    verdicts, compared = [], []
     for where, B in (_law_mutants(braces_cache, bench_generators)
                      + _chain_inputs(braces_cache)):
         admitted = _copy(B)
@@ -597,7 +635,31 @@ def test_validation_outcome_is_the_checked_stages_outcome(braces_cache, bench_ge
         assert got == _stages_outcome(_checked_stages(_copy(B), 3, 5)), where
         assert (admitted.prelie is None) == (got[1] is not None), where
         verdicts.append(got[1] is None)
+        compared.append(_int_verdict_is_the_table_difference(B))
     assert verdicts.count(True) >= 60 and verdicts.count(False) >= 140
+    assert compared.count(True) >= 60 and compared.count(False) >= 85
+
+
+def test_int_comparison_sees_degrees_above_the_flows_brace(braces_q):
+    # to_brace(L_1) has no degree above s - 2: a brace with a nonzero map
+    # there differs from it, also when that map's compiled rows are empty
+    # because every multinomial is 0 mod p; and one entry off at degree
+    # s - 2 differs too
+    v5 = braces_q["v5"]  # class 5, degrees 1..3
+    F = GF(3)
+    cases = [_corrupt(v5, 4, ((0, 0, 0, 0), 0), 3),
+             _corrupt(v5, 3, ((0, 1, 2), 3), 3),
+             # L_1 = 0 (class 2 < 3); L_3 at e1 e2 e3 and e1 e1 e2 has
+             # multinomial 6 and 3, zero mod 3
+             GradedBrace(F, 3, {3: {((0, 1, 2), 0): (0, 1, 2), ((0, 0, 1), 2): (1, 0, 0)}},
+                         validate=False)]
+    assert cases[-1]._rows[0] == ()
+    for B in cases:
+        assert _int_verdict_is_the_table_difference(B) is False
+        got = _stages_outcome(validation_stages(_copy(B), 3, 5))
+        assert got == _stages_outcome(_checked_stages(_copy(B), 3, 5))
+        assert got[1] is not None
+    assert _int_verdict_is_the_table_difference(_odd_degree_three_brace()) is None
 
 
 def _top_entry_off_by_one():

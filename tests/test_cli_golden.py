@@ -4,7 +4,10 @@ brace that `to-brace` writes from it, and the SHA-256 of that brace
 file.  An empty brace of dim 400 over Q and a corrupted brace (exit 2)
 are pinned too.  `bch` is pinned on every corpus file, on the brace
 written from it (exit 1: `bch` expects a pre-Lie file), and on v_6..v_8
-over Q and GF(11) with `--trials 0` and `20`.  Any change of a byte of this output fails here; the
+over Q and GF(11) with `--trials 0` and `20`.  `validate`, `chains`,
+`to-prelie` and `roundtrip` are pinned past the dim <= 4 corpus too: on
+the flows braces of v_6 over GF(11) and of T_5 over Q, relabelled, on
+the pre-Lie T_5 and on a corrupted v_5 brace.  Any change of a byte of this output fails here; the
 table is regenerated only for an intended change of output, by
 printing ``outcomes`` of each case."""
 
@@ -19,8 +22,11 @@ from pathlib import Path
 
 import pytest
 
+from braceflow import fileio
 from braceflow.cli import main
 from braceflow.corpus import corpus_dir
+from braceflow.prelie import PreLieAlgebra
+from braceflow.scalars import GF, Q
 
 CORPUS = sorted(p.name[:-len(".json")] for p in corpus_dir().iterdir()
                 if p.name.endswith(".json"))
@@ -339,3 +345,96 @@ def test_bch_output_pinned(case, tmp_path):
 
 def test_every_bch_case_is_pinned():
     assert set(BCH_GOLDEN) == set(BCH_CASES)
+
+
+SCALE_COMMANDS = ("validate", "chains", "to-prelie", "roundtrip")
+
+
+def _generated_file(path, generators, s, p, seed=None):
+    """The pre-Lie file of a bench/generators.py structure over Q (p = 0)
+    or GF(p), relabelled by ``seed`` when given."""
+    entries = s.entries if seed is None else generators.relabel(
+        s.entries, *generators.relabelling(s.dim, seed), p)
+    table = {}
+    for (_, (i,), j, k), val in entries.items():
+        table.setdefault((i, j), {})[k] = val
+    fileio.write_file(PreLieAlgebra(GF(p) if p else Q, s.dim, table), path)
+
+
+def scale_outcomes(case, workdir, generators):
+    """{label: (exit code, SHA-256)} of the four commands on ``case`` and
+    of the files they write, run with ``workdir`` as the working
+    directory: "v6_GF11" and "T5_Q" are the relabelled flows braces (the
+    brace file is pinned too), "T5_prelie" the pre-Lie T_5 and
+    "v5_corrupted" v_5's brace over Q with its first top-degree entry
+    plus one."""
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        got = {}
+        g = generators
+        if case == "T5_prelie":
+            _generated_file(Path("in.json"), g, g.trees(5), 0)
+        else:
+            s, p, seed = {"v6_GF11": (g.v(6), 11, 3), "T5_Q": (g.trees(5), 0, 3),
+                          "v5_corrupted": (g.v(5), 0, None)}[case]
+            _generated_file(Path("prelie.json"), g, s, p, seed)
+            assert _run("to-brace", "prelie.json", "--out", "in.json")[0] == 0
+            doc = json.loads(Path("in.json").read_text())
+            if case == "v5_corrupted":
+                top = max(entry[0] for entry in doc["entries"])
+                entry = next(e for e in doc["entries"] if e[0] == top)
+                entry[-1] = str(Fraction(entry[-1]) + 1)
+                Path("in.json").write_text(json.dumps(doc))
+            got["brace file"] = (0, _sha(Path("in.json").read_text()))
+        for command in SCALE_COMMANDS:
+            out = ("--out", "out.json") if command == "to-prelie" else ()
+            got[command] = _run(command, "in.json", *out)
+        if Path("out.json").exists():
+            got["to-prelie file"] = (0, _sha(Path("out.json").read_text()))
+        return got
+    finally:
+        os.chdir(old)
+
+
+SCALE_CASES = ("v6_GF11", "T5_Q", "T5_prelie", "v5_corrupted")
+SCALE_GOLDEN = {
+    'v6_GF11': {
+        'brace file': (0, 'f60d88fcf88f63d03079f10c2e61dd0e7af933128bc8aa942f155002bb040dc0'),
+        'validate': (0, '15f93bcd40644fe42c4b7d1618cbeb1d850786fd98db8637897a5f7ec0eeb0b8'),
+        'chains': (0, 'baa97165f2c20043ba5bce7a780b5702792b21b71539419cf8e2150d4f4aeab3'),
+        'to-prelie': (0, '04cd2deee4ce7b1bd1a55ba264252217b5398be20dc4f2e86d5b45b87e125cd0'),
+        'roundtrip': (0, 'b94fca72c4af3355c5cf5fe40176cf133d2926c353502bb78ca6695ebf5c6adf'),
+        'to-prelie file': (0, 'a8d0b3dfeeb16fa9eb32e2b5b2dd20c0bd313203c1691d830b2c4792c0b9b9eb'),
+    },
+    'T5_Q': {
+        'brace file': (0, 'd8ac3d200e2c8c9a75b82779ca3b9ce263c78d9662607dd7247852688af99437'),
+        'validate': (0, 'a8a9c071d5d554f1f9e2bf40ff4a32eae1a51d1ac48a653a40d6c014044ffe6e'),
+        'chains': (0, '56c735c8ed42f419bb5c64f34912690d2410a585feb3e97397d6925cdc249f27'),
+        'to-prelie': (0, '829a4fa4c2d561199a19627875d1e0963ac016de1af0760e088c8d947edb0d05'),
+        'roundtrip': (0, 'b94fca72c4af3355c5cf5fe40176cf133d2926c353502bb78ca6695ebf5c6adf'),
+        'to-prelie file': (0, '948c202dc395d8b166eb57e80cf11042cc4ed735986afa77ea1d4f69f93754c2'),
+    },
+    'T5_prelie': {
+        'validate': (0, '1de7c1d672bfc67531b63cb85901ff64e8d61ba8a95b9b92c3c97b8384d7ac82'),
+        'chains': (0, '56c735c8ed42f419bb5c64f34912690d2410a585feb3e97397d6925cdc249f27'),
+        'to-prelie': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+        'roundtrip': (0, '7e959678fc33a88007e1b10c0e7b7ff650ff406069c10a895e93057c44b45201'),
+    },
+    'v5_corrupted': {
+        'brace file': (0, '8f4c48927b740b410236c12782036a4ed5e3ca17e71d5a1a612cffa6181d2b6e'),
+        'validate': (2, '90c0a6e3e4552763bfcd10a90a8edc6afe4fb0e7575d2e78ffcf6a8f0d3b9e91'),
+        'chains': (2, '40ae6cc5e9507b25c1854c3032ac9e9937b556f08201ddfe4cef055796f35b16'),
+        'to-prelie': (2, '40ae6cc5e9507b25c1854c3032ac9e9937b556f08201ddfe4cef055796f35b16'),
+        'roundtrip': (2, '40ae6cc5e9507b25c1854c3032ac9e9937b556f08201ddfe4cef055796f35b16'),
+    },
+}
+
+
+@pytest.mark.parametrize("case", SCALE_CASES)
+def test_cli_output_pinned_past_the_corpus(case, tmp_path, bench_generators):
+    assert scale_outcomes(case, tmp_path, bench_generators) == SCALE_GOLDEN[case]
+
+
+def test_every_case_past_the_corpus_is_pinned():
+    assert set(SCALE_GOLDEN) == set(SCALE_CASES)

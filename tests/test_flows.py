@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from braceflow import brace, fileio, flows, sampling
 from braceflow.bch import verify_flows_bch
-from braceflow.brace import GradedBrace, _checked_stages, radical_chains, validation_stages
+from braceflow.brace import (GradedBrace, _checked_stages, radical_chains, table_difference,
+                             validation_stages)
 from braceflow.corpus import corpus, corpus_dir, f4, n2, zero_algebra
 from braceflow.errors import ConvergenceFailure, PreconditionViolated, ValidationFailure
 from braceflow.flows import (_omega_fixed_point, circ, exp_L, omega, star,
@@ -489,13 +490,15 @@ def _reference_structures(generators):
 def _assert_admitted_and_checked(B, where):
     """Validation admits an unvalidated copy of B by reconstruction, and
     the checked stages, with 20 random triples, pass on another copy with
-    the same lines; radical_chains of the brace is the ChainReport read
-    off L_1's table."""
+    the same lines; so does ``table_difference`` from to_brace(L_1), the
+    reference of the int comparison that admitted it; radical_chains of
+    the brace is the ChainReport read off L_1's table."""
     admitted, checked = (GradedBrace(B.field, B.dim, B.lambdas, class_bound=B.class_bound,
                                      basis_names=B.basis_names, validate=False)
                          for _ in range(2))
     lines = list(validation_stages(admitted, trials=20))
     assert admitted.prelie is not None, where
+    assert table_difference(B, to_brace(admitted.prelie)) is None, where
     assert list(_checked_stages(checked, trials=20)) == lines, where
     assert radical_chains(checked) == admitted.chains, where
     assert admitted.class_bound == admitted.chains.strong_index, where

@@ -10,18 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bch_reference import random_nilpotent
-from braceflow.generic import GenericRing
+from braceflow.generic import GenericRing, _by_coord
 from braceflow.prelie import PreLieAlgebra, check_prelie_identity, int_rows
 from braceflow.scalars import GF, Q
 
 
-def _pairwise_product(rows, p, cut, x, y):
+def _pairwise_product(cols, p, cut, x, y):
     """The product as it was before the kernel: every pair of terms of x
-    and y, with a probe of rows[i] for each."""
+    and y, with a probe of the table (``cols[j][i]`` is e_i.e_j) for each."""
     terms = {}
     for (mx, i), cx in x.items():
         for (my, j), cy in y.items():
-            pairs = rows[i].get(j)
+            pairs = cols[j].get(i)
             if pairs and len(mx) + len(my) < cut:
                 m = tuple(sorted(mx + my))
                 c = cx * cy
@@ -67,16 +67,18 @@ def _ring_and_elements(draw, generators):
 def test_indexed_product_equals_pairwise_product(data, bench_generators):
     ring, x, y = data.draw(_ring_and_elements(bench_generators))
     for cut in range(ring.s + 2):
-        assert ring.product(x, y, cut) == _pairwise_product(ring.rows, ring.p, cut, x, y)
+        got = ring.product(_by_coord(x), y, cut)
+        assert got == _pairwise_product(ring.cols, ring.p, cut, x, y)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
 @given(data=st.data())
 def test_product_emits_no_term_at_or_above_the_cut(data, bench_generators):
     ring, x, y = data.draw(_ring_and_elements(bench_generators))
-    full = ring.product(x, y, 2 * ring.s + 1)
+    xs = _by_coord(x)
+    full = ring.product(xs, y, 2 * ring.s + 1)
     for cut in range(ring.s + 1):
-        got = ring.product(x, y, cut)
+        got = ring.product(xs, y, cut)
         assert all(len(m) < cut for m, _ in got)
         # the cut only drops terms: below it, the full product is kept
         assert got == {key: c for key, c in full.items() if len(key[0]) < cut}
@@ -85,8 +87,8 @@ def test_product_emits_no_term_at_or_above_the_cut(data, bench_generators):
 def _w_of_omega_is_generic(ring):
     """W(Omega(a)) = a at the generic element a, below the cut s - 1
     that ``omega`` computes to."""
-    a = {((i,), i): 1 for i in range(len(ring.rows))}
-    return ring.w_map(ring.omega(len(ring.rows)), ring.s - 1) == a
+    a = {((i,), i): 1 for i in range(len(ring.cols))}
+    return ring.w_map(ring.omega(len(ring.cols)), ring.s - 1) == a
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)

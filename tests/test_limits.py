@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from braceflow.brace import GradedBrace, SymmetricMap
+from braceflow.brace import GradedBrace, SymmetricMap, table_difference
 from braceflow.corpus import corpus, f4, n2
 from braceflow.errors import (DimensionMismatch, FieldMismatch, NotPreLie,
-                              PreconditionViolated)
+                              PreconditionViolated, Violation)
+from braceflow.flows import to_brace
 from braceflow.limits import (check_associator_correction_identity, dot,
                               limit_witness, roundtrip_brace, roundtrip_prelie,
                               to_prelie)
@@ -159,6 +160,22 @@ def test_roundtrip_prelie(name):
 @pytest.mark.parametrize("name", ["zero2", "h3", "f4"])
 def test_roundtrip_brace(name, braces_q):
     assert roundtrip_brace(braces_q[name]) is None
+
+
+def test_roundtrip_brace_names_the_first_differing_key(braces_q):
+    # a brace that is not the flows brace of its L_1 fails at the first
+    # key where the tables differ, as table_difference has it: an entry
+    # off at the top degree, or a map of a degree to_brace never gives
+    v5 = braces_q["v5"]  # class 5, degrees 1..3
+    top = {key: dict(pairs) for key, pairs in v5.lambdas[3].table.items()}
+    key = min(top)
+    top[key][min(top[key])] += 1
+    off = GradedBrace(Q, 4, {**v5.lambdas, 3: top}, validate=False)
+    above = GradedBrace(Q, 4, {**v5.lambdas, 4: {((0, 0, 0, 1), 0): {3: 1}}}, validate=False)
+    assert roundtrip_brace(off) == Violation("brace round trip", (3,) + key)
+    assert roundtrip_brace(above) == Violation("brace round trip", (4, (0, 0, 0, 1), 0))
+    for B in (off, above):
+        assert roundtrip_brace(B) == table_difference(B, to_brace(to_prelie(B)))
 
 
 def test_roundtrip_prime_field():

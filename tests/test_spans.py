@@ -10,10 +10,11 @@ from fractions import Fraction
 
 import pytest
 
+from braceflow import brace, flows
 from braceflow.brace import (GradedBrace, SymmetricMap, map_products, map_span,
                              radical_chains)
 from braceflow.linalg import (Echelon, Mat, Subspace, Vec, polynomial_curve_coefficients,
-                              span)
+                              span, strong_chain)
 from braceflow.prelie import PreLieAlgebra, nilpotency_index
 from braceflow.scalars import GF, Fp, Q
 
@@ -349,3 +350,54 @@ def test_stalled_chains_keep_their_terms(field, braces_cache):
             for term in chain:
                 assert term == Subspace(field, B.dim, term.basis)
 
+
+
+def _multiset_products(lam):
+    """``map_products`` of one map through the multiset stack whatever
+    its arity: the reference for the arity-1 kernel."""
+    table, p = brace._compiled(lam), lam.field.characteristic
+
+    def products(lefts, rights, fresh=None):
+        lefts = [tuple(u.items()) for u in lefts]
+        firsts = len(lefts) if fresh is None else fresh
+        return brace._multisets(lam.arity, table, lefts, firsts, rights, p)
+    return products
+
+
+def _algebras(g):
+    """v_4..v_6, T_3..T_5 and upper(3..5), plain and relabelled, over Q
+    and over GF(p) for the smallest prime p above the class."""
+    for s in ([g.v(n) for n in (4, 5, 6)] + [g.trees(n) for n in (3, 4, 5)]
+              + [g.upper(m) for m in (3, 4, 5)]):
+        p = s.nil_class + 1
+        while any(p % q == 0 for q in range(2, p)):
+            p += 1
+        for field in (Q, GF(p)):
+            for seed in (None, 3):
+                entries = s.entries if seed is None else g.relabel(
+                    s.entries, *g.relabelling(s.dim, seed), field.characteristic)
+                table = {}
+                for (_, (i,), j, k), val in entries.items():
+                    table.setdefault((i, j), {})[k] = val
+                yield (s.name, field, seed), PreLieAlgebra(field, s.dim, table)
+
+
+def test_degree_one_kernel_matches_multiset_stack(bench_generators, monkeypatch):
+    # the arity-1 kernel spans what the multiset stack spans: the same
+    # strong chain (every term an echelon), the same left and right
+    # chains, and the same span on every pair of strong-chain terms
+    cases = list(_algebras(bench_generators))
+    kernel = {where: flows.table_chains(alg) for where, alg in cases}
+    monkeypatch.setattr(brace, "map_products",
+                        lambda field, maps: _multiset_products(*maps))
+    for where, alg in cases:
+        field, d = alg.field, alg.dim
+        want = radical_chains(GradedBrace(field, d, {1: alg.product}, validate=False))
+        assert kernel[where] == want, where
+        fast, ref = map_products(field, [alg.product]), _multiset_products(alg.product)
+        assert (strong_chain(field, d, fast, d + 2)
+                == strong_chain(field, d, ref, d + 2)), where
+        for left in want.strong:
+            for right in want.strong:
+                assert map_span(fast, left, right) == map_span(ref, left, right), where
+    assert len(cases) == 36
