@@ -33,29 +33,27 @@ def _multinomial(k, counts):
 class SymmetricMap:
     """Multilinear map with ``arity`` symmetric left slots and one right slot.
 
-    Stored sparsely: table[(i_1 <= ... <= i_k, j)] holds the value on
-    (e_{i_1}, ..., e_{i_k}; e_j) as its nonzero (out, c) pairs, sorted by
-    out; zero values are dropped, and sorted keys make left-slot symmetry
-    structural.  A value is given as a Vec, a dense sequence or a mapping
-    {out: c}; values given twice for one key are added.
+    Stored as one int table: ``_ints[(i_1 <= ... <= i_k, j)]`` holds the
+    value on (e_{i_1}, ..., e_{i_k}; e_j) as its nonzero (out, n) pairs,
+    sorted by out, each coordinate n / ``_den``.  Sorted keys make
+    left-slot symmetry structural.  The pair is canonical, so equal maps
+    have equal tables: over GF(p) n is the residue and den is 1, over Q
+    den is the lcm of the values' denominators in lowest terms.  A value
+    is given as a Vec, a dense sequence or a mapping {out: c}, and values
+    given twice for one key are added; ``_of_ints`` takes ints instead.
 
-    ``_rows`` is the table compiled once for diagonal evaluation in
-    Python ints, as (rows, den, top).  Each row is (tup, j, ((out, n), ...))
-    in table order with c * multinomial(tup) = n / den, where the
-    multinomial counts the arrangements of tup: over GF(p) n is the
-    residue and den is 1, over Q den is the least common denominator of
-    the row coefficients.  Entries whose multinomial is zero in the field
-    are dropped.  ``top`` is the largest arity of a row (here ``arity``).
-    ``_spans`` is the table compiled for ``map_products``, once, when
-    first spanned (``_compiled``).
+    The rest is read off the int table.  ``_rows`` = (rows, den, top)
+    compiles it for diagonal evaluation: rows (tup, j, ((out, n * m), ...))
+    in table order, m the multinomial counting the arrangements of tup,
+    dropped where m is zero in the field; ``top`` is ``arity``.
+    ``_spans`` groups it by left tuple for ``map_products``, when first
+    spanned (``_compiled``).  ``table``, the scalar (out, c) pairs of
+    each key, is built from the ints when first read.
     """
 
-    __slots__ = ("field", "dim", "arity", "table", "_rows", "_spans")
+    __slots__ = ("field", "dim", "arity", "_ints", "_den", "_rows", "_spans", "_table")
 
     def __init__(self, field, dim, arity, entries=()):
-        self.field = field
-        self.dim = dim
-        self.arity = arity
         table = {}
         items = entries.items() if isinstance(entries, dict) else entries
         for (tup, j), val in items:
@@ -78,21 +76,59 @@ class SymmetricMap:
             row = table.setdefault((tup, j), {})
             for out, c in coords:
                 row[out] = row[out] + c if out in row else c
-        self.table = {key: pairs for key, row in table.items()
-                      if (pairs := tuple(sorted((o, c) for o, c in row.items() if c)))}
-        kept = []
-        for (tup, j), pairs in self.table.items():
-            m = field.of(_multinomial(arity, [tup.count(i) for i in set(tup)]))
-            if m:  # zero in GF(p) when p divides the multinomial
-                kept.append((tup, j, [(k, c * m) for k, c in pairs]))
-        ints, den = field.to_ints([c for _, _, out in kept for _, c in out])
+        table = {key: pairs for key, row in table.items()
+                 if (pairs := sorted((o, c) for o, c in row.items() if c))}
+        ints, den = field.to_ints([c for pairs in table.values() for _, c in pairs])
         ints = iter(ints)
-        self._rows = (tuple((tup, j, tuple((k, next(ints)) for k, _ in out))
-                            for tup, j, out in kept), den, arity)
-        self._spans = None
+        self._set(field, dim, arity, {key: tuple((o, next(ints)) for o, _ in pairs)
+                                      for key, pairs in table.items()}, den)
+
+    @classmethod
+    def _of_ints(cls, field, dim, arity, ints, den):
+        """The map with coordinate n / den at each (out, n) of ints[key],
+        built with no scalar: sorted left tuples in range, pairs sorted by
+        out with n nonzero in the field, den > 0 and prime to p."""
+        lam = object.__new__(cls)
+        lam._set(field, dim, arity, ints, den)
+        return lam
+
+    def _set(self, field, dim, arity, ints, den):
+        """Keep ints over den, made canonical (over GF(p) times 1/den mod p,
+        over Q divided by the gcd of den and every n), and compile the rows."""
+        p = field.characteristic
+        if den != 1:
+            if p:
+                inv, den = pow(den, -1, p), 1
+                ints = {key: tuple((o, n * inv % p) for o, n in pairs)
+                        for key, pairs in ints.items()}
+            elif (g := math.gcd(den, *(n for pairs in ints.values() for _, n in pairs))) > 1:
+                den //= g
+                ints = {key: tuple((o, n // g) for o, n in pairs) for key, pairs in ints.items()}
+        self.field, self.dim, self.arity = field, dim, arity
+        self._ints, self._den, rows = ints, den, []
+        for (tup, j), pairs in ints.items():
+            m = _multinomial(arity, [tup.count(i) for i in set(tup)])
+            if p:
+                m %= p
+                if not m:  # p divides the multinomial
+                    continue
+            rows.append((tup, j, pairs if m == 1 else
+                         tuple((o, n * m % p if p else n * m) for o, n in pairs)))
+        self._rows = (tuple(rows), den, arity)
+        self._spans = self._table = None
+
+    @property
+    def table(self):
+        """{(tup, j): ((out, c), ...)}: the table's scalars, built once."""
+        if self._table is None:
+            field, den = self.field, self._den
+            self._table = {key: tuple(zip((o for o, _ in pairs),
+                                          field.from_ints([n for _, n in pairs], den)))
+                           for key, pairs in self._ints.items()}
+        return self._table
 
     def is_zero(self):
-        return not self.table
+        return not self._ints
 
     def value(self, tup, j):
         coords = dict(self.table.get((tuple(sorted(tup)), j), ()))
@@ -131,14 +167,14 @@ class SymmetricMap:
     def __eq__(self, other):
         return (isinstance(other, SymmetricMap) and other.field == self.field
                 and other.dim == self.dim and other.arity == self.arity
-                and other.table == self.table)
+                and other._den == self._den and other._ints == self._ints)
 
     def __hash__(self):
-        return hash((self.field, self.dim, self.arity,
-                     tuple(sorted(self.table.items(), key=lambda kv: kv[0]))))
+        return hash((self.field, self.dim, self.arity, self._den,
+                     tuple(sorted(self._ints.items()))))
 
     def __repr__(self):
-        return f"SymmetricMap(arity {self.arity}, {len(self.table)} entries)"
+        return f"SymmetricMap(arity {self.arity}, {len(self._ints)} entries)"
 
 
 def _check_vec(owner, v):
@@ -547,9 +583,16 @@ def _reconstruction(B):
 
 
 def first_difference(lam, lam2):
-    """The first key, in sorted order, where two SymmetricMaps differ, or None."""
-    keys = sorted(set(lam.table) | set(lam2.table))
-    return next((key for key in keys if lam.table.get(key) != lam2.table.get(key)), None)
+    """The first key, in sorted order, where two SymmetricMaps differ, or
+    None.  Compared on their int tables: n / den equals n2 / den2 iff
+    n * den2 = n2 * den."""
+    a, b, da, db = lam._ints, lam2._ints, lam._den, lam2._den
+
+    def differs(key):
+        x, y = a.get(key, ()), b.get(key, ())
+        return len(x) != len(y) or any(o != o2 or n * db != n2 * da
+                                       for (o, n), (o2, n2) in zip(x, y))
+    return next((key for key in sorted(a.keys() | b.keys()) if differs(key)), None)
 
 
 def table_difference(B, other):
@@ -636,15 +679,13 @@ def map_products(field, maps):
 
 def _compiled(lam):
     """(by_left, live) of a SymmetricMap, built once and kept on lam: its
-    table scaled to ints on its own (``to_ints``; a span is unchanged when
-    one generator is scaled) as {tup: [(j, [(out, n), ...]), ...]}, and
-    the sub-multisets of its left tuples."""
+    int table (``_ints``; a span is unchanged when a generator is scaled
+    by the table's den) as {tup: [(j, ((out, n), ...)), ...]}, and the
+    sub-multisets of its left tuples."""
     if lam._spans is None:
-        ints, _ = lam.field.to_ints([c for pairs in lam.table.values() for _, c in pairs])
-        ints = iter(ints)
         by_left = {}
-        for (tup, j), pairs in lam.table.items():
-            by_left.setdefault(tup, []).append((j, [(o, next(ints)) for o, _ in pairs]))
+        for (tup, j), pairs in lam._ints.items():
+            by_left.setdefault(tup, []).append((j, pairs))
         # sub-tuples of a sorted tuple are sorted: these are the sub-multisets
         live = {sub for tup in by_left for m in range(lam.arity + 1)
                 for sub in itertools.combinations(tup, m)}

@@ -5,16 +5,22 @@ All indices in files are 0-based; scalars are exact "num/den" strings
 Serialization is deterministic: sorted keys, sorted entries, a trailing
 newline.  Unknown fields are rejected on read.
 
+A table goes from file to file as ints, with no scalar built: ``loads``
+parses each "a/b" in one match to ints in lowest terms (over GF(p) to the
+residue, unless p divides the reduced denominator) and builds each map
+on them (``SymmetricMap._of_ints``); ``dumps`` prints from the int table.
+
 pre-Lie file entries:  [i, j, k, value]   meaning  e_i * e_j += value e_k
 brace file entries:    [k, [i_1 <= ... <= i_k], j, out, value]
                        the degree-k graded map on (e_{i_1}..e_{i_k}; e_j)
 """
 
 import json
+import math
 import re
 
 from .brace import GradedBrace, SymmetricMap
-from .errors import AlgebraFileError
+from .errors import AlgebraFileError, CharacteristicTooSmall
 from .prelie import PreLieAlgebra
 from .scalars import GF, Q
 
@@ -44,17 +50,21 @@ def _field_from_json(spec):
     raise AlgebraFileError(f"bad field spec {spec!r}")
 
 
-def _map_entries(field, lam):
+def _map_entries(lam):
     """(left tuple, j, out, value) for each nonzero coordinate of the
-    SymmetricMap ``lam``, sorted by (left tuple, j), then out."""
-    for tup, j in sorted(lam.table):
-        for out, c in lam.table[(tup, j)]:
-            yield tup, j, out, field.to_str(c)
+    SymmetricMap ``lam``, sorted by (left tuple, j), then out; each value
+    n / den printed from the int table: "num/den" in lowest terms, a bare
+    integer when the denominator is 1."""
+    ints, den = lam._ints, lam._den
+    for key in sorted(ints):
+        for out, n in ints[key]:
+            g = math.gcd(n, den)
+            yield key[0], key[1], out, str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def algebra_to_json(alg):
     entries = [[tup[0], j, k, val]
-               for tup, j, k, val in _map_entries(alg.field, alg.product)]
+               for tup, j, k, val in _map_entries(alg.product)]
     return {
         "format_version": FORMAT_VERSION,
         "kind": "prelie",
@@ -67,7 +77,7 @@ def algebra_to_json(alg):
 
 def brace_to_json(B):
     entries = [[k, list(tup), j, out, val] for k in sorted(B.lambdas)
-               for tup, j, out, val in _map_entries(B.field, B.lambdas[k])]
+               for tup, j, out, val in _map_entries(B.lambdas[k])]
     return {
         "format_version": FORMAT_VERSION,
         "kind": "brace",
@@ -94,9 +104,14 @@ def write_file(obj, path):
         fh.write(dumps(obj))
 
 
-def _require(cond, message):
+def _require(cond, message, *args):
+    """AlgebraFileError unless cond, with ``message`` formatted by ``args`` only then."""
     if not cond:
-        raise AlgebraFileError(message)
+        raise AlgebraFileError(message.format(*args) if args else message)
+
+
+def _index(n, dim):
+    return type(n) is int and 0 <= n < dim
 
 
 def _common_header(doc, allowed):
@@ -119,17 +134,33 @@ def _common_header(doc, allowed):
     return field, dim, basis
 
 
-_SCALAR_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
+_SCALAR_RE = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?\Z")
 
 
-def _parse_scalar(field, s):
-    _require(isinstance(s, str), f"values must be strings, got {s!r}")
-    if not _SCALAR_RE.match(s):
-        raise AlgebraFileError(f"bad scalar {s!r}")
+def _parse_scalar(p, s):
+    """(n, d) with n / d the file scalar ``s`` in lowest terms, read in
+    one match; over GF(p) (residue, 1)."""
+    _require(isinstance(s, str), "values must be strings, got {!r}", s)
+    match = _SCALAR_RE.match(s)
+    _require(match is not None, "bad scalar {!r}", s)
     try:
-        return field.of(s)
-    except (ValueError, ZeroDivisionError, TypeError):
+        n, d = int(match[1]), int(match[2] or 1)
+    except ValueError:  # more digits than int() reads
         raise AlgebraFileError(f"bad scalar {s!r}") from None
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    if p and d % p == 0:
+        raise CharacteristicTooSmall(f"denominator {d} not invertible mod {p}")
+    return (n * pow(d, -1, p) % p, 1) if p else (n, d)
+
+
+def _int_map(field, dim, arity, rows):
+    """The SymmetricMap of ``rows`` {key: {out: (n, d)}}, on ints over the
+    lcm of the d."""
+    den = math.lcm(*(d for row in rows.values() for _, d in row.values()))
+    ints = {key: pairs for key, row in rows.items()
+            if (pairs := tuple(sorted((o, n * (den // d)) for o, (n, d) in row.items() if n)))}
+    return SymmetricMap._of_ints(field, dim, arity, ints, den)
 
 
 def loads(text, validate=True, field=None):
@@ -155,16 +186,15 @@ def loads(text, validate=True, field=None):
         field, dim, basis = _common_header(doc, _PRELIE_KEYS)
         structure = {}
         for entry in doc["entries"]:
-            _require(isinstance(entry, list) and len(entry) == 4,
-                     f"bad pre-Lie entry {entry!r}")
+            _require(isinstance(entry, list) and len(entry) == 4, "bad pre-Lie entry {!r}", entry)
             i, j, k, val = entry
-            _require(all(_is_int(n) and 0 <= n < dim for n in (i, j, k)),
-                     f"index out of range in {entry!r}")
-            row = structure.setdefault((i, j), {})
-            _require(k not in row, f"duplicate entry for ({i},{j},{k})")
-            row[k] = _parse_scalar(field, val)
-        return PreLieAlgebra(field, dim, structure, basis_names=basis,
-                             validate=validate)
+            _require(_index(i, dim) and _index(j, dim) and _index(k, dim),
+                     "index out of range in {!r}", entry)
+            row = structure.setdefault(((i,), j), {})
+            _require(k not in row, "duplicate entry for ({},{},{})", i, j, k)
+            row[k] = _parse_scalar(field.characteristic, val)
+        return PreLieAlgebra(field, dim, _int_map(field, dim, 1, structure),
+                             basis_names=basis, validate=validate)
     if kind == "brace":
         field, dim, basis = _common_header(doc, _BRACE_KEYS)
         class_bound = doc.get("class_bound")
@@ -172,20 +202,17 @@ def loads(text, validate=True, field=None):
                  "class_bound must be an integer >= 2")
         tables = {}
         for entry in doc["entries"]:
-            _require(isinstance(entry, list) and len(entry) == 5,
-                     f"bad brace entry {entry!r}")
+            _require(isinstance(entry, list) and len(entry) == 5, "bad brace entry {!r}", entry)
             k, tup, j, out, val = entry
-            _require(_is_int(k) and k >= 1, f"bad degree in {entry!r}")
+            _require(_is_int(k) and k >= 1, "bad degree in {!r}", entry)
             _require(isinstance(tup, list) and len(tup) == k
-                     and all(_is_int(n) and 0 <= n < dim for n in tup)
-                     and list(tup) == sorted(tup),
-                     f"bad left multi-index in {entry!r}")
-            _require(all(_is_int(n) and 0 <= n < dim for n in (j, out)),
-                     f"index out of range in {entry!r}")
+                     and all(_index(n, dim) for n in tup) and tup == sorted(tup),
+                     "bad left multi-index in {!r}", entry)
+            _require(_index(j, dim) and _index(out, dim), "index out of range in {!r}", entry)
             row = tables.setdefault(k, {}).setdefault((tuple(tup), j), {})
-            _require(out not in row, f"duplicate entry for {entry!r}")
-            row[out] = _parse_scalar(field, val)
-        lambdas = {k: SymmetricMap(field, dim, k, table) for k, table in tables.items()}
+            _require(out not in row, "duplicate entry for {!r}", entry)
+            row[out] = _parse_scalar(field.characteristic, val)
+        lambdas = {k: _int_map(field, dim, k, table) for k, table in tables.items()}
         return GradedBrace(field, dim, lambdas, class_bound=class_bound,
                            basis_names=basis, validate=validate)
     raise AlgebraFileError(f"unknown kind {kind!r}")

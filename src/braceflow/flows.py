@@ -26,7 +26,7 @@ per degree, so that 1/k! divides exactly and equality needs no gcd.
 
 import math
 
-from .brace import GradedBrace, _multinomial, chain_report
+from .brace import GradedBrace, SymmetricMap, _multinomial, chain_report
 from .errors import ConvergenceFailure
 from .generic import GenericRing, _by_coord
 from .prelie import int_rows, nilpotency_chain
@@ -108,24 +108,28 @@ def to_brace(alg):
     then a*e_j = exp_L(Omega(a), e_j) - e_j for each j
     (``_generic_stars``); dividing the coefficient of x^alpha by
     multinomial(alpha) gives the value of the symmetric multilinear map
-    L_|alpha| on (e^alpha; e_j), built once from its int over the
-    kernel's denominator.  By the correspondence theorem the flows of
-    a validated algebra of class s form a strongly nilpotent brace of
-    class <= s, so it is returned unvalidated with ``class_bound=s``.
+    L_|alpha| on (e^alpha; e_j).  The kernel's int c stands for
+    c / (E^k multinomial(alpha)), so each L_k is built on ints
+    (``SymmetricMap._of_ints``) over E^k times the lcm of its
+    multinomials, and no scalar is built.  By the correspondence theorem
+    the flows of a validated algebra of class s form a strongly nilpotent
+    brace of class <= s, so it is returned unvalidated with
+    ``class_bound=s``.
     """
     field, d = alg.field, alg.dim
     E, stars = _generic_stars(alg)
-    entries = {}
+    tables = {}
     for j, terms in enumerate(stars):
-        by_key = {}
         for (m, out), c in terms.items():
-            by_key.setdefault(m, []).append((out, c))
-        for m, pairs in by_key.items():
-            k = len(m)
-            den = E ** k * _multinomial(k, [m.count(i) for i in set(m)])
-            values = field.from_ints([c for _, c in pairs], den)
-            entries.setdefault(k, {})[(m, j)] = {out: v for (out, _), v in zip(pairs, values)}
-    return GradedBrace(field, d, entries, class_bound=alg.nilpotency_class,
+            tables.setdefault(len(m), {}).setdefault((m, j), []).append((out, c))
+    lambdas = {}
+    for k, table in tables.items():
+        mult = {m: _multinomial(k, [m.count(i) for i in set(m)]) for m, _ in table}
+        lcm = math.lcm(*mult.values())
+        ints = {(m, j): tuple(sorted((out, c * (lcm // mult[m])) for out, c in pairs))
+                for (m, j), pairs in table.items()}
+        lambdas[k] = SymmetricMap._of_ints(field, d, k, ints, E ** k * lcm)
+    return GradedBrace(field, d, lambdas, class_bound=alg.nilpotency_class,
                        basis_names=alg.basis_names, validate=False)
 
 

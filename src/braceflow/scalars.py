@@ -6,6 +6,7 @@ Prime-field scalars are ``Fp`` residues.  No floating point is accepted
 anywhere.
 """
 
+import functools
 import math
 
 from fractions import Fraction
@@ -215,9 +216,9 @@ class ScalarField:
         return self.inv_int(f) if k >= 2 else self.one
 
     def to_str(self, x):
-        """Canonical printing: "num/den" in lowest terms over Q (bare
-        integer when the denominator is 1), the residue over GF(p)."""
-        x = self.of(x)
+        """Canonical printing of a canonical scalar x: "num/den" in lowest
+        terms over Q (bare integer when the denominator is 1), the residue
+        over GF(p)."""
         if self.characteristic == 0:
             if x.denominator == 1:
                 return str(x.numerator)
@@ -239,8 +240,10 @@ class ScalarField:
 Q = ScalarField(0)
 
 
+@functools.cache
 def GF(p):
-    """The prime field of p elements; ValueError unless p is a prime."""
+    """The prime field of p elements, made once per process; ValueError
+    unless p is a prime."""
     if p == 0:
         raise ValueError("characteristic must be a prime, got 0")
     return ScalarField(p)

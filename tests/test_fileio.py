@@ -1,10 +1,13 @@
 import json
 
+from fractions import Fraction
+
 import pytest
 
 from braceflow import fileio
+from braceflow.cli import main
 from braceflow.corpus import corpus, corpus_path, f4
-from braceflow.errors import AlgebraFileError, ValidationFailure
+from braceflow.errors import AlgebraFileError, CharacteristicTooSmall, ValidationFailure
 from braceflow.scalars import GF, Q
 
 
@@ -114,3 +117,92 @@ def test_file_level_conversion_round_trip(tmp_path, braces_q):
     loaded = fileio.read_file(brace_path)
     alg = to_prelie(loaded)
     assert fileio.dumps(alg) == fileio.dumps(corpus(Q)["h3"])
+
+
+def _one_entry_brace(value, field="Q", extra=()):
+    """A dim-2 brace file whose L_1 has e_1 e_1 = value e_2, plus the
+    brace entries ``extra``."""
+    return json.dumps({"format_version": 1, "kind": "brace", "field": field, "dim": 2,
+                       "entries": [[1, [0], 0, 1, value], *extra]})
+
+
+@pytest.mark.parametrize("value,want", [("2/4", "1/2"), ("-3/6", "-1/2")])
+def test_unreduced_scalars_load_and_write_in_lowest_terms(value, want, tmp_path, capsys):
+    B = fileio.loads(_one_entry_brace(value))
+    assert B.lambdas[1].table == {((0,), 0): ((1, Fraction(want)),)}
+    assert B.lambdas[1]._ints == {((0,), 0): ((1, int(want.split("/")[0])),)}
+    assert B.lambdas[1]._den == 2
+    assert json.loads(fileio.dumps(B))["entries"] == [[1, [0], 0, 1, want]]
+    path, out = tmp_path / "b.json", tmp_path / "a.json"
+    path.write_text(_one_entry_brace(value))
+    assert main(["to-prelie", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["entries"] == [[0, 0, 1, want]]
+    capsys.readouterr()
+
+
+def test_zero_scalars_are_dropped(tmp_path, capsys):
+    # "0" and "-0" entries leave no coordinate, and a key whose values
+    # are all zero leaves no entry; they still count as given for the
+    # duplicate check
+    zeros = [[1, [0], 0, 0, "0"], [1, [1], 0, 0, "-0"], [1, [1], 0, 1, "0/5"]]
+    text = _one_entry_brace("1", extra=zeros)
+    B = fileio.loads(text)
+    assert B.lambdas[1]._ints == {((0,), 0): ((1, 1),)}
+    assert B.lambdas[1].table == {((0,), 0): ((1, Fraction(1)),)}
+    assert B == fileio.loads(_one_entry_brace("1"))
+    assert json.loads(fileio.dumps(B))["entries"] == [[1, [0], 0, 1, "1"]]
+    with pytest.raises(AlgebraFileError, match="duplicate"):
+        fileio.loads(_one_entry_brace("1", extra=zeros + [[1, [1], 0, 0, "3"]]))
+    only_zero = fileio.loads(_one_entry_brace("-0"), validate=False)
+    assert only_zero.lambdas == {}
+    path, out = tmp_path / "b.json", tmp_path / "a.json"
+    path.write_text(text)
+    assert main(["to-prelie", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["entries"] == [[0, 0, 1, "1"]]
+    capsys.readouterr()
+
+
+def test_prime_field_scalars_reduce_to_residues(tmp_path, capsys):
+    # 7/14 = 1/2 = 4 in GF(7)
+    B = fileio.loads(_one_entry_brace("7/14", {"p": 7}))
+    assert B.lambdas[1]._ints == {((0,), 0): ((1, 4),)} and B.lambdas[1]._den == 1
+    assert B.lambdas[1].table == {((0,), 0): ((1, GF(7).of(4)),)}
+    path, out = tmp_path / "b.json", tmp_path / "a.json"
+    path.write_text(_one_entry_brace("7/14", {"p": 7}))
+    assert main(["to-prelie", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["entries"] == [[0, 0, 1, "4"]]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value,field,flag", [
+    ("1/7", {"p": 7}, None), ("2/14", {"p": 7}, None), ("1/7", "Q", "7")],
+    ids=["GF(7) file", "GF(7) file unreduced", "Q file read with --field 7"])
+def test_denominator_divisible_by_p_is_a_violation(value, field, flag, tmp_path, capsys):
+    text = _one_entry_brace(value, field)
+    with pytest.raises(CharacteristicTooSmall, match=r"^denominator 7 not invertible mod 7$"):
+        fileio.loads(text, field=None if flag is None else {"p": 7})
+    path = tmp_path / "b.json"
+    path.write_text(text)
+    for command in ("validate", "chains", "to-prelie"):
+        argv = [command, str(path)] + (["--out", str(tmp_path / "a.json")]
+                                       if command == "to-prelie" else [])
+        assert main(argv + (["--field", flag] if flag else [])) == 2
+        assert capsys.readouterr().out == "FAIL: denominator 7 not invertible mod 7\n"
+
+
+@pytest.mark.parametrize("value,message", [
+    ("01", "bad scalar '01'"), ("1/0", "bad scalar '1/0'"), ("1.5", "bad scalar '1.5'"),
+    ("1/", "bad scalar '1/'"), ("9" * 5000, "bad scalar '999"),
+    (1, "values must be strings, got 1"), (None, "values must be strings, got None")])
+def test_malformed_scalars_are_file_errors(value, message, tmp_path, capsys):
+    for kind, entry in (("brace", [1, [0], 0, 1, value]), ("prelie", [0, 0, 1, value])):
+        text = json.dumps({"format_version": 1, "kind": kind, "field": "Q", "dim": 2,
+                           "entries": [entry]})
+        with pytest.raises(AlgebraFileError) as err:
+            fileio.loads(text)
+        assert str(err.value).startswith(message)
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
