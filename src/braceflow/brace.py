@@ -659,21 +659,28 @@ def map_products(field, maps):
     Each map's table is compiled once and kept on the map
     (``_compiled``), and its arity selects the path.  A table of arity 1
     (a pre-Lie product, L_1) has one left slot, so each left row u is a
-    multiset of its own, and ``_degree_one`` takes no multiset stack.  A
-    table of arity k > 1 goes through the multisets of k lefts
-    (``_multisets``).
+    multiset of its own, and ``_degree_one`` takes no multiset stack.
+    The column map of each left row is kept here, keyed by the row
+    object, for as long as ``products`` lives, so a row must not change
+    once passed.  Echelon rows never do, and a chain passes the rows of
+    its terms again at every later level, so each row's map is built
+    once per chain.  A table of arity k > 1 goes through the multisets
+    of k lefts (``_multisets``), as item tuples.
     """
     p = field.characteristic
-    tables = [(lam.arity, _compiled(lam)) for lam in maps]
+    # (arity, compiled table, {id(u): (u, column map of u)} at arity 1)
+    tables = [(lam.arity, _compiled(lam), {}) for lam in maps]
 
     def products(lefts, rights, fresh=None):
-        lefts = [tuple(u.items()) for u in lefts]
         firsts = len(lefts) if fresh is None else fresh
-        for k, table in tables:
+        items = None
+        for k, table, cache in tables:
             if k == 1:
-                yield from _degree_one(table[0], lefts[:firsts], rights)
+                yield from _degree_one(table[0], lefts[:firsts], rights, cache)
             else:
-                yield from _multisets(k, table, lefts, firsts, rights, p)
+                if items is None:
+                    items = [tuple(u.items()) for u in lefts]
+                yield from _multisets(k, table, items, firsts, rights, p)
     return products
 
 
@@ -693,18 +700,17 @@ def _compiled(lam):
     return lam._spans
 
 
-def _degree_one(by_left, lefts, rights):
+def _degree_one(by_left, lefts, rights, cache):
     """The int rows u.y of an arity-1 table (``_compiled``) for the left
-    rows u (item tuples) and the right rows y: the column map
-    j -> u.e_j of each u is built once, and each y is sent through it by
-    its nonzero entries."""
+    rows u ({i: n}) and the right rows y: each y is sent through the
+    column map j -> u.e_j of u (``_column_map``) by its nonzero entries.
+    ``cache`` holds the maps already built, as {id(u): (u, map)}; keeping
+    u alive keeps its id from being reused by another row."""
     for u in lefts:
-        cols = {}
-        for i, x in u:
-            for j, out in by_left.get((i,), ()):
-                col = cols.setdefault(j, {})
-                for o, n in out:
-                    col[o] = col.get(o, 0) + x * n
+        hit = cache.get(id(u))
+        if hit is None:
+            hit = cache[id(u)] = (u, _column_map(by_left, u))
+        cols = hit[1]
         if not cols:
             continue
         for y in rights:
@@ -716,6 +722,18 @@ def _degree_one(by_left, lefts, rights):
                         g[o] = g.get(o, 0) + w * v
             if g:
                 yield g
+
+
+def _column_map(by_left, u):
+    """{j: u.e_j} of an arity-1 table (``_compiled``) for the int row
+    u = {i: n}, each column a sparse int row {out: n}."""
+    cols = {}
+    for i, x in u.items():
+        for j, out in by_left.get((i,), ()):
+            col = cols.setdefault(j, {})
+            for o, n in out:
+                col[o] = col.get(o, 0) + x * n
+    return cols
 
 
 def _multisets(k, table, lefts, firsts, rights, p):
@@ -821,9 +839,12 @@ def radical_chains(B):
 def chain_report(B, terms, strong_index):
     """The ChainReport of B's left and right chains, computed here, and
     of the strong chain given as its ``Echelon`` terms and index
-    (``linalg.strong_chain``)."""
+    (``linalg.strong_chain``).  Both one-sided chains span from one
+    ``map_products`` of B's tables, so a left row's column map is built
+    once for the report (``_degree_one``)."""
     field, d = B.field, B.dim
     full = Subspace.full(field, d)
+    products = map_products(field, B.lambdas.values())
 
     def one_sided(step):
         chain = [full]
@@ -834,7 +855,7 @@ def chain_report(B, terms, strong_index):
             chain.append(nxt)
         return tuple(chain), len(chain)
 
-    left, left_index = one_sided(lambda s: star_subspaces(B, full, s, within=s))
-    right, right_index = one_sided(lambda s: star_subspaces(B, s, full, within=s))
+    left, left_index = one_sided(lambda s: map_span(products, full, s, within=s))
+    right, right_index = one_sided(lambda s: map_span(products, s, full, within=s))
     strong = tuple(Subspace.of_echelon(field, d, t) for t in terms)
     return ChainReport(left, right, strong, left_index, right_index, strong_index)

@@ -96,32 +96,46 @@ def check_prelie_identity(alg):
     None on success, else a Violation at the first failing triple with
     residual (e_i e_j - e_j e_i)e_k - e_i(e_j e_k) + e_j(e_i e_k).  Every
     product is read off the nonzero coordinates of the table, taken once
-    as ints n / den (``int_rows``): each residual is summed in ints over
-    den^2, compared mod p over GF(p), and turned into scalars only at a
-    failure.  Only the j with a row or with e_i e_j nonzero are swept:
-    for any other j every term vanishes, and so it does at a k that no
-    term reaches.
+    as ints n / den (``int_rows``).  Each pair (i, j) sums the residuals
+    of every k at once, in ints over den^2 keyed by k * d + out: the
+    first term from ``rows[o]`` for each o in e_i e_j - e_j e_i, the
+    second from ``rows[j]`` then ``rows[i]``, the third from ``rows[i]``
+    then ``rows[j]``.  The sums are compared mod p over GF(p), and the
+    least k with a nonzero residual is the failing triple, the one a
+    sweep by k finds first; its residual is the only one turned into
+    scalars.  Only the j with a row or with e_i e_j nonzero are swept:
+    for any other j every term vanishes.
     """
     field, d = alg.field, alg.dim
     rows, den = int_rows(alg)
     p = field.characteristic
     live = {i for i in range(d) if rows[i]}
     for i in range(d):
-        for j in sorted(j for j in live.union(rows[i]) if j > i):
-            w = dict(rows[i].get(j, ()))  # e_i e_j - e_j e_i
-            for o, c in rows[j].get(i, ()):
+        row_i = rows[i]
+        for j in sorted(j for j in live.union(row_i) if j > i):
+            row_j = rows[j]
+            w = dict(row_i.get(j, ()))  # e_i e_j - e_j e_i
+            for o, c in row_j.get(i, ()):
                 w[o] = w.get(o, 0) - c
-            for k in sorted(set(rows[i]).union(rows[j], *(rows[o] for o in w))):
-                r = {}
-                for c, u, v in ([(c, o, k) for o, c in w.items()]
-                                + [(-c, i, o) for o, c in rows[j].get(k, ())]
-                                + [(c, j, o) for o, c in rows[i].get(k, ())]):
-                    for out, x in rows[u].get(v, ()):  # c * e_u e_v
-                        r[out] = r.get(out, 0) + c * x
-                if any(n % p if p else n for n in r.values()):
-                    residual = Vec._trusted(field, field.from_ints(
-                        [r.get(o, 0) for o in range(d)], den * den))
-                    return Violation("pre-Lie identity", (i, j, k), residual)
+            r = {}
+            for o, c in w.items():  # (e_i e_j - e_j e_i) e_k
+                if c:
+                    for k, out in rows[o].items():
+                        base = k * d
+                        for t, x in out:
+                            r[base + t] = r.get(base + t, 0) + c * x
+            for c, outer, inner in ((-1, row_i, row_j), (1, row_j, row_i)):
+                for k, mid in inner.items():  # -e_i(e_j e_k), then +e_j(e_i e_k)
+                    base = k * d
+                    for o, m in mid:
+                        for t, x in outer.get(o, ()):
+                            r[base + t] = r.get(base + t, 0) + c * m * x
+            bad = [key for key, n in r.items() if (n % p if p else n)]
+            if bad:
+                k = min(bad) // d
+                residual = Vec._trusted(field, field.from_ints(
+                    [r.get(k * d + o, 0) for o in range(d)], den * den))
+                return Violation("pre-Lie identity", (i, j, k), residual)
     return None
 
 
@@ -150,8 +164,10 @@ def nilpotency_index(alg):
     is spanned from the support of the product table on ints, as the
     brace's radical chains are (a span does not change when a generator
     is scaled), into one echelon per term that stops at the dimension of
-    the term before (``strong_chain``).  No basis is built.  The terms
-    of a chain that vanishes are kept on alg (``nilpotency_chain``).
+    the term before (``strong_chain``), on one ``map_products`` kernel, so
+    each left row's column map is built once for the chain.  No basis is
+    built.  The terms of a chain that vanishes are kept on alg
+    (``nilpotency_chain``).
     """
     terms, s = strong_chain(alg.field, alg.dim, map_products(alg.field, [alg.product]),
                             alg.dim + 2)

@@ -256,18 +256,12 @@ def test_star_subspaces_matches_direct_span(braces_q, braces_cache, monkeypatch)
     # the graded maps spans, on every pair of chain terms, and so gives
     # the same chain report
     # the strong chain is checked against its written-out form; the
-    # one-sided chains go through the patched name
+    # one-sided chains span through ``map_span`` on the report's one
+    # kernel, so they go through that patched name, and each of their
+    # steps passes the term before as ``within``
     inputs = _chain_inputs(braces_cache)
     reports = {where: radical_chains(B) for where, B in inputs}
-    calls = []
-
-    def reference(B, left, right, within=None):  # the span ignores its cap
-        calls.append(within)
-        return _reference_star_span(B, left, right)
-
-    monkeypatch.setattr(brace, "star_subspaces", reference)
     for where, B in inputs:
-        assert radical_chains(B) == reports[where], where
         rep = reports[where]
         assert rep.strong == _reference_strong_chain(B), where
         terms = set(rep.left + rep.right + rep.strong)
@@ -275,8 +269,23 @@ def test_star_subspaces_matches_direct_span(braces_q, braces_cache, monkeypatch)
             for right in terms:
                 assert (star_subspaces(B, left, right)
                         == _reference_star_span(B, left, right)), where
+    calls, spanned = [], []
+
+    def reference(products, left, right, within=None):  # the span ignores its cap
+        calls.append(within)
+        return _reference_star_span(spanned[-1], left, right)
+
+    monkeypatch.setattr(brace, "map_span", reference)
+    for where, B in inputs:
+        spanned.append(B)
+        assert radical_chains(B) == reports[where], where
     assert any(not rep.strongly_nilpotent for rep in reports.values())
     assert calls and all(within is not None for within in calls)
+    # one call per step: each term after the first, and the step that
+    # found a stalled chain's fixed point
+    assert len(calls) == sum(len(chain) - 1 + (index is None) for rep in reports.values()
+                             for chain, index in ((rep.left, rep.left_index),
+                                                  (rep.right, rep.right_index)))
 
 
 @pytest.mark.parametrize("field", [Q, GF(13)], ids=str)

@@ -7,7 +7,9 @@ written from it (exit 1: `bch` expects a pre-Lie file), and on v_6..v_8
 over Q and GF(11) with `--trials 0` and `20`.  `validate`, `chains`,
 `to-prelie` and `roundtrip` are pinned past the dim <= 4 corpus too: on
 the flows braces of v_6 over GF(11) and of T_5 over Q, relabelled, on
-the pre-Lie T_5 and on a corrupted v_5 brace.  Any change of a byte of this output fails here; the
+the pre-Lie T_5 and on a corrupted v_5 brace.  `validate`, `to-brace`
+and `bch` are pinned on pre-Lie files that fail the pre-Lie identity,
+so the triple and residual each reports stay the same.  Any change of a byte of this output fails here; the
 table is regenerated only for an intended change of output, by
 printing ``outcomes`` of each case."""
 
@@ -438,3 +440,86 @@ def test_cli_output_pinned_past_the_corpus(case, tmp_path, bench_generators):
 
 def test_every_case_past_the_corpus_is_pinned():
     assert set(SCALE_GOLDEN) == set(SCALE_CASES)
+
+
+def _failing_file(path, case, generators):
+    """A pre-Lie file that fails the pre-Lie identity: "v6_corrupted" is
+    v_6 over Q, relabelled, with one product added; "only_e_i" and
+    "only_e_j" are the dim 3 tables whose first failing pair (0, 1) has a
+    row at e_i only, then at e_j only; "v5_GF7" is v_5 over GF(7) with two
+    products added, one of them written unreduced."""
+    p, dim, table = 0, 3, {}
+    if case in ("v6_corrupted", "v5_GF7"):
+        p = 7 if case == "v5_GF7" else 0
+        s = generators.v(6 if p == 0 else 5)
+        entries = (s.entries if p else
+                   generators.relabel(s.entries, *generators.relabelling(s.dim, 3), p))
+        dim = s.dim
+        for (_, (i,), j, k), val in entries.items():
+            table.setdefault((i, j), {})[k] = val
+        extra = ({(1, 2): {4: Fraction(1, 2)}} if p == 0
+                 else {(0, 2): {4: 15}, (2, 1): {3: 3}})
+        for key, val in extra.items():
+            table.setdefault(key, {}).update(val)
+    else:
+        table = ({(0, 1): {2: 1}, (2, 0): {0: 1}} if case == "only_e_i"
+                 else {(1, 0): {2: 1}, (2, 0): {0: 1}})
+    fileio.write_file(PreLieAlgebra(GF(p) if p else Q, dim, table, validate=False), path)
+
+
+def failing_outcomes(case, workdir, generators):
+    """{label: (exit code, SHA-256)} of `validate`, `to-brace` and `bch`
+    on the pre-Lie file of ``case`` (``_failing_file``), run with
+    ``workdir`` as the working directory: each reports the first failing
+    triple of the pre-Lie identity and its residual."""
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        _failing_file(Path("in.json"), case, generators)
+        got = {"file": (0, _sha(Path("in.json").read_text()))}
+        for command in ("validate", "to-brace", "bch"):
+            out = ("--out", "out.json") if command == "to-brace" else ()
+            got[command] = _run(command, "in.json", *out)
+        assert not Path("out.json").exists()
+        return got
+    finally:
+        os.chdir(old)
+
+
+FAILING_CASES = ("v6_corrupted", "only_e_i", "only_e_j", "v5_GF7")
+
+FAILING_GOLDEN = {
+    'v6_corrupted': {
+        'file': (0, '82b45ed8e6e3c0429bdc25cf201eed4ed65e7b24ee73c1d89ea9b38d3364cca5'),
+        'validate': (2, '69e7d725d65d7d3fbff184b0987244a375e43a830006f26eae62f77d37e441ce'),
+        'to-brace': (2, 'ddad10c1d7ee884b58380c4ce7624ab471f2b26bbc4cd6edb1617d968351508f'),
+        'bch': (2, 'ddad10c1d7ee884b58380c4ce7624ab471f2b26bbc4cd6edb1617d968351508f'),
+    },
+    'only_e_i': {
+        'file': (0, 'da1d7696ad3459214fa176e0acf84a641e52d6427c43c73ce31a49f2f3efc07c'),
+        'validate': (2, 'a5ee98cbc74c6d02336f559d5ad7b42d3eb135a3758b59877f1977f6027b309f'),
+        'to-brace': (2, '05f6e88e5bc490e6e49335bf1f10191a8a7eaf7281d6e66bb256ccf0ac6c9307'),
+        'bch': (2, '05f6e88e5bc490e6e49335bf1f10191a8a7eaf7281d6e66bb256ccf0ac6c9307'),
+    },
+    'only_e_j': {
+        'file': (0, 'f03e1f38d39c2efc1d1975e70a60862a4517d71be2d3135eda927e0da117136a'),
+        'validate': (2, '4a38fc2ea08e739d079cca3714700baf4322d1fd7a120ce7b54a4ada22b8cd98'),
+        'to-brace': (2, 'bcbae60786ecbd68b55a2d49a6362bd33fa84da2927c25a0c59ec81c0900deb8'),
+        'bch': (2, 'bcbae60786ecbd68b55a2d49a6362bd33fa84da2927c25a0c59ec81c0900deb8'),
+    },
+    'v5_GF7': {
+        'file': (0, '314992a76a1d66aa8b72feaf1cb13a1e45181e72d9a2fea2fa8612be8b24167a'),
+        'validate': (2, '3823f7eed98088da12237e95b4caeeffa4dc521d4f19bf1a9c16ca76619aa9c3'),
+        'to-brace': (2, '682e81341709cd7bac43d8c0abac263203d01d48e79311a62759860e08c02451'),
+        'bch': (2, '682e81341709cd7bac43d8c0abac263203d01d48e79311a62759860e08c02451'),
+    },
+}
+
+
+@pytest.mark.parametrize("case", FAILING_CASES)
+def test_pre_lie_failures_pinned(case, tmp_path, bench_generators):
+    assert failing_outcomes(case, tmp_path, bench_generators) == FAILING_GOLDEN[case]
+
+
+def test_every_failing_case_is_pinned():
+    assert set(FAILING_GOLDEN) == set(FAILING_CASES)

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from braceflow.corpus import corpus, f4, h3, n2, v5, zero_algebra
 from braceflow.errors import CharacteristicTooSmall, ValidationFailure, Violation
 from braceflow.brace import map_products
@@ -95,7 +97,32 @@ def _full_sweep_identity(alg):
     return None
 
 
-@pytest.mark.parametrize("field", [Q, GF(7), GF(11)], ids=str)
+@st.composite
+def _drawn_table(draw, field):
+    """A sparse table of dim 1-6 over ``field``: v_d (e_i * e_j =
+    j e_{i+j}, zero past weight d, a pre-Lie algebra), scaled by a
+    nonzero scalar and with its basis permuted, or empty; then up to 2d
+    drawn products, set or added to.  Scalars are fractions over Q and
+    ints in [-2p, 2p] over GF(p), so some reduce to zero."""
+    d = draw(st.integers(1, 6))
+    p = field.characteristic
+    scalar = (st.fractions(min_value=-6, max_value=6, max_denominator=6) if not p
+              else st.integers(-2 * p, 2 * p))
+    table = {}
+    if draw(st.booleans()):
+        c = draw(scalar.filter(lambda x: x % p if p else x))
+        at = draw(st.permutations(range(d)))
+        table = {(at[i - 1], at[j - 1]): {at[i + j - 1]: c * j}
+                 for i in range(1, d + 1) for j in range(1, d + 1) if i + j <= d}
+    index = st.integers(0, d - 1)
+    for (i, j), (k, c) in draw(st.lists(st.tuples(st.tuples(index, index),
+                                                  st.tuples(index, scalar)), max_size=2 * d)):
+        row = table.setdefault((i, j), {})
+        row[k] = row.get(k, 0) + c
+    return PreLieAlgebra(field, d, table, validate=False)
+
+
+@pytest.mark.parametrize("field", [Q, GF(5), GF(7), GF(11)], ids=str)
 def test_identity_matches_full_sweep(field):
     # v_n (e_i * e_j = j e_{i+j}), intact and with random extra products
     rng = random.Random(41)
@@ -132,6 +159,19 @@ def test_identity_matches_full_sweep(field):
         alg = PreLieAlgebra(field, 3, structure, validate=False)
         want = _full_sweep_identity(alg)
         assert check_prelie_identity(alg) == want and want.site == (0, 1, 0)
+    # drawn sparse tables, valid and failing: the same Violation, and so
+    # the same message
+    verdicts = []
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(_drawn_table(field))
+    def drawn(alg):
+        want, got = _full_sweep_identity(alg), check_prelie_identity(alg)
+        assert got == want and str(got) == str(want)
+        verdicts.append(want is None)
+
+    drawn()
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_identity_makes_no_multiply_call(monkeypatch):

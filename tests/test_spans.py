@@ -401,3 +401,35 @@ def test_degree_one_kernel_matches_multiset_stack(bench_generators, monkeypatch)
             for right in want.strong:
                 assert map_span(fast, left, right) == map_span(ref, left, right), where
     assert len(cases) == 36
+
+
+def test_each_left_row_gets_one_column_map(bench_generators, monkeypatch):
+    # a whole nilpotency_index builds one column map per distinct left
+    # row, although the strong chain passes each row of X_j again at
+    # every later level; the rows are kept here, so no id is reused
+    built, visited = [], []
+    column_map, degree_one = brace._column_map, brace._degree_one
+
+    def counted_map(by_left, u):
+        built.append(u)
+        return column_map(by_left, u)
+
+    def counted_kernel(by_left, lefts, rights, cache):
+        visited.extend(lefts)
+        return degree_one(by_left, lefts, rights, cache)
+
+    monkeypatch.setattr(brace, "_column_map", counted_map)
+    monkeypatch.setattr(brace, "_degree_one", counted_kernel)
+    g = bench_generators
+    for s, p in ((g.v(10), 13), (g.trees(5), 7)):
+        for field in (Q, GF(p)):
+            table = {}
+            for (_, (i,), j, k), val in s.entries.items():
+                table.setdefault((i, j), {})[k] = val
+            alg = PreLieAlgebra(field, s.dim, table, validate=False)
+            built.clear()
+            visited.clear()
+            assert nilpotency_index(alg) == s.nil_class
+            assert len({id(u) for u in built}) == len(built)
+            assert {id(u) for u in built} == {id(u) for u in visited}
+            assert len(visited) > len(built)  # some rows are passed again
