@@ -17,7 +17,6 @@ from .errors import (CharacteristicTooSmall, ConvergenceFailure, DimensionMismat
                      FieldMismatch, PreconditionViolated, ValidationFailure,
                      Violation)
 from .linalg import Echelon, Subspace, Vec, nonzero, strong_chain
-from .sampling import random_ints, rng_from
 
 
 def _multinomial(k, counts):
@@ -376,9 +375,8 @@ def _left_map(B, u, du):
     return cols
 
 
-def check_left_brace(B, trials, seed=None):
-    """Exact check of the left-brace law on all basis triples plus
-    seeded random triples:
+def check_left_brace(B):
+    """Exact check of the left-brace law on all basis triples:
 
         (a + b + a*b) * c = a*c + b*c + a*(b*c)
 
@@ -400,8 +398,8 @@ def check_left_brace(B, trials, seed=None):
     M_{e_i∘e_j} = M_{e_i+e_j} = M_{e_j}.  If j is neither, M_{e_j} = 0,
     e_i*e_j = 0 and M_{e_i∘e_j} = M_{e_i+e_j} = M_{e_i}.  If no row has
     right index k, column k of every map is 0.  So an empty table builds
-    no map.  The random triples run on ints, 5 passes of the int star
-    kernel ``_star`` each; only a Violation's residual is a Vec.
+    no map.  A defect that no basis triple shows is left to the
+    reconstruction (``validation_stages``).
 
     The other star law, a*(b+c) = a*b + a*c, holds for every GradedBrace
     and is not checked: each L_k is linear in its right slot.  This law
@@ -442,16 +440,6 @@ def check_left_brace(B, trials, seed=None):
                     lhs, rhs = (Vec._trusted(field, field.from_ints(
                         [v.get(o, 0) for o in range(d)], den ** (top + 1))) for v in (got, want))
                     return Violation("left-brace law (a+b+a*b)*c", (i, j, k), lhs - rhs)
-    rng = rng_from(seed)
-    for t in range(trials):
-        a, b, c = (random_ints(field, d, rng) for _ in range(3))
-        bc = B._star(b, c)
-        lhs = B._star(_lincomb(p, (1, a), (1, b), (1, B._star(a, b))), c)
-        residual = _lincomb(p, (1, lhs), (-1, B._star(a, c)), (-1, bc),
-                            (-1, B._star(a, bc)))
-        if any(residual[0]):
-            return Violation("left-brace law (a+b+a*b)*c", ("random", t),
-                             _vec(field, residual))
     return None
 
 
@@ -462,12 +450,12 @@ def check_group(B):
     Associativity is not swept: by right linearity, (a∘b)∘c - a∘(b∘c)
     is the left-brace residual (a+b+a*b)*c - a*c - b*c - a*(b*c), so
     ``check_left_brace`` decides it, on every basis pair (a, b) and all
-    c at once as M_{a∘b} = M_a + M_b + M_a M_b, and on the random
-    triples.  0 is a two-sided identity because every L_k has k >= 1 and
-    is linear in its right slot.  An inverse (``circ_inverse``) takes at
-    most dim + 3 ``_star`` passes.  Only the i that occur in some left
-    tuple of the table are visited: for any other i, star(±e_i, ·) = 0,
-    so the inverse of e_i is -e_i.  Nothing is drawn.
+    c at once as M_{a∘b} = M_a + M_b + M_a M_b.  0 is a two-sided
+    identity because every L_k has k >= 1 and is linear in its right
+    slot.  An inverse (``circ_inverse``) takes at most dim + 3 ``_star``
+    passes.  Only the i that occur in some left tuple of the table are
+    visited: for any other i, star(±e_i, ·) = 0, so the inverse of e_i
+    is -e_i.
     """
     for i in sorted({idx for tup, _, _ in B._rows[0] for idx in tup}):
         try:
@@ -479,7 +467,7 @@ def check_group(B):
 
 def check_fbrace(B):
     """Scalar linearity in the right slot, star(a, e*b) = e*star(a, b)
-    and star(a, 0) = 0: structural, so nothing is drawn or evaluated.
+    and star(a, 0) = 0: structural, so nothing is evaluated.
     ``_star_sum`` (also behind the Vec star ``_diagonal``) adds up
     b_j * (row int) over the rows, over den * db * da^top, which does not
     depend on b's ints; so both hold exactly for every GradedBrace,
@@ -487,16 +475,16 @@ def check_fbrace(B):
     return None
 
 
-def validation_stages(B, trials=20, seed=None):
+def validation_stages(B):
     """Run the checks that admit ``B`` to the correspondence.  Yields one
     line per passed law and chain; raises at the first failure.  Once
     every stage has passed, ``B.chains`` holds the chain report and
     ``B.prelie`` the pre-Lie algebra of L_1.
 
-    First by reconstruction (``_reconstruction``), which draws nothing
-    and can only decide PASS.  A strongly nilpotent F-brace of class
-    s < p is ``to_brace`` of its L_1, and the flows brace of a nilpotent
-    pre-Lie algebra of class s < p is such a brace, of strong index s.
+    The verdict is the reconstruction's (``_reconstruction``), and
+    nothing is drawn.  A strongly nilpotent F-brace of class s < p is
+    ``to_brace`` of its L_1, and the flows brace of a nilpotent pre-Lie
+    algebra of class s < p is such a brace, of strong index s.
     So B is admitted when L_1 is a pre-Lie algebra, nilpotent of class
     s < p (``prelie.validation_stages``, a basis sweep of a bilinear
     identity), s is at most any declared ``class_bound`` and
@@ -505,31 +493,31 @@ def validation_stages(B, trials=20, seed=None):
     ``_checked_stages`` prints on B: the three laws, then the chains,
     read off L_1's table (``flows.table_chains``).
 
-    On any failure ``_checked_stages`` runs.  If it passes, its random
-    half missed what the reconstruction found, and the reconstruction's
-    reason is raised: L_1's own failure, or the first table key where B
-    and ``to_brace(L_1)`` differ (``table_difference``; only then is
-    ``to_brace(L_1)`` built).
+    On any failure ``_checked_stages`` runs, to name a failing law.
+    Its law PASS lines then say only that no basis triple failed them.
+    If it passes, its basis sweep missed what the reconstruction found,
+    and the reconstruction's reason is raised: L_1's own failure, or the
+    first table key where B and ``to_brace(L_1)`` differ
+    (``table_difference``; only then is ``to_brace(L_1)`` built).
     """
     reason = _reconstruction(B)
     if reason is None:
         yield from ("left-brace laws: PASS", "group laws: PASS", "F-linearity: PASS")
         yield from B.chains.lines()
         return
-    yield from _checked_stages(B, trials, seed)
+    yield from _checked_stages(B)
     raise reason()
 
 
-def _checked_stages(B, trials, seed=None):
+def _checked_stages(B):
     """Check B law by law, in order: left-brace law (stage "left-brace
     laws"), inverses (stage "group laws"; the other brace and group laws
     hold by the graded form), F-linearity (structural, ``check_fbrace``),
     radical chains, strong nilpotency, declared ``class_bound`` (set to
     the strong index when none is declared), characteristic above the
     strong index.  Yields one line per passed law and chain; raises at
-    the first failure.  Only the left-brace law draws: ``trials`` random
-    triples from ``seed``."""
-    for name, check in (("left-brace laws", lambda B: check_left_brace(B, trials, seed)),
+    the first failure.  Each law is swept on the basis."""
+    for name, check in (("left-brace laws", check_left_brace),
                         ("group laws", check_group), ("F-linearity", check_fbrace)):
         viol = check(B)
         if viol is not None:

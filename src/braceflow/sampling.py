@@ -1,10 +1,12 @@
-"""Seeded pseudo-random scalars and vectors for the exact check suites.
+"""Seeded pseudo-random scalars and vectors.
 
-Every randomized check in the package draws from a ``random.Random``
-seeded with an explicit value (DEFAULT_SEED unless overridden), so runs
-are reproducible byte for byte.  ``random_ints`` is the one draw path:
-the int kernels take its (ints, den) as they are, and ``random_vec``
-builds canonical scalars from the same draws.
+No verdict of the command line draws.  The one sampled check left in the
+package is ``limits.check_associator_correction_identity``; it and the
+tests draw from a ``random.Random`` seeded with an explicit value
+(DEFAULT_SEED unless overridden), so runs are reproducible byte for
+byte.  ``random_ints`` is the one draw path: the int kernels take its
+(ints, den) as they are, and ``random_vec`` builds canonical scalars
+from the same draws.
 """
 
 import random

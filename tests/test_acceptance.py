@@ -169,7 +169,7 @@ def test_criterion_08_bch():
 def _criterion_9_axiom_suites(field, braces_cache):
     for name, alg in corpus(field).items():
         B = braces_cache(name, field)
-        assert check_left_brace(B, trials=20) is None, name
+        assert check_left_brace(B) is None, name
         assert check_group(B) is None, name
         assert check_fbrace(B) is None, name
         from braceflow.limits import to_prelie
@@ -195,7 +195,7 @@ def _criterion_9_axiom_suites(field, braces_cache):
     lambdas[2] = SymmetricMap(field, 4, 2, table)
     bad_brace = GradedBrace(field, 4, lambdas, class_bound=B.class_bound,
                             validate=False)
-    viol = check_left_brace(bad_brace, trials=10)
+    viol = check_left_brace(bad_brace)
     assert viol is not None
     i, j, k = viol.site
     a, b, c = (bad_brace.basis_vector(n) for n in (i, j, k))

@@ -1,11 +1,12 @@
+import argparse
 import hashlib
 import json
 import sys
 
 import pytest
 
-from braceflow import brace, fileio
-from braceflow.cli import main
+from braceflow import brace, fileio, sampling
+from braceflow.cli import PARSER, main
 from braceflow.corpus import corpus, corpus_path
 from braceflow.scalars import Q
 
@@ -87,22 +88,19 @@ def test_validate_without_class_bound(capsys, tmp_path, braces_q):
 
 def test_validate_fails_at_the_table_key_when_the_checks_miss(capsys, tmp_path):
     # star(a, b) = 6 a_0 a_1 a_2 b_0 e_4 breaks the law off the basis
-    # only; with --trials 0 the checks pass it, and the reconstruction
-    # fails it where it differs from the flows brace of L_1 = 0
+    # only; the basis sweep passes it, and the reconstruction fails it
+    # where it differs from the flows brace of L_1 = 0
     doc = {"format_version": 1, "kind": "brace", "field": "Q", "dim": 4,
            "entries": [[3, [0, 1, 2], 0, 3, "1"]]}
     path = tmp_path / "miss.json"
     path.write_text(json.dumps(doc))
     head = "kind: brace\nfield: Q\ndim: 4\n"
-    assert run(capsys, "validate", str(path), "--trials", "0") == (
+    assert run(capsys, "validate", str(path)) == (
         2, head + "left-brace laws: PASS\ngroup laws: PASS\nF-linearity: PASS\n"
         "left: 4,1,0 nilpotent index 3\nright: 4,1,0 nilpotent index 3\n"
         "strong: 4,1,0 strongly nilpotent index 3\n"
         "FAIL: brace round trip violated at (3, (0, 1, 2), 0)\n", "")
-    assert run(capsys, "validate", str(path)) == (
-        2, head + "FAIL: left-brace law (a+b+a*b)*c violated at ('random', 0) "
-        "residual (0, 0, 0, -34)\n", "")
-    assert run(capsys, "chains", str(path), "--trials", "0") == (
+    assert run(capsys, "chains", str(path)) == (
         2, "FAIL: brace round trip violated at (3, (0, 1, 2), 0)\n", "")
 
 
@@ -249,9 +247,9 @@ def test_chains_f4(capsys):
 
 
 def test_bch_command(capsys):
-    code, out, _ = run(capsys, "bch", corpus_file("h3"), "--trials", "10")
+    code, out, _ = run(capsys, "bch", corpus_file("h3"))
     assert code == 0
-    assert "flows-BCH identity: PASS" in out
+    assert out == "flows-BCH identity: PASS (class 3, trials 20)\n"
 
 
 def test_doubling_matrix_frozen_and_deterministic(capsys):
@@ -313,13 +311,6 @@ def test_doubling_matrix_degree_below_two_is_usage_error(capsys, degree):
                         f"got {degree}\n")
 
 
-@pytest.mark.parametrize("trials", ["-1", "-3"])
-def test_negative_trials_is_usage_error(capsys, trials):
-    code, out, err = run(capsys, "bch", corpus_file("h3"), "--trials", trials)
-    assert (code, out) == (1, "")
-    assert err.endswith(f"argument --trials: trials must be at least 0, got {trials}\n")
-
-
 def test_field_override(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", corpus_file("f4"), "--field", "7")
     assert code == 0
@@ -364,45 +355,65 @@ def test_repeated_runs_byte_identical(capsys, tmp_path, braces_q):
     assert len(outs) == 1
 
 
-@pytest.mark.parametrize("command", ["to-prelie", "chains", "roundtrip"])
-def test_brace_load_checks_take_trials(capsys, tmp_path, monkeypatch, braces_q, command):
-    # an admitted brace draws nothing, whatever --trials says; a brace the
-    # reconstruction rejects (h3's L_1 has class 3 > 2) runs the checks,
-    # which draw --trials random triples
-    random_ints, drawn = brace.random_ints, []
+# exit codes on the pre-Lie h3 file and on h3's brace declaring class 3
+ADMITTED_CODES = {"validate": (0, 0), "to-brace": (0, 1), "to-prelie": (1, 0),
+                   "roundtrip": (0, 0), "chains": (0, 0), "bch": (0, 1)}
 
-    def counting_random_ints(*args):
-        drawn.append(args)
-        return random_ints(*args)
 
-    monkeypatch.setattr(brace, "random_ints", counting_random_ints)
-    out = ["--out", str(tmp_path / "out.json")] if command == "to-prelie" else []
-    for class_bound, code in ((3, 0), (2, 2)):
-        path = _brace_file(tmp_path, braces_q["h3"], class_bound=class_bound)
-        assert run(capsys, command, path, "--trials", "0", *out)[0] == code
-        assert drawn == []
-        assert run(capsys, command, path, "--trials", "1", *out)[0] == code
-        assert bool(drawn) == (code == 2)
+@pytest.mark.parametrize("command", sorted(ADMITTED_CODES))
+def test_file_commands_draw_nothing(capsys, tmp_path, braces_q, command):
+    # no verdict rests on a draw: nothing is drawn on a pre-Lie file, on
+    # a brace the reconstruction admits, or on one it rejects, which runs
+    # the law-by-law checks (h3's L_1 has class 3 > 2; the degree-3 entry
+    # of the last brace breaks the law off the basis only)
+    miss = tmp_path / "miss.json"
+    miss.write_text(json.dumps({"format_version": 1, "kind": "brace", "field": "Q",
+                                "dim": 4, "entries": [[3, [0, 1, 2], 0, 3, "1"]]}))
+    out = ["--out", str(tmp_path / "out.json")] if command in ("to-brace", "to-prelie") else []
+    codes = {sampling.rng_from.__code__: "rng_from",
+             sampling.random_ints.__code__: "random_ints",
+             brace.check_left_brace.__code__: "check_left_brace"}
+    calls, results = [], []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(codes[frame.f_code])
+
+    paths = [lambda: corpus_file("h3"),
+             lambda: _brace_file(tmp_path, braces_q["h3"], class_bound=3),
+             lambda: _brace_file(tmp_path, braces_q["h3"], class_bound=2),
+             lambda: str(miss)]
+    for path in paths:
+        path = path()
+        sys.setprofile(hook)
+        try:
+            results.append(run(capsys, command, path, *out)[0])
+        finally:
+            sys.setprofile(None)
+    assert tuple(results) == ADMITTED_CODES[command] + (2, 2)
+    assert calls == ["check_left_brace"] * 2
 
 
 def test_fbrace_is_structural(capsys, tmp_path, monkeypatch, braces_q):
     # F-linearity holds for every GradedBrace by its form: once the group
-    # laws have passed, validation draws nothing and evaluates no star,
-    # and still prints the F-linearity line
+    # laws have passed, validation evaluates no star, and still prints
+    # the F-linearity line.  The class bound 2 < 4 makes reconstruction
+    # reject f4's brace, so the checked stages run.
     def refuse(*args):
-        raise AssertionError("F-linearity drew or evaluated a star")
+        raise AssertionError("F-linearity evaluated a star")
 
-    check_group = brace.check_group
+    check_group, checked = brace.check_group, []
 
     def check_group_then_refuse(B):
         viol = check_group(B)
-        monkeypatch.setattr(brace, "random_ints", refuse)
+        checked.append(B)
         monkeypatch.setattr(brace.GradedBrace, "_star", refuse)
         return viol
 
     monkeypatch.setattr(brace, "check_group", check_group_then_refuse)
-    code, out, _ = run(capsys, "validate", _brace_file(tmp_path, braces_q["f4"]))
-    assert code == 0
+    code, out, _ = run(capsys, "validate",
+                       _brace_file(tmp_path, braces_q["f4"], class_bound=2))
+    assert (code, len(checked)) == (2, 1)
     assert "group laws: PASS\nF-linearity: PASS\nleft: " in out
     assert brace.check_fbrace(braces_q["f4"]) is None
 
@@ -444,3 +455,29 @@ def test_doubling_matrix_takes_only_degree(capsys, flag):
     assert code == 1
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+# each subcommand's options; an option added or dropped fails here
+OPTIONS = {"validate": {"--field"}, "to-brace": {"--field", "--out"},
+           "to-prelie": {"--field", "--out"}, "roundtrip": {"--field"},
+           "chains": {"--field"}, "bch": {"--field"}, "doubling-matrix": {"--degree"}}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_subcommands_take_only_their_options(capsys, tmp_path, command):
+    sub = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    parser = sub.choices[command]
+    assert {s for a in parser._actions for s in a.option_strings} == (
+        OPTIONS[command] | {"-h", "--help"})
+    if command == "doubling-matrix":
+        argv = [command, "--degree", "3"]
+    else:
+        argv = [command, corpus_file("h3")]
+        if "--out" in OPTIONS[command]:
+            argv += ["--out", str(tmp_path / "out.json")]
+    for flag in (("--field", "7"), ("--trials", "3"), ("--seed", "5")):
+        if flag[0] in OPTIONS[command]:
+            continue
+        code, out, err = run(capsys, *argv, *flag)
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {' '.join(flag)}" in err

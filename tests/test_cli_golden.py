@@ -4,7 +4,7 @@ brace that `to-brace` writes from it, and the SHA-256 of that brace
 file.  An empty brace of dim 400 over Q and a corrupted brace (exit 2)
 are pinned too.  `bch` is pinned on every corpus file, on the brace
 written from it (exit 1: `bch` expects a pre-Lie file), and on v_6..v_8
-over Q and GF(11) with `--trials 0` and `20`.  `validate`, `chains`,
+over Q and GF(11).  `validate`, `chains`,
 `to-prelie` and `roundtrip` are pinned past the dim <= 4 corpus too: on
 the flows braces of v_6 over GF(11) and of T_5 over Q, relabelled, on
 the pre-Lie T_5 and on a corrupted v_5 brace.  `validate`, `to-brace`
@@ -258,9 +258,7 @@ def bch_outcomes(case, workdir):
             assert _run("to-brace", path, "--out", "brace.json")[0] == 0
             return {"bch": _run("bch", path), "brace bch": _run("bch", "brace.json")}
         _v_file(Path("v.json"), int(case[1:]))
-        return {f"{field} trials {trials}": _run("bch", "v.json", "--field", field,
-                                                  "--trials", trials)
-                for field in ("Q", "11") for trials in ("0", "20")}
+        return {field: _run("bch", "v.json", "--field", field) for field in ("Q", "11")}
     finally:
         os.chdir(old)
 
@@ -320,22 +318,16 @@ BCH_GOLDEN = {
         'brace bch': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     },
     'v6': {
-        'Q trials 0': (0, '8da606da8925b50395674688b022ba4f6ee4682fae223a4deaafda7883487d80'),
-        'Q trials 20': (0, 'aad8918d1152aa0c22b56d2a139b98e9cc25a1ff29c4c5ff1647097398d3aecd'),
-        '11 trials 0': (0, '8da606da8925b50395674688b022ba4f6ee4682fae223a4deaafda7883487d80'),
-        '11 trials 20': (0, 'aad8918d1152aa0c22b56d2a139b98e9cc25a1ff29c4c5ff1647097398d3aecd'),
+        'Q': (0, 'aad8918d1152aa0c22b56d2a139b98e9cc25a1ff29c4c5ff1647097398d3aecd'),
+        '11': (0, 'aad8918d1152aa0c22b56d2a139b98e9cc25a1ff29c4c5ff1647097398d3aecd'),
     },
     'v7': {
-        'Q trials 0': (0, '84ea6562cbbc2d48169668d82a1d24c7003c3aca31eba19acc6612bccdf02030'),
-        'Q trials 20': (0, '41bf490626315dd06ac1ef9e8680bae4250490de873b2365da303c84636c5e9b'),
-        '11 trials 0': (0, '84ea6562cbbc2d48169668d82a1d24c7003c3aca31eba19acc6612bccdf02030'),
-        '11 trials 20': (0, '41bf490626315dd06ac1ef9e8680bae4250490de873b2365da303c84636c5e9b'),
+        'Q': (0, '41bf490626315dd06ac1ef9e8680bae4250490de873b2365da303c84636c5e9b'),
+        '11': (0, '41bf490626315dd06ac1ef9e8680bae4250490de873b2365da303c84636c5e9b'),
     },
     'v8': {
-        'Q trials 0': (0, 'f5351da87ce562929f4405b6c347770769d14cc34735706b2c844dc814b591ce'),
-        'Q trials 20': (0, '30af151827f23f48d6652ef1eb76deab1eef5d0b598ac41b7135f52b1cf0238b'),
-        '11 trials 0': (0, 'f5351da87ce562929f4405b6c347770769d14cc34735706b2c844dc814b591ce'),
-        '11 trials 20': (0, '30af151827f23f48d6652ef1eb76deab1eef5d0b598ac41b7135f52b1cf0238b'),
+        'Q': (0, '30af151827f23f48d6652ef1eb76deab1eef5d0b598ac41b7135f52b1cf0238b'),
+        '11': (0, '30af151827f23f48d6652ef1eb76deab1eef5d0b598ac41b7135f52b1cf0238b'),
     },
 }
 

@@ -489,17 +489,17 @@ def _reference_structures(generators):
 
 def _assert_admitted_and_checked(B, where):
     """Validation admits an unvalidated copy of B by reconstruction, and
-    the checked stages, with 20 random triples, pass on another copy with
-    the same lines; so does ``table_difference`` from to_brace(L_1), the
-    reference of the int comparison that admitted it; radical_chains of
-    the brace is the ChainReport read off L_1's table."""
+    the checked stages pass on another copy with the same lines; so does
+    ``table_difference`` from to_brace(L_1), the reference of the int
+    comparison that admitted it; radical_chains of the brace is the
+    ChainReport read off L_1's table."""
     admitted, checked = (GradedBrace(B.field, B.dim, B.lambdas, class_bound=B.class_bound,
                                      basis_names=B.basis_names, validate=False)
                          for _ in range(2))
-    lines = list(validation_stages(admitted, trials=20))
+    lines = list(validation_stages(admitted))
     assert admitted.prelie is not None, where
     assert table_difference(B, to_brace(admitted.prelie)) is None, where
-    assert list(_checked_stages(checked, trials=20)) == lines, where
+    assert list(_checked_stages(checked)) == lines, where
     assert radical_chains(checked) == admitted.chains, where
     assert admitted.class_bound == admitted.chains.strong_index, where
 
@@ -512,10 +512,10 @@ def _field_of(name, s):
 @pytest.mark.parametrize("field_of", ["Q", "smallest prime", "GF(11)"])
 def test_to_brace_output_passes_full_validation(field_of, bench_generators):
     # to_brace admits its brace by the correspondence theorem and checks
-    # nothing; the checked stages with 20 random triples are the
-    # reference, run on an unvalidated copy of every brace it returns,
-    # over Q, GF(p) with p the smallest prime above the class and GF(11),
-    # plain and under a seeded relabelling of the algebra
+    # nothing; the checked stages are the reference, run on an
+    # unvalidated copy of every brace it returns, over Q, GF(p) with p
+    # the smallest prime above the class and GF(11), plain and under a
+    # seeded relabelling of the algebra
     g = bench_generators
     for s in _reference_structures(g):
         field = _field_of(field_of, s)
@@ -587,20 +587,25 @@ def test_extraction_makes_no_multiply_call(trials):
     out = []
     assert _called(watched, lambda: out.append(to_brace(alg))) == []
     B = out[0]
-    # validation admits it by reconstruction, with or without random
-    # triples: no draw and no brace check, and the chains are read off
-    # L_1's table
-    assert _called(watched, lambda: list(validation_stages(B, trials, 5))) == []
+    # validation admits it by reconstruction: no draw and no brace check,
+    # and the chains are read off L_1's table
+    assert _called(watched, lambda: list(validation_stages(B))) == []
     assert B.chains == table_chains(alg)
     # the watch sees the checks, on the brace itself, when the
     # reconstruction rejects it (a declared class bound below the class),
-    # and still no multiply or flows star
+    # and still no multiply, flows star or draw
     low = GradedBrace(Q, B.dim, B.lambdas, class_bound=B.class_bound - 1, validate=False)
     called = _called(watched, lambda: pytest.raises(
-        ValidationFailure, list, validation_stages(low, trials, 5)))
+        ValidationFailure, list, validation_stages(low)))
     assert {name for name, _ in called} == {
-        "check_left_brace", "check_group", "radical_chains", "rng_from"}
-    assert all(arg is low for name, arg in called if name != "rng_from")
+        "check_left_brace", "check_group", "radical_chains"}
+    assert all(arg is low for _, arg in called)
+    # the brace built with no multiply call is the flows brace of alg:
+    # its star is the multiply-built flows star at `trials` seeded pairs
+    rng = sampling.rng_from(5)
+    for _ in range(trials):
+        a, b = random_vec(Q, alg.dim, rng), random_vec(Q, alg.dim, rng)
+        assert B.star(a, b) == star(alg, a, b), (a, b)
 
 
 @pytest.mark.parametrize("field", [Q, GF(7)])
