@@ -624,51 +624,61 @@ def map_span(products, left, right, within=None):
     vectors y.
 
     A span is unchanged when one generator is scaled, so it is taken on
-    ints: the generators of ``products`` are reduced as they arrive into
-    one ``Echelon``.  ``within`` is a subspace known to contain the
-    span, such as the previous term of a descending chain: spanning
-    stops once the echelon reaches its dimension, and ``within`` is
-    returned.
+    ints: ``products`` reduces its generators into one ``Echelon`` as
+    they are made.  ``within`` is a subspace known to contain the span,
+    such as the previous term of a descending chain: spanning stops once
+    the echelon reaches its dimension, and ``within`` is returned.
     """
     field, d = left.field, left.ambient_dim
     ech = Echelon(field.characteristic, d if within is None else within.dim)
-    if ech.extend(products(left.rows, right.rows)) and within is not None:
+    if products(ech, left.rows, right.rows) and within is not None:
         return within
     return Subspace.of_echelon(field, d, ech.rows)
 
 
 def map_products(field, maps):
-    """products(lefts, rights, fresh=None): a generator of sparse int
-    rows {out: n}, not yet reduced mod p, spanning ``map_span`` of the
-    subspaces with echelon rows ``lefts`` and ``rights``
-    (``Subspace.rows``); with ``fresh``, only of the left multisets with
-    a slot among the first ``fresh`` lefts (``linalg.strong_chain``).
+    """products(ech, lefts, rights, fresh=None): reduce into the
+    ``Echelon`` ech int rows spanning ``map_span`` of the subspaces with
+    echelon rows ``lefts`` and ``rights`` (``Subspace.rows``), stopping
+    once ech reaches its cap, and return whether it did; with ``fresh``,
+    only from the left multisets with a slot among the first ``fresh``
+    lefts (``linalg.strong_chain``).
 
     Each map's table is compiled once and kept on the map
-    (``_compiled``), and its arity selects the path.  A table of arity 1
-    (a pre-Lie product, L_1) has one left slot, so each left row u is a
-    multiset of its own, and ``_degree_one`` takes no multiset stack.
-    The column map of each left row is kept here, keyed by the row
-    object, for as long as ``products`` lives, so a row must not change
-    once passed.  Echelon rows never do, and a chain passes the rows of
-    its terms again at every later level, so each row's map is built
-    once per chain.  A table of arity k > 1 goes through the multisets
-    of k lefts (``_multisets``), as item tuples.
+    (``_compiled``), and its arity selects the path.  A table of arity
+    k > 1 goes through the multisets of k lefts (``_multisets``), as item
+    tuples, into ``Echelon.extend``.  A table of arity 1 (a pre-Lie
+    product, L_1) has one left slot, so each left row u is a multiset of
+    its own, and ``_span_degree_one`` reduces each product u.y into ech
+    where it is made, from the column map j -> u.e_j of u.  The map of a
+    row u = {i: n} of one entry is e_i's, up to the scale n: it is read
+    off the compiled table when first needed and kept here by i.  The
+    map of any other left row is built by ``_column_map`` and kept here,
+    keyed by the row object, for as long as ``products`` lives, so a row
+    must not change once passed.  Echelon rows never do, and a chain
+    passes the rows of its terms again at every later level, so each
+    row's map is built once per chain.
     """
     p = field.characteristic
-    # (arity, compiled table, {id(u): (u, column map of u)} at arity 1)
-    tables = [(lam.arity, _compiled(lam), {}) for lam in maps]
+    # (arity, compiled table, {i: column map of e_i}, {id(u): (u, column map of u)})
+    tables = [(lam.arity, _compiled(lam), {}, {}) for lam in maps]
 
-    def products(lefts, rights, fresh=None):
+    def products(ech, lefts, rights, fresh=None):
+        if ech.at_cap():
+            return True
         firsts = len(lefts) if fresh is None else fresh
         items = None
-        for k, table, cache in tables:
+        for k, table, unit_maps, row_maps in tables:
             if k == 1:
-                yield from _degree_one(table[0], lefts[:firsts], rights, cache)
+                done = _span_degree_one(ech, table[0], unit_maps, row_maps,
+                                        lefts[:firsts], rights)
             else:
                 if items is None:
                     items = [tuple(u.items()) for u in lefts]
-                yield from _multisets(k, table, items, firsts, rights, p)
+                done = ech.extend(_multisets(k, table, items, firsts, rights, p))
+            if done:
+                return True
+        return False
     return products
 
 
@@ -688,40 +698,63 @@ def _compiled(lam):
     return lam._spans
 
 
-def _degree_one(by_left, lefts, rights, cache):
-    """The int rows u.y of an arity-1 table (``_compiled``) for the left
-    rows u ({i: n}) and the right rows y: each y is sent through the
-    column map j -> u.e_j of u (``_column_map``) by its nonzero entries.
-    ``cache`` holds the maps already built, as {id(u): (u, map)}; keeping
-    u alive keeps its id from being reused by another row."""
+def _span_degree_one(ech, by_left, unit_maps, row_maps, lefts, rights):
+    """Reduce the int rows u.y of an arity-1 table (``_compiled``) for the
+    left rows u ({i: n}) and the right rows y into the ``Echelon`` ech,
+    each where it is made; True once ech reaches its cap.
+
+    A product is y sent through the column map j -> u.e_j of u by y's
+    nonzero entries, and for y = {j: n} it is column j itself, as a span
+    is unchanged when a generator is scaled.  A product whose every
+    coordinate is the lead of a unit row of ech lies in its span, so it
+    is skipped before it is built.  ``unit_maps`` {i: map} and
+    ``row_maps`` {id(u): (u, map)} hold the column maps built so far
+    (``map_products``); keeping u keeps its id from being reused by
+    another row."""
+    p, units = ech.p, ech.units
+    singles = [j for y in rights if len(y) == 1 for j in y]
+    others = [y for y in rights if len(y) > 1]
     for u in lefts:
-        hit = cache.get(id(u))
-        if hit is None:
-            hit = cache[id(u)] = (u, _column_map(by_left, u))
-        cols = hit[1]
+        if len(u) == 1:
+            (i,) = u
+            cols = unit_maps.get(i)
+            if cols is None:
+                cols = unit_maps[i] = {j: dict(out) for j, out in by_left.get((i,), ())}
+        else:
+            hit = row_maps.get(id(u))
+            if hit is None:
+                hit = row_maps[id(u)] = (u, _column_map(by_left, u, p))
+            cols = hit[1]
         if not cols:
             continue
-        for y in rights:
+        for j in singles:
+            col = cols.get(j)
+            if col is not None and not units.issuperset(col) and ech.add(dict(col)):
+                return True
+        for y in others:
+            parts = [(cols[j], w) for j, w in y.items() if j in cols]
+            if all(units.issuperset(col) for col, _ in parts):
+                continue
             g = {}
-            for j, w in y.items():
-                col = cols.get(j)
-                if col is not None:
-                    for o, v in col.items():
-                        g[o] = g.get(o, 0) + w * v
-            if g:
-                yield g
+            for col, w in parts:
+                for o, v in col.items():
+                    g[o] = g.get(o, 0) + w * v
+            if ech.add(nonzero(g, p)):
+                return True
+    return False
 
 
-def _column_map(by_left, u):
+def _column_map(by_left, u, p):
     """{j: u.e_j} of an arity-1 table (``_compiled``) for the int row
-    u = {i: n}, each column a sparse int row {out: n}."""
+    u = {i: n}, each column a sparse int row {out: n} with its entries
+    nonzero and reduced mod p, and no column empty."""
     cols = {}
     for i, x in u.items():
         for j, out in by_left.get((i,), ()):
             col = cols.setdefault(j, {})
             for o, n in out:
                 col[o] = col.get(o, 0) + x * n
-    return cols
+    return {j: col for j, c in cols.items() if (col := nonzero(c, p))}
 
 
 def _multisets(k, table, lefts, firsts, rights, p):
@@ -813,12 +846,14 @@ def radical_chains(B):
     """Compute the left chain A^{i+1} = A * A^i, the right chain
     A^(i+1) = A^(i) * A, and the strong chain A^[i] = sum of
     A^[j] * A^[i-j], until each vanishes or provably stabilizes.  Each
-    chain descends, so each term stops spanning at the dimension of the
-    one before (``map_span``, ``strong_chain``), all from one compile of
-    each table (``map_products``).  The strong chain's cap of 2d+3 terms
-    is a budget, not a theorem (``prelie.nilpotency_index``).  On the
-    flows brace of a nilpotent pre-Lie algebra of class s < p the report
-    is the one read off the algebra's table (``flows.table_chains``)."""
+    strong term stops spanning at the dimension of the one before
+    (``strong_chain``), and each one-sided term at the smaller of the one
+    before and the strong term (``chain_report``), all from one compile
+    of each table (``map_products``).  The strong chain's cap of 2d+3
+    terms is a budget, not a theorem (``prelie.nilpotency_index``).  On
+    the flows brace of a nilpotent pre-Lie algebra of class s < p the
+    report is the one read off the algebra's table
+    (``flows.table_chains``)."""
     terms, strong_index = strong_chain(B.field, B.dim,
                                        map_products(B.field, B.lambdas.values()), 2 * B.dim + 3)
     return chain_report(B, terms, strong_index)
@@ -826,24 +861,52 @@ def radical_chains(B):
 
 def chain_report(B, terms, strong_index):
     """The ChainReport of B's left and right chains, computed here, and
-    of the strong chain given as its ``Echelon`` terms and index
-    (``linalg.strong_chain``).  Both one-sided chains span from one
-    ``map_products`` of B's tables, so a left row's column map is built
-    once for the report (``_degree_one``)."""
+    of the strong chain D_1, D_2, ... given as its ``Echelon`` terms and
+    index (``linalg.strong_chain``).
+
+    Each one-sided step spans within the smaller of the term before and
+    the strong term of its index, and a span that reaches the dimension
+    of a subspace containing it is that subspace.  Proof that both
+    contain it.  The star span U * V is monotone in U and in V, and
+    D_{i+1} = sum_{0<j<i+1} D_j * D_{i+1-j} holds D_1 * D_i (j = 1) and
+    D_i * D_1 (j = i).  So by induction on i, from A^1 = A^(1) = A = D_1:
+    A^{i+1} = A * A^i ⊆ D_1 * D_i ⊆ D_{i+1}, and
+    A^(i+1) = A^(i) * A ⊆ D_i * D_1 ⊆ D_{i+1}.  Each chain descends:
+    A^2 ⊆ A, and A^{i+1} ⊆ A^i gives A * A^{i+1} ⊆ A * A^i; likewise on
+    the right.  Where a one-sided chain coincides with the strong chain
+    its steps stop at D_{i+1}.  A chain that reaches a zero strong term
+    is zero there; past the cap of a strong chain that never vanished
+    the term before is the only bound.
+
+    The slot that runs over all of A takes first the rows X_1 of D_1
+    whose lead is no lead of D_2, then the rest, which span D_2.  The
+    products with D_2 lie in D_2 * A^i or A^(i) * D_2, inside D_{i+2}
+    (the j = 2 or j = i summand), which lies in D_{i+1}; so the products
+    with X_1 are the ones that reach a cap D_{i+1} first.  Every product
+    is still taken until a cap is reached: at arity > 1 the multisets
+    that mix X_1 rows with the rest as well.  Both one-sided chains span
+    from one ``map_products`` of B's tables, so a left row's column map
+    is built once for the report.
+    """
     field, d = B.field, B.dim
-    full = Subspace.full(field, d)
+    strong = tuple(Subspace.of_echelon(field, d, t) for t in terms)
     products = map_products(field, B.lambdas.values())
+    below = terms[1] if len(terms) > 1 else {}
+    # the unit rows of D_1, X_1 first
+    full = [row for _, row in sorted(terms[0].items(), key=lambda item: item[0] in below)]
 
     def one_sided(step):
-        chain = [full]
+        chain = [strong[0]]
         while not chain[-1].is_zero():
-            nxt = step(chain[-1])
-            if nxt == chain[-1]:
+            last, i = chain[-1], len(chain)
+            cap = strong[i] if i < len(strong) and strong[i].dim < last.dim else last
+            ech = Echelon(field.characteristic, cap.dim)
+            nxt = cap if step(ech, last.rows) else Subspace.of_echelon(field, d, ech.rows)
+            if nxt == last:
                 return tuple(chain), None  # stalled at a nonzero fixed point
             chain.append(nxt)
         return tuple(chain), len(chain)
 
-    left, left_index = one_sided(lambda s: map_span(products, full, s, within=s))
-    right, right_index = one_sided(lambda s: map_span(products, s, full, within=s))
-    strong = tuple(Subspace.of_echelon(field, d, t) for t in terms)
+    left, left_index = one_sided(lambda ech, rows: products(ech, full, rows))
+    right, right_index = one_sided(lambda ech, rows: products(ech, rows, full))
     return ChainReport(left, right, strong, left_index, right_index, strong_index)

@@ -205,37 +205,58 @@ class Echelon:
 
     ``rows`` maps each lead column to its ``_normalized`` row {col: n}:
     nonzero entries only, none left of the lead and none at another
-    row's lead.  ``cap`` is the dimension of a subspace known to contain
-    the span; once the echelon reaches it the span is that subspace and
+    row's lead.  ``units`` is the set of leads whose row is the unit row
+    {lead: 1}; a row whose every entry is at such a lead lies in the
+    span.  A unit row stays one: a new row is reduced at its leads
+    first.  ``cap`` is the dimension of a subspace known to contain the
+    span; once the echelon reaches it the span is that subspace and
     ``extend`` stops reading.
     """
 
-    __slots__ = ("p", "cap", "rows")
+    __slots__ = ("p", "cap", "rows", "units")
 
     def __init__(self, p, cap):
-        self.p, self.cap, self.rows = p, cap, {}
+        self.p, self.cap, self.rows, self.units = p, cap, {}, set()
 
-    def extend(self, rows):
-        """Reduce each int row {col: n}, at any nonzero scale, into the
-        echelon as it arrives, and keep it unless it reduces to zero.
+    def at_cap(self):
+        """Whether the echelon has reached its cap."""
+        return len(self.rows) >= self.cap
+
+    def add(self, row):
+        """Reduce the int row {col: n}, at any nonzero scale, with its
+        entries nonzero and reduced mod p, into the echelon, and keep it
+        unless it reduces to zero.  The row is taken over and changed.
         Returns whether the echelon reached its cap."""
         p, ech = self.p, self.rows
-        if len(ech) >= self.cap:
-            return True
-        for row in rows:
-            row = nonzero(row, p)  # a copy, eliminated in place
-            for c in [c for c in row if c in ech]:
-                _eliminate(row, ech[c], c, p)
-            if row:
-                row = _normalized(row, p)
-                lead = min(row)
-                for c, q in ech.items():
-                    if lead in q:
-                        ech[c] = _normalized(_eliminate(dict(q), row, lead, p), p)
-                ech[lead] = row
-                if len(ech) >= self.cap:
-                    return True
-        return False
+        for c in [c for c in row if c in ech]:
+            piv = ech[c]
+            if len(piv) == 1:
+                del row[c]
+            else:
+                _eliminate(row, piv, c, p)
+        if not row:
+            return False
+        row = _normalized(row, p)
+        lead = min(row)
+        units = self.units
+        for c, q in ech.items():
+            if lead in q:
+                q = _eliminate(dict(q), row, lead, p)
+                if not p:  # over GF(p) q's lead, left of lead, stays 1
+                    q = _normalized(q, p)
+                ech[c] = q
+                if len(q) == 1:
+                    units.add(c)
+        ech[lead] = row
+        if len(row) == 1:
+            units.add(lead)
+        return len(ech) >= self.cap
+
+    def extend(self, rows):
+        """``add`` a copy of each int row {col: n}, not yet reduced mod p,
+        as it arrives.  Returns whether the echelon reached its cap."""
+        p = self.p
+        return self.at_cap() or any(self.add(nonzero(row, p)) for row in rows)
 
 
 class Subspace:
@@ -320,10 +341,11 @@ def span(vectors, field=None, dim=None):
 def strong_chain(field, dim, products, cap):
     """The chain D_1 = F^dim, D_i = sum over 0 < j < i of the spans of
     products(D_j, D_{i-j}), for i <= cap.  Terms are ``Echelon`` rows
-    {lead: row}, and ``products(lefts, rights, fresh)`` takes two terms'
-    rows and yields int rows spanning their product, only from the left
-    multisets with a slot among the first ``fresh`` lefts.  Each term
-    lies in the one before (D_2 is in D_1; by induction and monotonicity
+    {lead: row}, and ``products(ech, lefts, rights, fresh)`` reduces into
+    the ``Echelon`` ech int rows spanning the product of two terms' rows,
+    only from the left multisets with a slot among the first ``fresh``
+    lefts, and returns whether ech reached its cap.  Each term lies in
+    the one before (D_2 is in D_1; by induction and monotonicity
     D_j*D_{i-j} lies in D_j*D_{i-1-j} for j < i-1, and D_{i-1}*D_1 in
     D_{i-2}*D_1), so all j reduce into one echelon capped at dim D_{i-1},
     and a term that reaches it is D_{i-1}.
@@ -337,16 +359,16 @@ def strong_chain(field, dim, products, cap):
     Returns (terms, 1-based index of the first zero term or None)."""
     chain = [{i: {i: 1} for i in range(dim)}]
 
-    def level_products(i, j):
+    def level(ech, i, j):
         below = chain[j] if j < i - 1 else {}
         lefts = [row for lead, row in chain[j - 1].items() if lead not in below]
         fresh = len(lefts)
         lefts += below.values()
-        return products(lefts, chain[i - j - 1].values(), fresh) if fresh else ()
+        return fresh and products(ech, lefts, chain[i - j - 1].values(), fresh)
 
     for i in range(2, cap + 1):
         ech = Echelon(field.characteristic, len(chain[-1]))
-        if any(ech.extend(level_products(i, j)) for j in range(1, i)):
+        if any(level(ech, i, j) for j in range(1, i)):
             chain.append(chain[-1])
         else:
             chain.append(ech.rows)

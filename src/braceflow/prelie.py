@@ -164,10 +164,12 @@ def nilpotency_index(alg):
     is spanned from the support of the product table on ints, as the
     brace's radical chains are (a span does not change when a generator
     is scaled), into one echelon per term that stops at the dimension of
-    the term before (``strong_chain``), on one ``map_products`` kernel, so
-    each left row's column map is built once for the chain.  No basis is
-    built.  The terms of a chain that vanishes are kept on alg
-    (``nilpotency_chain``).
+    the term before (``strong_chain``).  One ``map_products`` kernel
+    reduces each product into that echelon as it is made, skips a
+    product that lies on the echelon's unit rows before making it, reads
+    a unit row's column map off the table and builds any other left
+    row's once for the chain.  No basis is built.  The terms of a chain
+    that vanishes are kept on alg (``nilpotency_chain``).
     """
     terms, s = strong_chain(alg.field, alg.dim, map_products(alg.field, [alg.product]),
                             alg.dim + 2)

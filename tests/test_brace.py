@@ -15,7 +15,7 @@ from braceflow.corpus import corpus
 from braceflow.errors import (AlgebraError, CharacteristicTooSmall, ConvergenceFailure,
                               DimensionMismatch, FieldMismatch, ValidationFailure,
                               Violation)
-from braceflow.flows import is_flows_brace
+from braceflow.flows import is_flows_brace, table_chains
 from braceflow.linalg import Subspace, Vec, span
 from braceflow.prelie import PreLieAlgebra
 from braceflow.sampling import random_vec, rng_from
@@ -242,7 +242,30 @@ def _chain_inputs(braces_cache):
     return out
 
 
-def test_star_subspaces_matches_direct_span(braces_q, braces_cache, monkeypatch):
+def _reference_one_sided(B, on_left):
+    """The left (A * A^i) or right (A^(i) * A) chain written out, each
+    term a ``_reference_star_span`` of the one before, up to the first
+    zero term or the first repeat: (terms, index or None)."""
+    full = Subspace.full(B.field, B.dim)
+    chain = [full]
+    while not chain[-1].is_zero():
+        nxt = (_reference_star_span(B, full, chain[-1]) if on_left
+               else _reference_star_span(B, chain[-1], full))
+        if nxt == chain[-1]:
+            return tuple(chain), None
+        chain.append(nxt)
+    return tuple(chain), len(chain)
+
+
+def _assert_reference_chains(B, rep, where):
+    """rep is B's chain report written out, term by term and index by
+    index."""
+    assert rep.strong == _reference_strong_chain(B), where
+    assert (rep.left, rep.left_index) == _reference_one_sided(B, True), where
+    assert (rep.right, rep.right_index) == _reference_one_sided(B, False), where
+
+
+def test_star_subspaces_matches_direct_span(braces_q, braces_cache):
     # polarization turns the span of star(a, b) over subspaces into a
     # finite computation; cross-check against random sampling
     B = braces_q["v5"]
@@ -253,39 +276,69 @@ def test_star_subspaces_matches_direct_span(braces_q, braces_cache, monkeypatch)
                     for _ in range(60)], field=Q, dim=4)
     assert _within(sampled, computed)
     # the support-pruned expansion spans exactly what the full sweep of
-    # the graded maps spans, on every pair of chain terms, and so gives
-    # the same chain report
-    # the strong chain is checked against its written-out form; the
-    # one-sided chains span through ``map_span`` on the report's one
-    # kernel, so they go through that patched name, and each of their
-    # steps passes the term before as ``within``
+    # the graded maps spans, on every pair of chain terms, and all three
+    # chains are their written-out forms, stalled ones included
     inputs = _chain_inputs(braces_cache)
     reports = {where: radical_chains(B) for where, B in inputs}
     for where, B in inputs:
         rep = reports[where]
-        assert rep.strong == _reference_strong_chain(B), where
+        _assert_reference_chains(B, rep, where)
         terms = set(rep.left + rep.right + rep.strong)
         for left in terms:
             for right in terms:
                 assert (star_subspaces(B, left, right)
                         == _reference_star_span(B, left, right)), where
-    calls, spanned = [], []
-
-    def reference(products, left, right, within=None):  # the span ignores its cap
-        calls.append(within)
-        return _reference_star_span(spanned[-1], left, right)
-
-    monkeypatch.setattr(brace, "map_span", reference)
-    for where, B in inputs:
-        spanned.append(B)
-        assert radical_chains(B) == reports[where], where
     assert any(not rep.strongly_nilpotent for rep in reports.values())
-    assert calls and all(within is not None for within in calls)
-    # one call per step: each term after the first, and the step that
-    # found a stalled chain's fixed point
-    assert len(calls) == sum(len(chain) - 1 + (index is None) for rep in reports.values()
-                             for chain, index in ((rep.left, rep.left_index),
-                                                  (rep.right, rep.right_index)))
+    assert any(not rep.left_nilpotent for rep in reports.values())
+
+
+def _stops_at_strong_terms(rep):
+    """Per one-sided chain, whether each term after the first is the
+    strong term of its index as an object: the step reached that cap."""
+    return [[i < len(rep.strong) and term is rep.strong[i] for i, term in enumerate(chain)][1:]
+            for chain in (rep.left, rep.right)]
+
+
+def test_one_sided_chains_are_capped_by_the_strong_chain(bench_generators, braces_cache):
+    # A^{i+1} = A * A^i lies in D_1 * D_i and A^(i+1) = A^(i) * A in
+    # D_i * D_1, both in D_{i+1}: each one-sided step spans within the
+    # smaller of the term before and D_{i+1}, and returns D_{i+1} itself
+    # once it reaches it.  On v_n and upper(m) the chains coincide and
+    # every step stops at D_{i+1}; on T_4, T_5 and f4 they differ, and
+    # only where a term equals D_{i+1} (A^2 = D_2, the zero term) is the
+    # cap reached.  Each report is its written-out form.
+    g = bench_generators
+    coinciding, differing = [], []
+    for field in (Q, GF(11)):
+        for s in (g.v(5), g.v(6), g.upper(4), g.upper(5), g.trees(4), g.trees(5)):
+            structure = {}
+            for (_, (i,), j, k), val in s.entries.items():
+                structure.setdefault((i, j), {})[k] = val
+            alg = PreLieAlgebra(field, s.dim, structure)
+            rep = table_chains(alg)
+            brace_1 = GradedBrace(field, s.dim, {1: alg.product}, validate=False)
+            (coinciding if s.name[0] in "vU" else differing).append((s.name, brace_1, rep))
+        f4 = braces_cache("f4", field)
+        differing.append(("f4", f4, radical_chains(f4)))
+        # the flows brace of v_5 has maps of arity 2 and 3, spanned by
+        # the multiset stack
+        v5 = braces_cache("v5", field)
+        assert max(v5.lambdas) > 1
+        coinciding.append(("v5 flows", v5, radical_chains(v5)))
+    for name, B, rep in coinciding:
+        assert rep.left == rep.right == rep.strong, name
+        assert _stops_at_strong_terms(rep) == [[True] * (len(rep.strong) - 1)] * 2, name
+    for name, B, rep in differing:
+        assert rep.left != rep.strong or rep.right != rep.strong, name
+        for chain, stops in zip((rep.left, rep.right), _stops_at_strong_terms(rep)):
+            assert stops == [i < len(rep.strong) and term == rep.strong[i]
+                             for i, term in enumerate(chain)][1:], name
+            assert not all(stops), name
+    t4 = [rep for name, _, rep in differing if name == "T4"]
+    assert [(rep.dims(rep.left), rep.dims(rep.strong)) for rep in t4] == [
+        ((8, 7, 4, 1, 0), (8, 7, 6, 4, 0))] * 2
+    for name, B, rep in coinciding + differing:
+        _assert_reference_chains(B, rep, name)
 
 
 @pytest.mark.parametrize("field", [Q, GF(13)], ids=str)

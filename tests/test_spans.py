@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from braceflow import brace, flows
+from braceflow import brace, flows, prelie
 from braceflow.brace import (GradedBrace, SymmetricMap, map_products, map_span,
                              radical_chains)
 from braceflow.linalg import (Echelon, Mat, Subspace, Vec, polynomial_curve_coefficients,
@@ -274,6 +274,7 @@ def test_subspaces_compare_and_hash_by_their_rows(field):
         ech = Echelon(field.characteristic, d)
         ech.extend({c: n for c, n in enumerate(field.to_ints(v.entries)[0]) if n}
                    for v in _rescaled(field, vecs, rng))
+        assert ech.units == {c for c, row in ech.rows.items() if row == {c: 1}}
         for same in (other, Subspace.of_echelon(field, d, ech.rows),
                      Subspace(field, d, sub.basis)):
             assert same == sub and hash(same) == hash(sub)
@@ -357,11 +358,19 @@ def _multiset_products(lam):
     its arity: the reference for the arity-1 kernel."""
     table, p = brace._compiled(lam), lam.field.characteristic
 
-    def products(lefts, rights, fresh=None):
+    def products(ech, lefts, rights, fresh=None):
         lefts = [tuple(u.items()) for u in lefts]
         firsts = len(lefts) if fresh is None else fresh
-        return brace._multisets(lam.arity, table, lefts, firsts, rights, p)
+        return ech.extend(brace._multisets(lam.arity, table, lefts, firsts, rights, p))
     return products
+
+
+def _prelie(field, s):
+    """The pre-Lie algebra of a bench Structure over field, unvalidated."""
+    table = {}
+    for (_, (i,), j, k), val in s.entries.items():
+        table.setdefault((i, j), {})[k] = val
+    return PreLieAlgebra(field, s.dim, table, validate=False)
 
 
 def _algebras(g):
@@ -382,54 +391,126 @@ def _algebras(g):
                 yield (s.name, field, seed), PreLieAlgebra(field, s.dim, table)
 
 
+def _dense_basis(alg, rng):
+    """alg in the basis f_a = sum_i M[a][i] e_i of a random invertible
+    matrix M with few zero entries: an isomorphic algebra whose chain
+    terms are no coordinate subspaces, so that few products lie on unit
+    rows."""
+    field, d = alg.field, alg.dim
+    while True:
+        m = Mat(field, [[rng.choice((-3, -2, -1, 1, 2, 3, 5)) for _ in range(d)]
+                        for _ in range(d)])
+        try:
+            inv = m.inverse()
+        except ZeroDivisionError:
+            continue
+        break
+    f = [Vec(field, row) for row in m.rows]
+    table = {}
+    for a in range(d):
+        for b in range(d):
+            w = alg.multiply(f[a], f[b])  # the coordinates x of w = x M are w M^-1
+            x = {c: v for c in range(d)
+                 if (v := sum((w[i] * inv.rows[i][c] for i in range(d)), field.zero))}
+            if x:
+                table[(a, b)] = x
+    return PreLieAlgebra(field, d, table, validate=False)
+
+
+# the dim-4 table whose chain stalls: D_3 = D_4, D_5 = .. = D_8, D_9 = 0
+_STALLING = {(0, 0): {1: 1}, (0, 1): {2: 1}, (1, 1): {2: 1}, (1, 2): {3: 1}, (2, 2): {3: 1}}
+_NOT_NILPOTENT = {(0, 1): {2: 1}, (2, 0): {1: 1}}  # e1e2 = e3, e3e1 = e2
+
+
+def _degree_one_inputs(g):
+    """The bench algebras of ``_algebras``; v_4, v_5, T_3, T_4, upper(3),
+    upper(4), the stalling table (dim 4, index 9) and a table that is
+    not nilpotent, each in a dense random basis over Q and GF(p); and
+    the stalling and non-nilpotent tables as they are."""
+    yield from _algebras(g)
+    rng = random.Random(29)
+    for s in (g.v(4), g.v(5), g.trees(3), g.trees(4), g.upper(3), g.upper(4)):
+        for field in (Q, GF(11)):
+            yield (s.name, field, "dense"), _dense_basis(_prelie(field, s), rng)
+    for field in (Q, GF(11)):
+        for name, dim, table in (("stalling", 4, _STALLING), ("not nilpotent", 3, _NOT_NILPOTENT)):
+            alg = PreLieAlgebra(field, dim, table, validate=False)
+            yield (name, field, None), alg
+            yield (name, field, "dense"), _dense_basis(alg, rng)
+
+
 def test_degree_one_kernel_matches_multiset_stack(bench_generators, monkeypatch):
-    # the arity-1 kernel spans what the multiset stack spans: the same
-    # strong chain (every term an echelon), the same left and right
-    # chains, and the same span on every pair of strong-chain terms
-    cases = list(_algebras(bench_generators))
-    kernel = {where: flows.table_chains(alg) for where, alg in cases}
+    # the fused arity-1 kernel spans what the multiset stack spans: the
+    # same strong chain (every term an echelon, and its index), the same
+    # left and right chains, and the same span on every pair of strong
+    # terms, also in a dense basis, where the unit-row skip rarely fires,
+    # on a chain that stalls before it vanishes and on one that never does
+    cases = list(_degree_one_inputs(bench_generators))
+    kernel = {where: radical_chains(GradedBrace(alg.field, alg.dim, {1: alg.product},
+                                                validate=False))
+              for where, alg in cases}
+    tables = {where: flows.table_chains(alg) for where, alg in cases
+              if nilpotency_index(alg) is not None}
     monkeypatch.setattr(brace, "map_products",
                         lambda field, maps: _multiset_products(*maps))
     for where, alg in cases:
         field, d = alg.field, alg.dim
         want = radical_chains(GradedBrace(field, d, {1: alg.product}, validate=False))
         assert kernel[where] == want, where
+        assert tables.get(where, want) == want, where
         fast, ref = map_products(field, [alg.product]), _multiset_products(alg.product)
-        assert (strong_chain(field, d, fast, d + 2)
-                == strong_chain(field, d, ref, d + 2)), where
+        assert (strong_chain(field, d, fast, 2 * d + 3)
+                == strong_chain(field, d, ref, 2 * d + 3)), where
         for left in want.strong:
             for right in want.strong:
                 assert map_span(fast, left, right) == map_span(ref, left, right), where
-    assert len(cases) == 36
+    assert len(cases) == 36 + 12 + 8 and len(tables) == 36 + 12
+    indices = {where[0]: kernel[where].strong_index for where in kernel}
+    assert indices["stalling"] == 9 and indices["not nilpotent"] is None
+    dense = [kernel[where] for where in kernel if where[2] == "dense"]
+    assert all(len(row) > 1 for rep in dense for term in rep.strong[1:-1] for row in term.rows
+               if term.dim < rep.strong[0].dim), "a dense term is a coordinate subspace"
 
 
 def test_each_left_row_gets_one_column_map(bench_generators, monkeypatch):
-    # a whole nilpotency_index builds one column map per distinct left
-    # row, although the strong chain passes each row of X_j again at
-    # every later level; the rows are kept here, so no id is reused
-    built, visited = [], []
-    column_map, degree_one = brace._column_map, brace._degree_one
+    # a unit left row {i: 1} reads e_i's column map off the compiled
+    # table; each other distinct left row that the kernel reaches builds
+    # its column map once per chain, although the strong chain passes
+    # each row of X_j again at every later level; the rows are kept
+    # here, so no id is reused
+    built, passed = [], []
+    column_map, real_products = brace._column_map, brace.map_products
 
-    def counted_map(by_left, u):
+    def counted_map(by_left, u, p):
         built.append(u)
-        return column_map(by_left, u)
+        return column_map(by_left, u, p)
 
-    def counted_kernel(by_left, lefts, rights, cache):
-        visited.extend(lefts)
-        return degree_one(by_left, lefts, rights, cache)
+    def recorded(field, maps):
+        products = real_products(field, maps)
+
+        def spy(ech, lefts, rights, fresh=None):
+            passed.extend(lefts if fresh is None else lefts[:fresh])
+            return products(ech, lefts, rights, fresh)
+        return spy
 
     monkeypatch.setattr(brace, "_column_map", counted_map)
-    monkeypatch.setattr(brace, "_degree_one", counted_kernel)
-    g = bench_generators
-    for s, p in ((g.v(10), 13), (g.trees(5), 7)):
+    for module in (brace, prelie):
+        monkeypatch.setattr(module, "map_products", recorded)
+    g, rng = bench_generators, random.Random(5)
+    for s, p in ((g.v(10), 13), (g.trees(5), 7), (g.trees(4), 7), (g.upper(4), 5)):
         for field in (Q, GF(p)):
-            table = {}
-            for (_, (i,), j, k), val in s.entries.items():
-                table.setdefault((i, j), {})[k] = val
-            alg = PreLieAlgebra(field, s.dim, table, validate=False)
-            built.clear()
-            visited.clear()
-            assert nilpotency_index(alg) == s.nil_class
-            assert len({id(u) for u in built}) == len(built)
-            assert {id(u) for u in built} == {id(u) for u in visited}
-            assert len(visited) > len(built)  # some rows are passed again
+            plain = _prelie(field, s)
+            algs = [plain] if s.dim > 8 else [plain, _dense_basis(plain, rng)]
+            for alg in algs:
+                for chain in (nilpotency_index, flows.table_chains):
+                    built.clear()
+                    passed.clear()
+                    chain(alg)
+                    others = [u for u in passed if len(u) > 1]
+                    assert all(len(u) > 1 for u in built)
+                    assert len({id(u) for u in built}) == len(built)
+                    assert {id(u) for u in built} <= {id(u) for u in others}
+                    if alg is plain:  # every term of these chains has unit rows
+                        assert built == [] and others == []
+                    elif chain is nilpotency_index:
+                        assert built and len(others) > len(built)  # rows are passed again
