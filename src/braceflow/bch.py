@@ -4,20 +4,18 @@ W(a)∘W(b) = W(C(a, b)).
 
 C = Z_1 + Z_2 + ..., with Z_n homogeneous of degree n in a and b, is
 computed by Varadarajan's recursion (*Lie Groups, Lie Algebras, and
-Their Representations*, §2.15):
+Their Representations*, §2.15) on the table T(j, m) of
+``generic.graded_recursion`` with Z_1 = a + b and L_k = [Z_k, -]:
 
-    Z_1 = a + b,
     (n+1) Z_{n+1} = 1/2 [a - b, Z_n] + sum_{p >= 1, 2p <= n} B_{2p}/(2p)! T(2p, n),
-    T(j, m) = sum_{k >= 1} [Z_k, T(j - 1, m - k)],  T(0, 0) = a + b,
 
-with B_{2p} the Bernoulli numbers and T(0, m) = 0 for m > 0, so that
-T(j, m) is the sum of the [Z_{k_1}, [.., [Z_{k_j}, a + b]..]] with
-k_1 + .. + k_j = m.  A product of s elements is zero in an algebra of
-class s, so the recursion stops at Z_{s-1}, after O(s^3) brackets.  It
-holds in the free Lie algebra, so it gives log(exp(a) exp(b)) under
-every bracket that is antisymmetric and satisfies Jacobi, as the
-commutator of a pre-Lie algebra does; on a table that is not pre-Lie,
-C is this recursion's value.
+with B_{2p} the Bernoulli numbers, and T(j, m) the sum of the
+[Z_{k_1}, [.., [Z_{k_j}, a + b]..]] with k_1 + .. + k_j = m.  A product
+of s elements is zero in an algebra of class s, so the recursion stops
+at Z_{s-1}, after O(s^3) brackets.  It holds in the free Lie algebra, so
+it gives log(exp(a) exp(b)) under every bracket that is antisymmetric
+and satisfies Jacobi, as the commutator of a pre-Lie algebra does; on a
+table that is not pre-Lie, C is this recursion's value.
 
 The identity, a polynomial identity in the coordinates of a and b, is
 proved once at the generic pair on the ints of ``generic.GenericRing``
@@ -26,80 +24,49 @@ proved once at the generic pair on the ints of ``generic.GenericRing``
 
 import math
 
-from fractions import Fraction
-
 from .errors import CharacteristicTooSmall, Violation
-from .generic import GenericRing, _add, _by_coord, _combine
+from .generic import GenericRing, _bernoulli_over_factorial, _by_coord, graded_recursion
 from .linalg import Vec
 from .prelie import int_rows
 
 
-def _bernoulli_over_factorial(top):
-    """[b_0, .., b_top] with b_n = B_n / n!, the coefficients of
-    x / (e^x - 1): b_0 = 1 and sum_{k <= n} b_k / (n + 1 - k)! = 0."""
-    b = [Fraction(1)]
-    for n in range(1, top + 1):
-        b.append(-sum(b[k] / math.factorial(n + 1 - k) for k in range(n)))
-    return b
-
-
-def _bch_parts(s, a, b, bracket, combine):
-    """[Z_1, .., Z_{s-1}] by Varadarajan's recursion.  ``bracket(x, y)``
-    is the Lie bracket and ``combine(pairs)`` the sum of q * x over the
-    (element, Fraction q) pairs."""
-    coefficients = _bernoulli_over_factorial(s - 2)
+def _bch_parts(s, a, b, bracket, combine, unit):
+    """[Z_1, .., Z_{s-1}] under ``bracket``; ``combine(pairs, den=1)`` sums
+    q x over (element, int q) pairs, over den.  With b_j u^j the ints of
+    ``_bernoulli_over_factorial``, u = ``unit`` and (s-1)! | u, Z_{n+1}
+    is -b_1 u^(n-1) [a - b, Z_n] + sum_{j even} b_j u^(n-j) T(j, n), over u^n (n+1)."""
+    beta = _bernoulli_over_factorial(s - 2, unit)
     diff = combine([(a, 1), (b, -1)])
-    z = [None, combine([(a, 1), (b, 1)])]
-    t = [{0: z[1]}]  # t[j][m] = T(j, m), kept for j <= m
-    for n in range(1, s - 1):
-        t.append({})
-        for j in range(1, n + 1):
-            t[j][n] = combine([(bracket(z[k], t[j - 1][n - k]), 1)
-                               for k in range(1, n - j + 2) if n - k in t[j - 1]])
-        z.append(combine([(bracket(diff, z[n]), Fraction(1, 2 * (n + 1)))]
-                         + [(t[j][n], coefficients[j] / (n + 1)) for j in range(2, n + 1, 2)]))
-    return z[1:]
+
+    def part(n, z, t):
+        return combine([(bracket(diff, z[n]), -beta[1] * unit ** (n - 1))]
+                       + [(t[j, n], beta[j] * unit ** (n - j)) for j in range(2, n + 1, 2)],
+                       unit ** n * (n + 1))
+
+    return graded_recursion(combine([(a, 1), (b, 1)]), s - 1,
+                            lambda x: lambda y: bracket(x, y), combine, part)
 
 
 def _generic_ring(alg):
-    """The generic kernel of ``alg``, its table scaled by 2 (s-1)! over Q."""
+    """The generic kernel of ``alg``, its unit 2 (s-1)!."""
     s = alg.nilpotency_class
-    return GenericRing(*int_rows(alg), alg.field.characteristic, s,
-                       2 * math.factorial(s - 1))
+    return GenericRing(*int_rows(alg), alg.field.characteristic, s, 2 * math.factorial(s - 1))
 
 
 def _generic_c(ring, a, b):
     """C(a, b) for elements a, b of ``ring`` with w = 1, such as the
     generic pair.  Over Q each division of the recursion is exact when
     the ring's table unit is a multiple of 2 (s-1)! (``verify_flows_bch``)."""
-    p = ring.p
-
-    def combine(pairs):
-        acc = {}
-        for x, q in pairs:
-            if q == 1:
-                _add(acc, x, p)
-            elif p:
-                f = q.numerator * pow(q.denominator, -1, p)
-                _add(acc, {key: c * f for key, c in x.items()}, p)
-            else:
-                num, den = q.numerator, q.denominator
-                _add(acc, {key: c * num // den for key, c in x.items()}, 0)
-        return acc
-
     grouped = {}  # id -> (element, its _by_coord): each element is grouped once
 
     def group(x):
-        hit = grouped.get(id(x))
-        if hit is None:
-            hit = grouped[id(x)] = (x, _by_coord(x))
-        return hit[1]
+        if id(x) not in grouped:
+            grouped[id(x)] = (x, _by_coord(x))
+        return grouped[id(x)][1]
 
-    c = {}
-    for part in _bch_parts(ring.s, a, b, lambda x, y: ring.bracket(x, y, ring.s, group),
-                           combine):
-        c.update(part)
-    return c
+    parts = _bch_parts(ring.s, a, b, lambda x, y: ring.bracket(x, y, ring.s, group),
+                       ring.combine, ring.unit)
+    return {key: c for part in parts for key, c in part.items()}
 
 
 def _generic_difference(alg):
@@ -107,12 +74,12 @@ def _generic_difference(alg):
     ring's E: a term of degree k stands for c / E^(k-1) over Q (see
     ``verify_flows_bch``)."""
     ring, d = _generic_ring(alg), alg.dim
-    s, p = ring.s, ring.p
+    s = ring.s
     a = {((i,), i): 1 for i in range(d)}
     b = {((d + i,), i): 1 for i in range(d)}
-    c = _generic_c(ring, a, b)
-    lhs = _combine(ring.w_map(a, s), ring.exp_l(a, ring.w_map(b, s), s), 1, p)
-    return _combine(lhs, ring.w_map(c, s), -1, p), ring.degree_den
+    c, wb = _generic_c(ring, a, b), ring.w_map(b, s)
+    return ring.combine([(ring.w_map(a, s), 1), (wb, 1), (ring.series(_by_coord(a), wb, 0, s), 1),
+                         (ring.w_map(c, s), -1)]), ring.degree_den
 
 
 def verify_flows_bch(alg):

@@ -606,7 +606,7 @@ def class_bound_of(B):
     return index
 
 
-def star_subspaces(B, left, right, within=None):
+def star_subspaces(B, left, right):
     """Span of all star(a, b) with a in ``left`` and b in ``right``.
 
     Because a -> star(a, b) is polynomial with symmetric multilinear
@@ -614,10 +614,10 @@ def star_subspaces(B, left, right, within=None):
     multisets {u_1, ..., u_k} of left basis vectors and y in the right
     basis, which ``map_span`` computes from the table's support.
     """
-    return map_span(map_products(B.field, B.lambdas.values()), left, right, within)
+    return map_span(map_products(B.field, B.lambdas.values()), left, right)
 
 
-def map_span(products, left, right, within=None):
+def map_span(products, left, right):
     """Span of L(u_1, ..., u_k; y) over the SymmetricMaps L compiled in
     ``products`` (``map_products``), the multisets {u_1, ..., u_k} of
     ``left`` basis vectors (k the arity of L) and the ``right`` basis
@@ -625,14 +625,11 @@ def map_span(products, left, right, within=None):
 
     A span is unchanged when one generator is scaled, so it is taken on
     ints: ``products`` reduces its generators into one ``Echelon`` as
-    they are made.  ``within`` is a subspace known to contain the span,
-    such as the previous term of a descending chain: spanning stops once
-    the echelon reaches its dimension, and ``within`` is returned.
+    they are made.
     """
     field, d = left.field, left.ambient_dim
-    ech = Echelon(field.characteristic, d if within is None else within.dim)
-    if products(ech, left.rows, right.rows) and within is not None:
-        return within
+    ech = Echelon(field.characteristic, d)
+    products(ech, left.rows, right.rows)
     return Subspace.of_echelon(field, d, ech.rows)
 
 

@@ -18,8 +18,8 @@ multinomial(alpha) L_|alpha|(e^alpha; e_j), which is the graded brace.
 Cutting monomials of degree >= s loses nothing, because every product
 of s elements of A is zero.  The kernel's product visits only the
 coordinate pairs with a nonzero structure constant and skips the pairs
-whose degree reaches the cut; the Omega iteration cuts lower still
-while the higher degrees are not yet exact.  Its coefficients are ints:
+whose degree reaches the cut; Omega is the pre-Lie Magnus expansion,
+each homogeneous product made once.  Its coefficients are ints:
 residues over GF(p), and over Q numerators over one fixed denominator
 per degree, so that 1/k! divides exactly and equality needs no gcd.
 """

@@ -18,6 +18,8 @@ the identity at the generic pair instead, and is tested against them,
 also on the unvalidated tables of ``random_nilpotent``.
 """
 
+import math
+
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -326,8 +328,10 @@ def generic_dsw_c(ring, terms, d):
 def vec_c(alg, a, b):
     """C(a, b) on vectors, with the algebra's commutator."""
     zero = Vec.zero(alg.field, alg.dim)
-    parts = _bch_parts(alg.nilpotency_class, a, b, alg.lie_bracket,
-                       lambda pairs: sum((x * q for x, q in pairs), zero))
+    s = alg.nilpotency_class
+    parts = _bch_parts(s, a, b, alg.lie_bracket,
+                       lambda pairs, den=1: sum((x * Fraction(q, den) for x, q in pairs), zero),
+                       math.factorial(max(s - 1, 0)))
     return sum(parts, zero)
 
 
@@ -359,3 +363,20 @@ def random_nilpotent(rng, field):
                         rng.randrange(field.characteristic) if field.characteristic
                         else Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
     return PreLieAlgebra(field, d, table, validate=False)
+
+
+def next_prime_above(s):
+    return next(p for p in range(s + 1, 2 * s + 3) if all(p % q for q in range(2, p)))
+
+
+def at_point(terms, degree_den, field, dim, point):
+    """The int terms {(monomial, out): c} of a generic element, a term
+    of degree k standing for c / degree_den^(k-1), as a Vec at the
+    variables' values ``point``."""
+    total = Vec.zero(field, dim)
+    for (m, o), c in terms.items():
+        value = field.from_ints([c], degree_den ** (len(m) - 1))[0]
+        for var in m:
+            value = value * point[var]
+        total = total + Vec.basis(field, dim, o) * value
+    return total

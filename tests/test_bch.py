@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from bch_reference import (NotLieElement, TruncatedSeries, bch_series,
+from bch_reference import (NotLieElement, TruncatedSeries, at_point, bch_series,
                            bracket_sum, dsw_project, expand_bracket_word,
-                           generic_dsw_c, random_nilpotent, sampled_violation,
-                           suffix_tree, ts_exp, ts_log, vec_c)
+                           generic_dsw_c, next_prime_above, random_nilpotent,
+                           sampled_violation, suffix_tree, ts_exp, ts_log, vec_c)
 from braceflow import bch, flows, sampling
 from braceflow.bch import _generic_c, _generic_difference, verify_flows_bch
 from braceflow.corpus import corpus, h3, zero_algebra
@@ -286,17 +286,6 @@ def test_generic_verdict_equals_sampled_verdict(field):
     assert verdicts == {True, False}
 
 
-def _at_point(diff, degree_den, field, dim, point):
-    """The generic difference as a Vec at the variables' values."""
-    total = Vec.zero(field, dim)
-    for (m, o), c in diff.items():
-        value = field.from_ints([c], degree_den ** (len(m) - 1))[0]
-        for var in m:
-            value = value * point[var]
-        total = total + Vec.basis(field, dim, o) * value
-    return total
-
-
 @pytest.mark.parametrize("field", [Q, GF(11)], ids=str)
 def test_generic_difference_evaluates_to_the_sampled_residual(field):
     # the ints over E^(k-1), at the point of a random pair, are the
@@ -310,7 +299,7 @@ def test_generic_difference_evaluates_to_the_sampled_residual(field):
             want = (flows.w_map(alg, a) + flows.exp_L(alg, a, flows.w_map(alg, b))
                     - flows.w_map(alg, c))
             point = a.entries + b.entries
-            assert _at_point(diff, degree_den, field, alg.dim, point) == want
+            assert at_point(diff, degree_den, field, alg.dim, point) == want
 
 
 def test_flows_bch_characteristic_at_most_the_class():
@@ -326,8 +315,9 @@ def test_recursion_low_degrees():
     # read on the free words of the reference series' algebra
     x, y = TruncatedSeries.generator(Q, 3, "X"), TruncatedSeries.generator(Q, 3, "Y")
     parts = bch._bch_parts(4, x, y, lambda u, v: u * v - v * u,
-                           lambda pairs: sum((u.scale(q) for u, q in pairs),
-                                             TruncatedSeries.zero(Q, 3)))
+                           lambda pairs, den=1: sum((u.scale(Fraction(q, den)) for u, q in pairs),
+                                                    TruncatedSeries.zero(Q, 3)),
+                           math.factorial(3))
     assert sum(parts, TruncatedSeries.zero(Q, 3)) == bch_series(3)
 
 
@@ -367,10 +357,6 @@ def _property_algebras(generators):
     return out
 
 
-def _next_prime_above(s):
-    return next(p for p in range(s + 1, 2 * s + 3) if all(p % q for q in range(2, p)))
-
-
 @pytest.mark.parametrize("prime", [False, True], ids=["Q", "GF(p)"])
 def test_recursion_equals_dsw_at_generic_pair(prime, bench_generators):
     # C from the recursion, in the kernel verify_flows_bch uses, equals
@@ -380,7 +366,7 @@ def test_recursion_equals_dsw_at_generic_pair(prime, bench_generators):
     classes = set()
     for name, dim, entries in _property_algebras(bench_generators):
         s = _algebra(Q, dim, entries).nilpotency_class
-        field = GF(_next_prime_above(s)) if prime else Q
+        field = GF(next_prime_above(s)) if prime else Q
         alg = _algebra(field, dim, entries)
         terms = _dsw_terms(s, field)
         ring = bch._generic_ring(alg)

@@ -4,7 +4,8 @@ brace that `to-brace` writes from it, and the SHA-256 of that brace
 file.  An empty brace of dim 400 over Q and a corrupted brace (exit 2)
 are pinned too.  `bch` is pinned on every corpus file, on the brace
 written from it (exit 1: `bch` expects a pre-Lie file), and on v_6..v_8
-over Q and GF(11).  `validate`, `chains`,
+over Q and GF(11).  `to-brace` and its file are pinned on v_12 over Q
+and on T_7 and v_14 over GF(101), past the bench ladders.  `validate`, `chains`,
 `to-prelie` and `roundtrip` are pinned past the dim <= 4 corpus too: on
 the flows braces of v_6 over GF(11) and of T_5 over Q, relabelled, on
 the pre-Lie T_5 and on a corrupted v_5 brace.  `validate`, `to-brace`
@@ -339,6 +340,52 @@ def test_bch_output_pinned(case, tmp_path):
 
 def test_every_bch_case_is_pinned():
     assert set(BCH_GOLDEN) == set(BCH_CASES)
+
+
+def class_outcomes(case, workdir, generators):
+    """{label: (exit code, SHA-256)} of `to-brace` on the pre-Lie file of
+    ``case`` and of the brace file it writes, run with ``workdir`` as the
+    working directory.  The classes, 13, 8 and 15, are past every bench
+    ladder, so the Omega of ``to-brace`` reaches Bernoulli numbers past
+    b_2 and the exactness of its divisions over Q is pinned."""
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        g = generators
+        s, p = {"v12_Q": (g.v(12), 0), "T7_GF101": (g.trees(7), 101),
+                "v14_GF101": (g.v(14), 101)}[case]
+        _generated_file(Path("prelie.json"), g, s, p)
+        got = {"to-brace": _run("to-brace", "prelie.json", "--out", "brace.json")}
+        got["brace file"] = (0, _sha(Path("brace.json").read_text()))
+        return got
+    finally:
+        os.chdir(old)
+
+
+CLASS_CASES = ("v12_Q", "T7_GF101", "v14_GF101")
+CLASS_GOLDEN = {
+    'v12_Q': {
+        'to-brace': (0, 'ec760782874fab79184d664cb5b745197cc737d10f90608bc2331de50f7acd82'),
+        'brace file': (0, 'eb281c9622b38d4c1c3d65e74039511da8f97459959ada71911eaffda363bbf6'),
+    },
+    'T7_GF101': {
+        'to-brace': (0, '45034e991a69c86a2db4ba828593bd86d28beb44a67212a15c01888a1784b9b4'),
+        'brace file': (0, 'cf23ff13dad47ada7cee11e785f6389870cb494819627cb085fa8b9bfe7c86bd'),
+    },
+    'v14_GF101': {
+        'to-brace': (0, '26e8414b73c490c18f273b0975e65367286f1f76f2e316aff940ab53074df98c'),
+        'brace file': (0, 'bcb23764a6b0a7df79876d243c51d02b8a15f68bf6587f56a68551b2f31b62d0'),
+    },
+}
+
+
+@pytest.mark.parametrize("case", CLASS_CASES)
+def test_to_brace_pinned_past_the_ladders(case, tmp_path, bench_generators):
+    assert class_outcomes(case, tmp_path, bench_generators) == CLASS_GOLDEN[case]
+
+
+def test_every_class_case_is_pinned():
+    assert set(CLASS_GOLDEN) == set(CLASS_CASES)
 
 
 SCALE_COMMANDS = ("validate", "chains", "to-prelie", "roundtrip")

@@ -150,9 +150,6 @@ def test_map_span_matches_field_scalar_reference(field):
         # the echelon rows of a span feed the next span unchanged
         assert map_span(products, got, got).basis == _reference_map_span(
             maps, field, d, want, want)
-        # capped by a subspace that contains it: the span, or that subspace
-        assert map_span(products, left, right, within=got) is got
-        assert map_span(products, left, right, within=Subspace.full(field, d)) == got
         seen.add((left.is_zero(), right.is_zero(), got.is_zero(), got.dim == d))
     assert {(True, False, True, False), (False, True, True, False)} <= seen
     assert any(not zero and not full for _, _, zero, full in seen)
