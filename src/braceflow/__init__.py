@@ -8,8 +8,7 @@ large prime field, with no floating point anywhere.
 """
 
 from .brace import (ChainReport, GradedBrace, SymmetricMap, check_fbrace,
-                    check_group, check_left_brace, radical_chains,
-                    star_subspaces)
+                    check_group, check_left_brace, radical_chains)
 from .bch import verify_flows_bch
 from .errors import (AlgebraError, AlgebraFileError, CharacteristicTooSmall,
                      ConvergenceFailure, DimensionMismatch, FieldMismatch,

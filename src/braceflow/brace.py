@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import (CharacteristicTooSmall, ConvergenceFailure, DimensionMismatch,
                      FieldMismatch, PreconditionViolated, ValidationFailure,
                      Violation)
-from .linalg import Echelon, Subspace, Vec, nonzero, strong_chain
+from .linalg import Echelon, Subspace, Vec, nonzero
 
 
 def _multinomial(k, counts):
@@ -45,12 +45,11 @@ class SymmetricMap:
     compiles it for diagonal evaluation: rows (tup, j, ((out, n * m), ...))
     in table order, m the multinomial counting the arrangements of tup,
     dropped where m is zero in the field; ``top`` is ``arity``.
-    ``_spans`` groups it by left tuple for ``map_products``, when first
-    spanned (``_compiled``).  ``table``, the scalar (out, c) pairs of
-    each key, is built from the ints when first read.
+    ``table``, the scalar (out, c) pairs of each key, is built from the
+    ints when first read.
     """
 
-    __slots__ = ("field", "dim", "arity", "_ints", "_den", "_rows", "_spans", "_table")
+    __slots__ = ("field", "dim", "arity", "_ints", "_den", "_rows", "_table")
 
     def __init__(self, field, dim, arity, entries=()):
         table = {}
@@ -114,7 +113,7 @@ class SymmetricMap:
             rows.append((tup, j, pairs if m == 1 else
                          tuple((o, n * m % p if p else n * m) for o, n in pairs)))
         self._rows = (tuple(rows), den, arity)
-        self._spans = self._table = None
+        self._table = None
 
     @property
     def table(self):
@@ -263,13 +262,14 @@ class GradedBrace:
     and is linear in its right slot, right distributivity, F-linearity
     and the identity 0 hold by construction, and associativity of ∘ on a
     triple is the left-brace law on it.  Unless disabled, construction
-    runs ``validation_stages``: reconstruction from L_1, or else the
-    left-brace law, inverses and strong nilpotency.  ``class_bound`` is
-    either declared (and then checked against the strong nilpotency
-    index) or proven (set to that index);
-    it is None on an unvalidated brace that declares none.  ``chains`` is
-    the ChainReport that validation proved and ``prelie`` the validated
-    pre-Lie algebra of its L_1, both None on an unvalidated brace.
+    runs ``validation_stages``, which admits the brace as the flows brace
+    of its L_1 or rejects it.  ``class_bound`` is either declared (and
+    then checked against the nilpotency class of L_1, the strong
+    nilpotency index of an admitted brace) or proven (set to that
+    class); it is None on an unvalidated brace that declares none.
+    ``chains`` is the ChainReport read off L_1's table and ``prelie`` the
+    validated pre-Lie algebra of L_1, both set on admission and None on
+    an unvalidated brace.
     """
 
     __slots__ = ("field", "dim", "lambdas", "class_bound", "basis_names", "chains",
@@ -489,16 +489,17 @@ def validation_stages(B):
     s < p (``prelie.validation_stages``, a basis sweep of a bilinear
     identity), s is at most any declared ``class_bound`` and
     ``to_brace(L_1)`` has B's tables exactly, compared on ints with no
-    brace built (``flows.is_flows_brace``).  Its lines are the ones
-    ``_checked_stages`` prints on B: the three laws, then the chains,
-    read off L_1's table (``flows.table_chains``).
+    brace built (``flows.is_flows_brace``).  An admitted brace yields the
+    three law lines, which every brace passes, then its chains, read off
+    L_1's table (``flows.table_chains``).
 
-    On any failure ``_checked_stages`` runs, to name a failing law.
-    Its law PASS lines then say only that no basis triple failed them.
-    If it passes, its basis sweep missed what the reconstruction found,
-    and the reconstruction's reason is raised: L_1's own failure, or the
-    first table key where B and ``to_brace(L_1)`` differ
-    (``table_difference``; only then is ``to_brace(L_1)`` built).
+    A rejected brace runs the law stages (``_checked_stages``), to name
+    a failing law.  Its law PASS lines then say only that no basis
+    triple failed them.  If they pass, the reconstruction's reason is
+    raised: L_1's own failure, a class of L_1 above the declared bound,
+    or the first table key where B and ``to_brace(L_1)`` differ
+    (``table_difference``; only then is ``to_brace(L_1)`` built).  No
+    chain of a rejected brace is spanned.
     """
     reason = _reconstruction(B)
     if reason is None:
@@ -512,31 +513,15 @@ def validation_stages(B):
 def _checked_stages(B):
     """Check B law by law, in order: left-brace law (stage "left-brace
     laws"), inverses (stage "group laws"; the other brace and group laws
-    hold by the graded form), F-linearity (structural, ``check_fbrace``),
-    radical chains, strong nilpotency, declared ``class_bound`` (set to
-    the strong index when none is declared), characteristic above the
-    strong index.  Yields one line per passed law and chain; raises at
-    the first failure.  Each law is swept on the basis."""
+    hold by the graded form), F-linearity (structural, ``check_fbrace``).
+    Yields one line per passed law; raises at the first failure.  Each
+    law is swept on the basis."""
     for name, check in (("left-brace laws", check_left_brace),
                         ("group laws", check_group), ("F-linearity", check_fbrace)):
         viol = check(B)
         if viol is not None:
             raise ValidationFailure(str(viol), viol)
         yield f"{name}: PASS"
-    report = radical_chains(B)
-    yield from report.lines()
-    if not report.strongly_nilpotent:
-        raise ValidationFailure("brace is not strongly nilpotent")
-    if B.class_bound is None:
-        B.class_bound = report.strong_index
-    elif report.strong_index > B.class_bound:
-        raise ValidationFailure(
-            f"strong nilpotency index {report.strong_index} exceeds "
-            f"declared class bound {B.class_bound}")
-    p = B.field.characteristic
-    if p and p <= report.strong_index:
-        raise CharacteristicTooSmall(
-            f"characteristic {p} must exceed the nilpotency class {report.strong_index}")
 
 
 def _reconstruction(B):
@@ -586,128 +571,70 @@ def first_difference(lam, lam2):
 def table_difference(B, other):
     """None iff the braces B and ``other`` have the same graded maps, else
     a "brace round trip" Violation at (k,) + the first key where their
-    degree-k maps differ, for the least such k."""
+    degree-k maps differ, for the least such k, with residual B's value
+    there minus other's."""
     for k in sorted(set(B.lambdas) | set(other.lambdas)):
-        key = first_difference(B.lambda_map(k), other.lambda_map(k))
+        lam, lam2 = B.lambda_map(k), other.lambda_map(k)
+        key = first_difference(lam, lam2)
         if key is not None:
-            return Violation("brace round trip", (k,) + key)
+            return Violation("brace round trip", (k,) + key, lam.value(*key) - lam2.value(*key))
     return None
 
 
 def class_bound_of(B):
-    """B's declared or proven class bound; on an unvalidated brace that
-    declares none, its strong nilpotency index, proven here.  Raises
-    PreconditionViolated if B is not strongly nilpotent."""
-    if B.class_bound is not None:
-        return B.class_bound
-    index = radical_chains(B).strong_index
-    if index is None:
-        raise PreconditionViolated("brace is not strongly nilpotent")
-    return index
+    """B's declared or proven class bound; an unvalidated brace that
+    declares none is validated first (``radical_chains``), which proves
+    it.  Raises PreconditionViolated if B is rejected."""
+    if B.class_bound is None:
+        try:
+            radical_chains(B)
+        except ValidationFailure as exc:
+            raise PreconditionViolated(str(exc)) from exc
+    return B.class_bound
 
 
-def star_subspaces(B, left, right):
-    """Span of all star(a, b) with a in ``left`` and b in ``right``.
+def map_products(lam):
+    """products(ech, lefts, rights): reduce into the ``Echelon`` ech the
+    int rows u.y of the arity-1 SymmetricMap ``lam`` (a pre-Lie product)
+    for the int rows u in ``lefts`` and y in ``rights`` (``Echelon`` or
+    ``Subspace`` rows), stopping once ech reaches its cap, and return
+    whether it did.  A span is unchanged when a generator is scaled, so
+    the products are taken on lam's compiled rows (at arity 1 every
+    multinomial is 1), grouped once by left index into column maps:
+    {i: {j: e_i.e_j as {out: n}}}.
 
-    Because a -> star(a, b) is polynomial with symmetric multilinear
-    graded parts, this span equals the span of L_k(u_1, ..., u_k; y) over
-    multisets {u_1, ..., u_k} of left basis vectors and y in the right
-    basis, which ``map_span`` computes from the table's support.
+    ``_span_degree_one`` reduces each product u.y into ech where it is
+    made, from the column map j -> u.e_j of u.  The map of a row
+    u = {i: n} of one entry is e_i's, up to the scale n.  The map of any
+    other left row is built by ``_column_map`` and kept here, keyed by
+    the row object, for as long as ``products`` lives, so a row must not
+    change once passed.  Echelon rows never do, and a chain passes the
+    rows of its terms again at every later level, so each row's map is
+    built once per chain.
     """
-    return map_span(map_products(B.field, B.lambdas.values()), left, right)
+    unit_maps = {}
+    for (i,), j, out in lam._rows[0]:
+        unit_maps.setdefault(i, {})[j] = dict(out)
+    row_maps = {}
 
-
-def map_span(products, left, right):
-    """Span of L(u_1, ..., u_k; y) over the SymmetricMaps L compiled in
-    ``products`` (``map_products``), the multisets {u_1, ..., u_k} of
-    ``left`` basis vectors (k the arity of L) and the ``right`` basis
-    vectors y.
-
-    A span is unchanged when one generator is scaled, so it is taken on
-    ints: ``products`` reduces its generators into one ``Echelon`` as
-    they are made.
-    """
-    field, d = left.field, left.ambient_dim
-    ech = Echelon(field.characteristic, d)
-    products(ech, left.rows, right.rows)
-    return Subspace.of_echelon(field, d, ech.rows)
-
-
-def map_products(field, maps):
-    """products(ech, lefts, rights, fresh=None): reduce into the
-    ``Echelon`` ech int rows spanning ``map_span`` of the subspaces with
-    echelon rows ``lefts`` and ``rights`` (``Subspace.rows``), stopping
-    once ech reaches its cap, and return whether it did; with ``fresh``,
-    only from the left multisets with a slot among the first ``fresh``
-    lefts (``linalg.strong_chain``).
-
-    Each map's table is compiled once and kept on the map
-    (``_compiled``), and its arity selects the path.  A table of arity
-    k > 1 goes through the multisets of k lefts (``_multisets``), as item
-    tuples, into ``Echelon.extend``.  A table of arity 1 (a pre-Lie
-    product, L_1) has one left slot, so each left row u is a multiset of
-    its own, and ``_span_degree_one`` reduces each product u.y into ech
-    where it is made, from the column map j -> u.e_j of u.  The map of a
-    row u = {i: n} of one entry is e_i's, up to the scale n: it is read
-    off the compiled table when first needed and kept here by i.  The
-    map of any other left row is built by ``_column_map`` and kept here,
-    keyed by the row object, for as long as ``products`` lives, so a row
-    must not change once passed.  Echelon rows never do, and a chain
-    passes the rows of its terms again at every later level, so each
-    row's map is built once per chain.
-    """
-    p = field.characteristic
-    # (arity, compiled table, {i: column map of e_i}, {id(u): (u, column map of u)})
-    tables = [(lam.arity, _compiled(lam), {}, {}) for lam in maps]
-
-    def products(ech, lefts, rights, fresh=None):
-        if ech.at_cap():
-            return True
-        firsts = len(lefts) if fresh is None else fresh
-        items = None
-        for k, table, unit_maps, row_maps in tables:
-            if k == 1:
-                done = _span_degree_one(ech, table[0], unit_maps, row_maps,
-                                        lefts[:firsts], rights)
-            else:
-                if items is None:
-                    items = [tuple(u.items()) for u in lefts]
-                done = ech.extend(_multisets(k, table, items, firsts, rights, p))
-            if done:
-                return True
-        return False
+    def products(ech, lefts, rights):
+        return ech.at_cap() or _span_degree_one(ech, unit_maps, row_maps, lefts, rights)
     return products
 
 
-def _compiled(lam):
-    """(by_left, live) of a SymmetricMap, built once and kept on lam: its
-    int table (``_ints``; a span is unchanged when a generator is scaled
-    by the table's den) as {tup: [(j, ((out, n), ...)), ...]}, and the
-    sub-multisets of its left tuples."""
-    if lam._spans is None:
-        by_left = {}
-        for (tup, j), pairs in lam._ints.items():
-            by_left.setdefault(tup, []).append((j, pairs))
-        # sub-tuples of a sorted tuple are sorted: these are the sub-multisets
-        live = {sub for tup in by_left for m in range(lam.arity + 1)
-                for sub in itertools.combinations(tup, m)}
-        lam._spans = by_left, live
-    return lam._spans
-
-
-def _span_degree_one(ech, by_left, unit_maps, row_maps, lefts, rights):
-    """Reduce the int rows u.y of an arity-1 table (``_compiled``) for the
-    left rows u ({i: n}) and the right rows y into the ``Echelon`` ech,
-    each where it is made; True once ech reaches its cap.
+def _span_degree_one(ech, unit_maps, row_maps, lefts, rights):
+    """Reduce the int rows u.y of an arity-1 table, given as the column
+    maps of its basis vectors (``map_products``), for the left rows u
+    ({i: n}) and the right rows y into the ``Echelon`` ech, each where
+    it is made; True once ech reaches its cap.
 
     A product is y sent through the column map j -> u.e_j of u by y's
     nonzero entries, and for y = {j: n} it is column j itself, as a span
     is unchanged when a generator is scaled.  A product whose every
     coordinate is the lead of a unit row of ech lies in its span, so it
-    is skipped before it is built.  ``unit_maps`` {i: map} and
-    ``row_maps`` {id(u): (u, map)} hold the column maps built so far
-    (``map_products``); keeping u keeps its id from being reused by
-    another row."""
+    is skipped before it is built.  ``row_maps`` {id(u): (u, map)} holds
+    the column maps of other rows built so far; keeping u keeps its id
+    from being reused by another row."""
     p, units = ech.p, ech.units
     singles = [j for y in rights if len(y) == 1 for j in y]
     others = [y for y in rights if len(y) > 1]
@@ -715,12 +642,10 @@ def _span_degree_one(ech, by_left, unit_maps, row_maps, lefts, rights):
         if len(u) == 1:
             (i,) = u
             cols = unit_maps.get(i)
-            if cols is None:
-                cols = unit_maps[i] = {j: dict(out) for j, out in by_left.get((i,), ())}
         else:
             hit = row_maps.get(id(u))
             if hit is None:
-                hit = row_maps[id(u)] = (u, _column_map(by_left, u, p))
+                hit = row_maps[id(u)] = (u, _column_map(unit_maps, u, p))
             cols = hit[1]
         if not cols:
             continue
@@ -741,70 +666,25 @@ def _span_degree_one(ech, by_left, unit_maps, row_maps, lefts, rights):
     return False
 
 
-def _column_map(by_left, u, p):
-    """{j: u.e_j} of an arity-1 table (``_compiled``) for the int row
-    u = {i: n}, each column a sparse int row {out: n} with its entries
-    nonzero and reduced mod p, and no column empty."""
+def _column_map(unit_maps, u, p):
+    """{j: u.e_j} of an arity-1 table, given as the column maps of its
+    basis vectors (``map_products``), for the int row u = {i: n}, each
+    column a sparse int row {out: n} with its entries nonzero and
+    reduced mod p, and no column empty."""
     cols = {}
     for i, x in u.items():
-        for j, out in by_left.get((i,), ()):
+        for j, out in unit_maps.get(i, {}).items():
             col = cols.setdefault(j, {})
-            for o, n in out:
+            for o, n in out.items():
                 col[o] = col.get(o, 0) + x * n
     return {j: col for j, c in cols.items() if (col := nonzero(c, p))}
-
-
-def _multisets(k, table, lefts, firsts, rights, p):
-    """The int rows of an arity-k table (``_compiled``) on the multisets
-    of k ``lefts`` (item tuples) with a slot among the first ``firsts``,
-    and the right rows.  The symmetric product of the u_i is built one
-    slot at a time as a sparse map from sorted index tuples to int
-    coefficients, and a partial tuple that is no sub-multiset of a table
-    key is pruned with everything that extends it.  The products are
-    then contracted with the table by left tuple."""
-    by_left, live = table
-    stack = [(0, 0, {(): 1})]  # (first slot, slots filled, product)
-    while stack:
-        first, filled, poly = stack.pop()
-        if filled == k:
-            yield from _contract(poly, by_left, rights)
-            continue
-        for s in range(first, len(lefts) if filled else firsts):
-            nxt = {}
-            for t, c in poly.items():
-                for i, x in lefts[s]:
-                    u = tuple(sorted(t + (i,)))
-                    if u in live:
-                        nxt[u] = nxt.get(u, 0) + c * x
-            nxt = nonzero(nxt, p)
-            if nxt:
-                stack.append((s, filled + 1, nxt))
-
-
-def _contract(poly, by_left, rights):
-    """The int rows sum_t poly[t] * L(e^t; y) for the int rows y in
-    ``rights``."""
-    cols = {}  # j -> the image of e_j
-    for t, c in poly.items():
-        for j, out in by_left.get(t, ()):
-            col = cols.setdefault(j, {})
-            for o, v in out:
-                col[o] = col.get(o, 0) + c * v
-    for y in rights:
-        g = {}
-        for j, w in y.items():
-            for o, v in cols.get(j, {}).items():
-                g[o] = g.get(o, 0) + w * v
-        if g:
-            yield g
 
 
 @dataclass(frozen=True)
 class ChainReport:
     """The three descending radical chains of a brace, each listed from
-    the full space down to its stabilization or to zero, plus the
-    nilpotency indices (position of the first zero term, 1-based; None
-    if the chain never vanishes)."""
+    the full space down to zero, plus the nilpotency indices (position
+    of the first zero term, 1-based)."""
 
     left: tuple
     right: tuple
@@ -813,97 +693,77 @@ class ChainReport:
     right_index: int
     strong_index: int
 
-    @property
-    def left_nilpotent(self):
-        return self.left_index is not None
-
-    @property
-    def right_nilpotent(self):
-        return self.right_index is not None
-
-    @property
-    def strongly_nilpotent(self):
-        return self.strong_index is not None
-
     def dims(self, chain):
         return tuple(s.dim for s in chain)
 
     def lines(self):
-        """One line per chain: its dimensions and its nilpotency verdict."""
+        """One line per chain: its dimensions and its nilpotency index."""
         rows = (("left", self.left, self.left_index, "nilpotent"),
                 ("right", self.right, self.right_index, "nilpotent"),
                 ("strong", self.strong, self.strong_index, "strongly nilpotent"))
         for name, chain, index, label in rows:
             dims = ",".join(str(d) for d in self.dims(chain))
-            verdict = f"{label} index {index}" if index else f"not {label}"
-            yield f"{name}: {dims} {verdict}"
+            yield f"{name}: {dims} {label} index {index}"
 
 
 def radical_chains(B):
-    """Compute the left chain A^{i+1} = A * A^i, the right chain
-    A^(i+1) = A^(i) * A, and the strong chain A^[i] = sum of
-    A^[j] * A^[i-j], until each vanishes or provably stabilizes.  Each
-    strong term stops spanning at the dimension of the one before
-    (``strong_chain``), and each one-sided term at the smaller of the one
-    before and the strong term (``chain_report``), all from one compile
-    of each table (``map_products``).  The strong chain's cap of 2d+3
-    terms is a budget, not a theorem (``prelie.nilpotency_index``).  On
-    the flows brace of a nilpotent pre-Lie algebra of class s < p the
-    report is the one read off the algebra's table
-    (``flows.table_chains``)."""
-    terms, strong_index = strong_chain(B.field, B.dim,
-                                       map_products(B.field, B.lambdas.values()), 2 * B.dim + 3)
-    return chain_report(B, terms, strong_index)
+    """B's left chain A^{i+1} = A * A^i, right chain A^(i+1) = A^(i) * A
+    and strong chain A^[i] = sum of A^[j] * A^[i-j], with their indices:
+    ``B.chains``, the report read off the table of L_1 when B was
+    admitted as its flows brace (``flows.table_chains``).  An
+    unvalidated B is validated first (``validation_stages``), which
+    raises if B is rejected."""
+    if B.chains is None:
+        for _ in validation_stages(B):
+            pass
+    return B.chains
 
 
-def chain_report(B, terms, strong_index):
-    """The ChainReport of B's left and right chains, computed here, and
-    of the strong chain D_1, D_2, ... given as its ``Echelon`` terms and
-    index (``linalg.strong_chain``).
+def chain_report(product, terms):
+    """The ChainReport of a nilpotent pre-Lie product (an arity-1
+    SymmetricMap): its left and right chains, computed here, and its
+    strong chain D_1, ..., D_s = 0, given as its ``Echelon`` terms
+    (``prelie.nilpotency_chain``).  These are the radical chains of its
+    flows brace (``flows.table_chains``).
 
     Each one-sided step spans within the smaller of the term before and
     the strong term of its index, and a span that reaches the dimension
     of a subspace containing it is that subspace.  Proof that both
-    contain it.  The star span U * V is monotone in U and in V, and
-    D_{i+1} = sum_{0<j<i+1} D_j * D_{i+1-j} holds D_1 * D_i (j = 1) and
-    D_i * D_1 (j = i).  So by induction on i, from A^1 = A^(1) = A = D_1:
-    A^{i+1} = A * A^i ⊆ D_1 * D_i ⊆ D_{i+1}, and
-    A^(i+1) = A^(i) * A ⊆ D_i * D_1 ⊆ D_{i+1}.  Each chain descends:
-    A^2 ⊆ A, and A^{i+1} ⊆ A^i gives A * A^{i+1} ⊆ A * A^i; likewise on
+    contain it.  The product span U.V is monotone in U and in V, and
+    D_{i+1} = sum_{0<j<i+1} D_j.D_{i+1-j} holds D_1.D_i (j = 1) and
+    D_i.D_1 (j = i).  So by induction on i, from A^1 = A^(1) = A = D_1:
+    A^{i+1} = A.A^i ⊆ D_1.D_i ⊆ D_{i+1}, and
+    A^(i+1) = A^(i).A ⊆ D_i.D_1 ⊆ D_{i+1}.  Each chain descends:
+    A^2 ⊆ A, and A^{i+1} ⊆ A^i gives A.A^{i+1} ⊆ A.A^i; likewise on
     the right.  Where a one-sided chain coincides with the strong chain
-    its steps stop at D_{i+1}.  A chain that reaches a zero strong term
-    is zero there; past the cap of a strong chain that never vanished
-    the term before is the only bound.
+    its steps stop at D_{i+1}.  A chain is zero where the strong chain
+    is, so each one reaches zero within s terms, and a nonzero term has
+    a strong term after it.
 
     The slot that runs over all of A takes first the rows X_1 of D_1
     whose lead is no lead of D_2, then the rest, which span D_2.  The
-    products with D_2 lie in D_2 * A^i or A^(i) * D_2, inside D_{i+2}
+    products with D_2 lie in D_2.A^i or A^(i).D_2, inside D_{i+2}
     (the j = 2 or j = i summand), which lies in D_{i+1}; so the products
     with X_1 are the ones that reach a cap D_{i+1} first.  Every product
-    is still taken until a cap is reached: at arity > 1 the multisets
-    that mix X_1 rows with the rest as well.  Both one-sided chains span
-    from one ``map_products`` of B's tables, so a left row's column map
+    is still taken until a cap is reached.  Both one-sided chains span
+    from one ``map_products`` of the table, so a left row's column map
     is built once for the report.
     """
-    field, d = B.field, B.dim
+    field, d = product.field, product.dim
     strong = tuple(Subspace.of_echelon(field, d, t) for t in terms)
-    products = map_products(field, B.lambdas.values())
-    below = terms[1] if len(terms) > 1 else {}
+    products = map_products(product)
     # the unit rows of D_1, X_1 first
-    full = [row for _, row in sorted(terms[0].items(), key=lambda item: item[0] in below)]
+    full = [row for _, row in sorted(terms[0].items(), key=lambda item: item[0] in terms[1])]
 
     def one_sided(step):
         chain = [strong[0]]
         while not chain[-1].is_zero():
-            last, i = chain[-1], len(chain)
-            cap = strong[i] if i < len(strong) and strong[i].dim < last.dim else last
+            last, below = chain[-1], strong[len(chain)]
+            cap = below if below.dim < last.dim else last
             ech = Echelon(field.characteristic, cap.dim)
-            nxt = cap if step(ech, last.rows) else Subspace.of_echelon(field, d, ech.rows)
-            if nxt == last:
-                return tuple(chain), None  # stalled at a nonzero fixed point
-            chain.append(nxt)
-        return tuple(chain), len(chain)
+            chain.append(cap if step(ech, last.rows) else Subspace.of_echelon(field, d, ech.rows))
+        return tuple(chain)
 
-    left, left_index = one_sided(lambda ech, rows: products(ech, full, rows))
-    right, right_index = one_sided(lambda ech, rows: products(ech, rows, full))
-    return ChainReport(left, right, strong, left_index, right_index, strong_index)
+    left = one_sided(lambda ech, rows: products(ech, full, rows))
+    right = one_sided(lambda ech, rows: products(ech, rows, full))
+    return ChainReport(left, right, strong, len(left), len(right), len(strong))

@@ -125,7 +125,7 @@ def cmd_bch(args):
     if viol is not None:
         return _fail(viol)
     # "trials 20" is legacy text that bench/workloads.py pins; dropping it
-    # changes the benchmark's expected output (ROADMAP item 2)
+    # changes the benchmark's expected output (ROADMAP item 1)
     print(f"flows-BCH identity: PASS (class {alg.nilpotency_class}, trials 20)")
     return 0
 

@@ -161,7 +161,8 @@ def is_flows_brace(B, alg):
 
 def table_chains(alg):
     """The radical chains of ``to_brace(alg)``, read off alg's table: the
-    ``radical_chains`` of the degree-1 brace with star(a, b) = a.b.
+    chains of the products a.b (``brace.chain_report``), which are the
+    chains of star(a, b).
 
     Proof that the two ChainReports are equal, for alg nilpotent of class
     s over a field of characteristic p = 0 or p > s.  Write U.V for the
@@ -195,12 +196,10 @@ def table_chains(alg):
     - strong, D_i = sum_{0<j<i} D_j * D_{i-j}: U = D_j, V = D_{i-j}.
       D_j.D_j ⊆ D_{2j} ⊆ D_j and D_j.D_{i-j} ⊆ D_i ⊆ D_{i-j}, by the
       definition and the descent of ``linalg.strong_chain``.
-    ``radical_chains`` builds each term from the spans of the terms
-    before it, and a Subspace is its canonical echelon rows, so the two
-    reports agree term by term, stops and indices included.  The strong
-    chain is the one ``prelie.nilpotency_index`` takes, so its index is s
-    and its terms are the ones validating alg kept (``nilpotency_chain``).
+    Each term is the span of products of the terms before it, and a
+    Subspace is its canonical echelon rows, so the two reports agree term
+    by term, indices included.  The strong chain is the one
+    ``prelie.nilpotency_index`` takes, so its index is s and its terms
+    are the ones validating alg kept (``nilpotency_chain``).
     """
-    terms = nilpotency_chain(alg)
-    return chain_report(GradedBrace(alg.field, alg.dim, {1: alg.product}, validate=False),
-                        terms, len(terms))
+    return chain_report(alg.product, nilpotency_chain(alg))

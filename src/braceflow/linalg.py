@@ -341,11 +341,10 @@ def span(vectors, field=None, dim=None):
 def strong_chain(field, dim, products, cap):
     """The chain D_1 = F^dim, D_i = sum over 0 < j < i of the spans of
     products(D_j, D_{i-j}), for i <= cap.  Terms are ``Echelon`` rows
-    {lead: row}, and ``products(ech, lefts, rights, fresh)`` reduces into
-    the ``Echelon`` ech int rows spanning the product of two terms' rows,
-    only from the left multisets with a slot among the first ``fresh``
-    lefts, and returns whether ech reached its cap.  Each term lies in
-    the one before (D_2 is in D_1; by induction and monotonicity
+    {lead: row}, and ``products(ech, lefts, rights)`` reduces into the
+    ``Echelon`` ech int rows spanning the bilinear products of the left
+    and right rows, and returns whether ech reached its cap.  Each term
+    lies in the one before (D_2 is in D_1; by induction and monotonicity
     D_j*D_{i-j} lies in D_j*D_{i-1-j} for j < i-1, and D_{i-1}*D_1 in
     D_{i-2}*D_1), so all j reduce into one echelon capped at dim D_{i-1},
     and a term that reaches it is D_{i-1}.
@@ -353,18 +352,15 @@ def strong_chain(field, dim, products, cap):
     Each pair of levels is counted once.  For j < i-1 the rows X_j of
     D_j whose lead is no lead of D_{j+1} span a complement of D_{j+1}
     (the leads of a subspace are leads of every subspace containing it),
-    and a multiset from D_{j+1} alone gives products in
-    D_{j+1}*D_{i-j}, inside D_{j+1}*D_{i-j-1}: so the lefts are X_j then
-    D_{j+1}, and only the multisets with a slot in X_j are taken.
+    and a left from D_{j+1} gives products in D_{j+1}*D_{i-j}, inside
+    D_{j+1}*D_{i-j-1}: so the lefts are X_j alone.
     Returns (terms, 1-based index of the first zero term or None)."""
     chain = [{i: {i: 1} for i in range(dim)}]
 
     def level(ech, i, j):
         below = chain[j] if j < i - 1 else {}
         lefts = [row for lead, row in chain[j - 1].items() if lead not in below]
-        fresh = len(lefts)
-        lefts += below.values()
-        return fresh and products(ech, lefts, chain[i - j - 1].values(), fresh)
+        return lefts and products(ech, lefts, chain[i - j - 1].values())
 
     for i in range(2, cap + 1):
         ech = Echelon(field.characteristic, len(chain[-1]))

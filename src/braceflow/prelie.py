@@ -160,19 +160,19 @@ def nilpotency_index(alg):
     chain can stall and fall later, so building it up to D_{d+2} is a
     budget, not a theorem: the unvalidated table e1e1 = e2, e1e2 = e2e2 =
     e3, e2e3 = e3e3 = e4 has D_9 = 0 (class 9) and gets None.  A sound
-    stop is the stall rule of ROADMAP.md (radical chains).  D_j * D_{i-j}
-    is spanned from the support of the product table on ints, as the
-    brace's radical chains are (a span does not change when a generator
-    is scaled), into one echelon per term that stops at the dimension of
-    the term before (``strong_chain``).  One ``map_products`` kernel
-    reduces each product into that echelon as it is made, skips a
-    product that lies on the echelon's unit rows before making it, reads
-    a unit row's column map off the table and builds any other left
-    row's once for the chain.  No basis is built.  The terms of a chain
-    that vanishes are kept on alg (``nilpotency_chain``).
+    stop is the stall rule of ROADMAP.md (item 4).  D_j * D_{i-j} is
+    spanned from the support of the product table on ints (a span does
+    not change when a generator is scaled), into one echelon per term
+    that stops at the dimension of the term before (``strong_chain``).
+    One ``map_products`` kernel reduces each product into that echelon
+    as it is made, skips a product that lies on the echelon's unit rows
+    before making it, reads a unit row's column map off the table and
+    builds any other left row's once for the chain.  No basis is built.
+    The terms of a chain that vanishes are kept on alg
+    (``nilpotency_chain``); the brace's radical chains are read off them
+    (``flows.table_chains``).
     """
-    terms, s = strong_chain(alg.field, alg.dim, map_products(alg.field, [alg.product]),
-                            alg.dim + 2)
+    terms, s = strong_chain(alg.field, alg.dim, map_products(alg.product), alg.dim + 2)
     if s is not None:
         alg._chain = terms
     return s

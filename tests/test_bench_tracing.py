@@ -70,15 +70,15 @@ def test_validate_stages_reach_traced_checks(tracing, tmp_path, capsys, braces_q
                  "brace.check_fbrace", "brace.radical_chains"):
         assert calls[name] == 0, name
     # a brace the reconstruction rejects (its L_1 has class 3 > 2) reaches
-    # every brace check, and no extraction
+    # every brace law check, and no chain and no extraction
     doc = json.loads(fileio.dumps(braces_q["n2"]))
     doc["class_bound"] = 2
     path.write_text(json.dumps(doc))
     code, calls = _traced_calls(tracing, "validate", str(path))
     assert code == 2
-    for name in ("brace.check_left_brace", "brace.check_group",
-                 "brace.check_fbrace", "brace.radical_chains"):
+    for name in ("brace.check_left_brace", "brace.check_group", "brace.check_fbrace"):
         assert calls[name] == 1, name
+    assert calls["brace.radical_chains"] == 0
     assert calls["flows.to_brace"] == 0
     # a table that differs from to_brace(L_1) (v5's first top-degree
     # entry plus one) is rejected on ints; the checks then fail it at the

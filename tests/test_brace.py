@@ -8,18 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braceflow import brace, to_brace
-from braceflow.brace import (GradedBrace, SymmetricMap, _checked_stages, check_fbrace,
-                             check_group, check_left_brace, radical_chains,
-                             star_subspaces, table_difference, validation_stages)
+from braceflow.brace import (GradedBrace, SymmetricMap, _checked_stages, _reconstruction,
+                             check_fbrace, check_group, check_left_brace, radical_chains,
+                             table_difference, validation_stages)
 from braceflow.corpus import corpus
 from braceflow.errors import (AlgebraError, CharacteristicTooSmall, ConvergenceFailure,
                               DimensionMismatch, FieldMismatch, ValidationFailure,
                               Violation)
 from braceflow.flows import is_flows_brace, table_chains
-from braceflow.linalg import Subspace, Vec, span
+from braceflow.linalg import Subspace, Vec, span, strong_chain
 from braceflow.prelie import PreLieAlgebra
 from braceflow.sampling import random_vec, rng_from
 from braceflow.scalars import GF, Fp, Q
+from test_flows import _called, _generated, _reference_structures, _smallest_prime_above
 
 
 def _circ(B, a, b):
@@ -165,7 +166,7 @@ def test_chains_trivial_brace():
 
 
 def test_chains_n2(braces_q):
-    report = radical_chains(braces_q["n2"])
+    report = radical_chains(_copy(braces_q["n2"]))
     assert report.dims(report.left) == (2, 1, 0)
     assert report.dims(report.right) == (2, 1, 0)
     assert report.dims(report.strong) == (2, 1, 0)
@@ -174,9 +175,24 @@ def test_chains_n2(braces_q):
 
 
 def test_chains_f4(braces_q):
-    report = radical_chains(braces_q["f4"])
+    report = radical_chains(_copy(braces_q["f4"]))
     assert report.strong_index == 4
     assert report.strong[3].is_zero()
+
+
+def test_radical_chains_admit_an_unvalidated_brace(braces_q):
+    # the chains are a property of admission: an unvalidated brace is
+    # validated, which sets its chains, class bound and pre-Lie algebra;
+    # a rejected one raises as validation does, and nothing is set
+    B = GradedBrace(Q, 4, braces_q["f4"].lambdas, validate=False)
+    report = radical_chains(B)
+    assert report is B.chains and B.class_bound == report.strong_index == 4
+    assert B.prelie is not None
+    low = GradedBrace(Q, 4, braces_q["f4"].lambdas, class_bound=2, validate=False)
+    with pytest.raises(ValidationFailure,
+                       match="nilpotency class 4 of L_1 exceeds declared class bound 2"):
+        radical_chains(low)
+    assert low.chains is None and low.prelie is None and low.class_bound == 2
 
 
 def _within(small, big):
@@ -186,34 +202,41 @@ def _within(small, big):
 
 @pytest.mark.parametrize("name", ["zero1", "n2", "h3", "f4", "v5"])
 def test_chain_containments_and_equivalence(name, braces_q):
-    report = radical_chains(braces_q[name])
-    # strong chain dominates both one-sided chains, term by term
+    report = radical_chains(_copy(braces_q[name]))
+    # strong chain dominates both one-sided chains, term by term, so all
+    # three vanish, the one-sided ones no later than the strong one
     for i, strong in enumerate(report.strong):
         if i < len(report.left):
             assert _within(report.left[i], strong)
         if i < len(report.right):
             assert _within(report.right[i], strong)
-    assert report.strongly_nilpotent == (
-        report.left_nilpotent and report.right_nilpotent)
+    assert max(report.left_index, report.right_index) <= report.strong_index
 
 
 def _reference_star_span(B, left, right):
-    """star_subspaces written out: every graded map on every multiset of
-    left basis vectors and every right basis vector, by ``apply``."""
-    gens = [lam.apply(list(tup), y) for k, lam in B.lambdas.items()
-            for tup in itertools.combinations_with_replacement(left.basis, k)
-            for y in right.basis]
+    """The star span of ``left`` and ``right`` written out: every graded
+    map on every multiset of left basis vectors and every right basis
+    vector, by ``apply``.  A map is multilinear, so a basis vector with
+    no coordinate in any of its left tuples (or at any of its right
+    indices) gives only zeros there, and is left out."""
+    gens = []
+    for k, lam in B.lambdas.items():
+        live, targets = {i for tup, _ in lam.table for i in tup}, {j for _, j in lam.table}
+        lefts = [u for u in left.basis if any(u[i] for i in live)]
+        rights = [y for y in right.basis if any(y[j] for j in targets)]
+        gens += [lam.apply(list(tup), y)
+                 for tup in itertools.combinations_with_replacement(lefts, k) for y in rights]
     return span(gens, field=B.field, dim=B.dim)
 
 
-def _reference_strong_chain(B, star_span=_reference_star_span):
-    """The strong chain written out: each term spans the ``star_span``s
-    of all its j-products, up to the first zero term or 2 * dim + 3."""
+def _reference_strong_chain(B):
+    """The strong chain written out: each term spans the star spans of
+    all its j-products, up to the first zero term or 2 * dim + 3."""
     chain = [Subspace.full(B.field, B.dim)]
     while len(chain) < 2 * B.dim + 3 and not chain[-1].is_zero():
         i = len(chain) + 1
         gens = [v for j in range(1, i)
-                for v in star_span(B, chain[j - 1], chain[i - j - 1]).basis]
+                for v in _reference_star_span(B, chain[j - 1], chain[i - j - 1]).basis]
         chain.append(span(gens, field=B.field, dim=B.dim))
     return tuple(chain)
 
@@ -265,31 +288,21 @@ def _assert_reference_chains(B, rep, where):
     assert (rep.right, rep.right_index) == _reference_one_sided(B, False), where
 
 
-def test_star_subspaces_matches_direct_span(braces_q, braces_cache):
-    # polarization turns the span of star(a, b) over subspaces into a
-    # finite computation; cross-check against random sampling
-    B = braces_q["v5"]
-    full = Subspace.full(Q, B.dim)
-    computed = star_subspaces(B, full, full)
-    rng = random.Random(77)
-    sampled = span([B.star(random_vec(Q, 4, rng), random_vec(Q, 4, rng))
-                    for _ in range(60)], field=Q, dim=4)
-    assert _within(sampled, computed)
-    # the support-pruned expansion spans exactly what the full sweep of
-    # the graded maps spans, on every pair of chain terms, and all three
-    # chains are their written-out forms, stalled ones included
-    inputs = _chain_inputs(braces_cache)
-    reports = {where: radical_chains(B) for where, B in inputs}
-    for where, B in inputs:
-        rep = reports[where]
-        _assert_reference_chains(B, rep, where)
-        terms = set(rep.left + rep.right + rep.strong)
-        for left in terms:
-            for right in terms:
-                assert (star_subspaces(B, left, right)
-                        == _reference_star_span(B, left, right)), where
-    assert any(not rep.strongly_nilpotent for rep in reports.values())
-    assert any(not rep.left_nilpotent for rep in reports.values())
+@pytest.mark.parametrize("field_of", ["Q", "smallest prime"])
+def test_admitted_chains_are_the_written_out_chains(field_of, bench_generators):
+    # an admitted brace's chains are read off its L_1's table; the star
+    # spans of every graded map on every multiset are the reference, on
+    # the flows braces of the corpus, v_3..v_6, T_3..T_5 and upper(3..5),
+    # over Q and GF(p) with p the smallest prime above the class, plain
+    # and under a seeded relabelling of the algebra
+    g = bench_generators
+    for s in _reference_structures(g):
+        field = GF(_smallest_prime_above(s.nil_class)) if field_of != "Q" else Q
+        for sigma, scales in ((None, None), g.relabelling(s.dim, 7)):
+            B = _copy(to_brace(_generated(g, s, field, sigma, scales)))
+            rep = radical_chains(B)
+            assert B.prelie is not None and rep is B.chains
+            _assert_reference_chains(B, rep, (s.name, field, sigma))
 
 
 def _stops_at_strong_terms(rep):
@@ -318,11 +331,11 @@ def test_one_sided_chains_are_capped_by_the_strong_chain(bench_generators, brace
             rep = table_chains(alg)
             brace_1 = GradedBrace(field, s.dim, {1: alg.product}, validate=False)
             (coinciding if s.name[0] in "vU" else differing).append((s.name, brace_1, rep))
-        f4 = braces_cache("f4", field)
+        f4 = _copy(braces_cache("f4", field))
         differing.append(("f4", f4, radical_chains(f4)))
-        # the flows brace of v_5 has maps of arity 2 and 3, spanned by
-        # the multiset stack
-        v5 = braces_cache("v5", field)
+        # the flows brace of v_5 has maps of arity 2 and 3, which the
+        # written-out reference spans
+        v5 = _copy(braces_cache("v5", field))
         assert max(v5.lambdas) > 1
         coinciding.append(("v5 flows", v5, radical_chains(v5)))
     for name, B, rep in coinciding:
@@ -344,69 +357,36 @@ def test_one_sided_chains_are_capped_by_the_strong_chain(bench_generators, brace
 @pytest.mark.parametrize("field", [Q, GF(13)], ids=str)
 def test_strong_chain_counts_each_pair_of_levels_once(field, bench_generators):
     # the strong chain, built from the lefts of D_j outside D_{j+1}, is
-    # the sum over every pair of levels of the star spans, on deep
-    # chains, on one that stalls (D_3 = D_4, D_5 = .. = D_8, D_9 = 0) and
-    # on one whose left multisets mix two levels
+    # the sum over every pair of levels of the star spans written out:
+    # on the deep chains of flows braces, read off L_1's table, and on a
+    # table whose chain stalls (D_3 = D_4, D_5 = .. = D_8, D_9 = 0)
     g = bench_generators
-    inputs = []
     for s in (g.v(10), g.trees(5), g.upper(5)):
-        structure = {}
-        for (_, (i,), j, k), val in s.entries.items():
-            structure.setdefault((i, j), {})[k] = val
-        inputs.append(to_brace(PreLieAlgebra(field, s.dim, structure)))
+        B = _copy(to_brace(_generated(g, s, field)))
+        assert radical_chains(B).strong == _reference_strong_chain(B), s.name
     stalling = {((0,), 0): {1: 1}, ((0,), 1): {2: 1}, ((1,), 1): {2: 1},
                 ((1,), 2): {3: 1}, ((2,), 2): {3: 1}}
-    inputs.append(GradedBrace(field, 4, {1: SymmetricMap(field, 4, 1, stalling)},
-                              validate=False))
-    # L(e1, e1; e1) = e2, L(e1, e2; e2) = e3: D_3 = <e3> comes only from
-    # a left multiset with one slot outside D_2 and one in it
-    mixed = {((0, 0), 0): {1: 1}, ((0, 1), 1): {2: 1}}
-    inputs.append(GradedBrace(field, 4, {2: SymmetricMap(field, 4, 2, mixed)},
-                              validate=False))
-    for B in inputs:
-        rep = radical_chains(B)
-        assert rep.strong == _reference_strong_chain(B, star_subspaces)
-    for B, dims in zip(inputs[-2:], [(4, 3, 2, 2, 1, 1, 1, 1, 0), (4, 2, 1, 0)]):
-        rep = radical_chains(B)
-        assert rep.dims(rep.strong) == dims
-        assert rep.strong == _reference_strong_chain(B)
+    lam = SymmetricMap(field, 4, 1, stalling)
+    terms, index = strong_chain(field, 4, brace.map_products(lam), 2 * 4 + 3)
+    strong = tuple(Subspace.of_echelon(field, 4, t) for t in terms)
+    assert [t.dim for t in strong] == [4, 3, 2, 2, 1, 1, 1, 1, 0] and index == 9
+    assert strong == _reference_strong_chain(GradedBrace(field, 4, {1: lam}, validate=False))
 
 
-def _fresh_maps(B):
-    """B's graded maps rebuilt from their tables: equal maps, none of
-    them compiled for spans yet."""
-    return {k: SymmetricMap(B.field, B.dim, k,
-                            {key: dict(pairs) for key, pairs in lam.table.items()})
-            for k, lam in B.lambdas.items()}
-
-
-def test_validation_compiles_products_once(braces_q, monkeypatch):
-    # every term of the three chains spans from one compile of each
-    # table: an admitted brace spans only L_1's table, compiled once for
-    # the strong chain of L_1's validation and the left and right chains;
-    # the checked stages compile each of the brace's tables once
-    real, compiled = brace._compiled, []
-
-    def counted(lam):
-        if lam._spans is None:
-            compiled.append(lam)
-        return real(lam)
-
-    monkeypatch.setattr(brace, "_compiled", counted)
+def test_validation_compiles_products_once(braces_q):
+    # an admitted brace's chains come from two compiles of L_1's table
+    # (``map_products``): one for its strong chain, while L_1 is
+    # validated, and one for both one-sided chains; reading them off the
+    # admitted brace compiles nothing
     for name in ("f4", "v5"):
         B = braces_q[name]
-        want = radical_chains(B)
-        maps = _fresh_maps(B)
-        compiled.clear()
-        built = GradedBrace(B.field, B.dim, maps, class_bound=B.class_bound)
-        assert compiled == [maps[1]], name
-        assert built.chains == want
-        assert len(want.left) + len(want.right) > 4
-        maps = _fresh_maps(B)
-        compiled.clear()
-        assert radical_chains(GradedBrace(B.field, B.dim, maps, validate=False)) == want
-        assert sorted(map(id, compiled)) == sorted(map(id, maps.values())), name
-        assert len(maps) > 1
+        built = []
+        watched = {"map_products": brace.map_products}
+        assert len(_called(watched, lambda: built.append(
+            GradedBrace(B.field, B.dim, B.lambdas, class_bound=B.class_bound)))) == 2, name
+        assert len(B.lambdas) > 1
+        assert _called(watched, lambda: radical_chains(built[0])) == [], name
+        assert built[0].chains == table_chains(PreLieAlgebra(Q, B.dim, B.lambda_map(1)))
 
 
 def _odd_degree_three_brace():
@@ -528,16 +508,14 @@ def test_star_kernel_matches_apply_on_drawn_braces(case):
     _assert_star_kernel(B, a, b)
 
 
-def test_star_subspaces_counts_each_multiset_once():
+def test_star_counts_each_multiset_once():
     # L_2(a, a; e1) at a = e1 + e2 is L(e1,e1) + 2 L(e1,e2) + L(e2,e2) =
-    # (0, 2, 2); contracting the multinomial-scaled compiled rows instead
-    # of the table would give 2 * 2 e2 + 2 e3 = (0, 4, 2)
+    # (0, 2, 2); scaling the multinomial-scaled compiled rows once more
+    # would give 2 * 2 e2 + 2 e3 = (0, 4, 2)
     B = GradedBrace(Q, 3, {2: {((0, 0), 0): (0, 0, 1), ((0, 1), 0): (0, 1, 0),
                                ((1, 1), 0): (0, 0, 1)}}, validate=False)
     a = Vec(Q, (1, 1, 0))
     assert B.star(a, B.basis_vector(0)) == Vec(Q, (0, 2, 2))
-    assert (star_subspaces(B, span([a]), span([B.basis_vector(0)]))
-            == span([Vec(Q, (0, 1, 1))]))
 
 
 def _full_law_sweep(B):
@@ -668,6 +646,21 @@ def _copy(B):
                        basis_names=B.basis_names, validate=False)
 
 
+def _law_stages_then_reason(B):
+    """The outcome validation must have on B, built from its parts: the
+    law stages' lines and error; once they pass, the chain lines of an
+    admitted brace, or the reconstruction's reason."""
+    lines, error = _stages_outcome(_checked_stages(_copy(B)))
+    if error is not None:
+        return lines, error
+    copy = _copy(B)
+    reason = _reconstruction(copy)
+    if reason is None:
+        return lines + list(copy.chains.lines()), None
+    exc = reason()
+    return lines, (type(exc), str(exc), exc.violation)
+
+
 def _int_verdict_is_the_table_difference(B):
     """Assert that the int comparison of B with to_brace(L_1) decides as
     ``table_difference`` does, the reference; its verdict, or None when
@@ -682,16 +675,17 @@ def _int_verdict_is_the_table_difference(B):
 
 
 def test_validation_outcome_is_the_checked_stages_outcome(braces_cache, bench_generators):
-    # the reconstruction decides only PASS: on the law mutants and the
-    # chain inputs, validation yields and raises exactly what the checked
-    # stages do, and every brace it admits passes them; its int comparison
-    # of the tables decides as table_difference does
+    # on the law mutants and the chain inputs, validation yields and
+    # raises what the law stages do, and once they pass, the chains of an
+    # admitted brace or the reconstruction's reason; every brace it admits
+    # passes the law stages; its int comparison of the tables decides as
+    # table_difference does
     verdicts, compared = [], []
     for where, B in (_law_mutants(braces_cache, bench_generators)
                      + _chain_inputs(braces_cache)):
         admitted = _copy(B)
         got = _stages_outcome(validation_stages(admitted))
-        assert got == _stages_outcome(_checked_stages(_copy(B))), where
+        assert got == _law_stages_then_reason(B), where
         assert (admitted.prelie is None) == (got[1] is not None), where
         verdicts.append(got[1] is None)
         compared.append(_int_verdict_is_the_table_difference(B))
@@ -716,7 +710,7 @@ def test_int_comparison_sees_degrees_above_the_flows_brace(braces_q):
     for B in cases:
         assert _int_verdict_is_the_table_difference(B) is False
         got = _stages_outcome(validation_stages(_copy(B)))
-        assert got == _stages_outcome(_checked_stages(_copy(B)))
+        assert got == _law_stages_then_reason(B)
         assert got[1] is not None
     assert _int_verdict_is_the_table_difference(_odd_degree_three_brace()) is None
 
@@ -747,23 +741,25 @@ def _random_triple_violation(B, trials, seed):
 @pytest.mark.parametrize("make, error, message", [
     (_top_entry_off_by_one, ValidationFailure,
      "left-brace law (a+b+a*b)*c violated at (0, 0, 0) residual (0, 0, 0, 6)"),
-    (lambda: GradedBrace(GF(3), 7, _RING_GF3, validate=False), CharacteristicTooSmall,
+    (lambda: GradedBrace(GF(3), 7, _RING_GF3, validate=False), ValidationFailure,
      "characteristic 3 must exceed the nilpotency class 8"),
     (lambda: GradedBrace(Q, 4, to_brace(corpus(Q)["f4"]).lambdas, class_bound=2,
                          validate=False), ValidationFailure,
-     "strong nilpotency index 4 exceeds declared class bound 2"),
+     "nilpotency class 4 of L_1 exceeds declared class bound 2"),
     (lambda: GradedBrace(Q, 4, {1: {((0,), 1): {2: 1}, ((2,), 0): {3: 1}}}, validate=False),
      ValidationFailure,
      "left-brace law (a+b+a*b)*c violated at (0, 1, 0) residual (0, 0, 0, 1)")],
     ids=["top entry off by one", "p <= s", "class bound exceeded", "L_1 not pre-Lie"])
 def test_rejected_braces_fail_as_the_checked_stages(make, error, message, trials):
-    # each reconstruction failure falls back to the checked stages, which
-    # fail as they did before the reconstruction: same lines, same error.
+    # each reconstruction failure falls back to the law stages, which
+    # fail at the first law a basis triple breaks; once they pass, the
+    # reconstruction's reason is raised, and no chain is printed.
     # A left-brace PASS line rests on the basis sweep alone; the law also
     # holds at `trials` seeded random triples, which no verdict draws
     got = _stages_outcome(validation_stages(make()))
-    assert got == _stages_outcome(_checked_stages(make()))
+    assert got == _law_stages_then_reason(make())
     assert got[1][:2] == (error, message)
+    assert not any(line.startswith(("left:", "right:", "strong:")) for line in got[0])
     if "left-brace laws: PASS" in got[0]:
         assert _random_triple_violation(make(), trials, 5) is None
 
@@ -776,14 +772,12 @@ def _missed_by_the_basis_sweep():
 
 
 def test_checks_that_miss_fail_at_the_table_key():
-    # the checked stages pass this non-brace on the basis; the
-    # reconstruction then fails it at the first key where it differs
-    # from to_brace(L_1)
-    lines = ["left-brace laws: PASS", "group laws: PASS", "F-linearity: PASS",
-             "left: 4,1,0 nilpotent index 3", "right: 4,1,0 nilpotent index 3",
-             "strong: 4,1,0 strongly nilpotent index 3"]
+    # the law stages pass this non-brace on the basis; the reconstruction
+    # then fails it at the first key where it differs from to_brace(L_1),
+    # with B's value there minus the flows value (0) as the residual
+    lines = ["left-brace laws: PASS", "group laws: PASS", "F-linearity: PASS"]
     assert _stages_outcome(_checked_stages(_missed_by_the_basis_sweep())) == (lines, None)
-    viol = Violation("brace round trip", (3, (0, 1, 2), 0))
+    viol = Violation("brace round trip", (3, (0, 1, 2), 0), Vec(Q, (0, 0, 0, 1)))
     B = _missed_by_the_basis_sweep()
     assert _stages_outcome(validation_stages(B)) == (
         lines, (ValidationFailure, str(viol), viol))

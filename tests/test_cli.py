@@ -67,16 +67,17 @@ def _brace_file(tmp_path, B, **changes):
 
 
 def test_validate_rejects_low_class_bound_like_loading(capsys, tmp_path, braces_q):
-    # f4's brace has strong index 4; a declared bound of 2 is a lie that
-    # every command must reject the same way
+    # f4's brace has strong index 4, the class of its L_1; a declared
+    # bound of 2 is a lie that every command must reject the same way.
+    # validate prints the law stages, which pass, and no chain
     path = _brace_file(tmp_path, braces_q["f4"], class_bound=2)
     code, chains_out, _ = run(capsys, "chains", path)
     assert code == 2
-    assert chains_out == ("FAIL: strong nilpotency index 4 exceeds "
+    assert chains_out == ("FAIL: nilpotency class 4 of L_1 exceeds "
                           "declared class bound 2\n")
-    code, out, _ = run(capsys, "validate", path)
-    assert code == 2
-    assert out.endswith("strong: 4,3,2,0 strongly nilpotent index 4\n" + chains_out)
+    assert run(capsys, "validate", path) == (
+        2, "kind: brace\nfield: Q\ndim: 4\nleft-brace laws: PASS\ngroup laws: PASS\n"
+        "F-linearity: PASS\n" + chains_out, "")
 
 
 def test_validate_without_class_bound(capsys, tmp_path, braces_q):
@@ -89,19 +90,30 @@ def test_validate_without_class_bound(capsys, tmp_path, braces_q):
 def test_validate_fails_at_the_table_key_when_the_checks_miss(capsys, tmp_path):
     # star(a, b) = 6 a_0 a_1 a_2 b_0 e_4 breaks the law off the basis
     # only; the basis sweep passes it, and the reconstruction fails it
-    # where it differs from the flows brace of L_1 = 0
+    # where it differs from the flows brace of L_1 = 0, by e_4
     doc = {"format_version": 1, "kind": "brace", "field": "Q", "dim": 4,
            "entries": [[3, [0, 1, 2], 0, 3, "1"]]}
     path = tmp_path / "miss.json"
     path.write_text(json.dumps(doc))
     head = "kind: brace\nfield: Q\ndim: 4\n"
+    fail = "FAIL: brace round trip violated at (3, (0, 1, 2), 0) residual (0, 0, 0, 1)\n"
     assert run(capsys, "validate", str(path)) == (
-        2, head + "left-brace laws: PASS\ngroup laws: PASS\nF-linearity: PASS\n"
-        "left: 4,1,0 nilpotent index 3\nright: 4,1,0 nilpotent index 3\n"
-        "strong: 4,1,0 strongly nilpotent index 3\n"
-        "FAIL: brace round trip violated at (3, (0, 1, 2), 0)\n", "")
-    assert run(capsys, "chains", str(path)) == (
-        2, "FAIL: brace round trip violated at (3, (0, 1, 2), 0)\n", "")
+        2, head + "left-brace laws: PASS\ngroup laws: PASS\nF-linearity: PASS\n" + fail, "")
+    assert run(capsys, "chains", str(path)) == (2, fail, "")
+
+
+def test_validate_fails_a_degree_one_table_that_is_not_nilpotent(capsys, tmp_path):
+    # e1e1 = e1 is associative, so it passes the left-brace law; the
+    # circ inverse of e1 has no finite fixed point.  Over Q a degree-1
+    # table that passes both law stages is nilpotent: its basis vectors
+    # are then nilpotent, so every left multiplication has trace 0, and
+    # an idempotent would have the trace of its rank
+    path = tmp_path / "idempotent.json"
+    path.write_text(json.dumps({"format_version": 1, "kind": "brace", "field": "Q",
+                                "dim": 1, "entries": [[1, [0], 0, 0, "1"]]}))
+    assert run(capsys, "validate", str(path)) == (
+        2, "kind: brace\nfield: Q\ndim: 1\nleft-brace laws: PASS\n"
+        "FAIL: circ inverse violated at (0,)\n", "")
 
 
 def _ring_brace_file(tmp_path, class_bound):
@@ -117,32 +129,36 @@ def _ring_brace_file(tmp_path, class_bound):
     return str(path)
 
 
-@pytest.mark.parametrize("class_bound, last", [
-    (None, "strong: 7,6,5,4,3,2,1,0 strongly nilpotent index 8\nVALID\n"),
-    (8, "strong: 7,6,5,4,3,2,1,0 strongly nilpotent index 8\nVALID\n"),
-    (2, "FAIL: strong nilpotency index 8 exceeds declared class bound 2\n")],
+_RING_LAWS = ("kind: brace\nfield: {}\ndim: 7\n"
+              "left-brace laws: PASS\ngroup laws: PASS\nF-linearity: PASS\n")
+
+
+@pytest.mark.parametrize("class_bound, rest", [
+    (None, "left: 7,6,5,4,3,2,1,0 nilpotent index 8\nright: 7,6,5,4,3,2,1,0 nilpotent index 8\n"
+           "strong: 7,6,5,4,3,2,1,0 strongly nilpotent index 8\nVALID\n"),
+    (8, "left: 7,6,5,4,3,2,1,0 nilpotent index 8\nright: 7,6,5,4,3,2,1,0 nilpotent index 8\n"
+        "strong: 7,6,5,4,3,2,1,0 strongly nilpotent index 8\nVALID\n"),
+    (2, "FAIL: nilpotency class 8 of L_1 exceeds declared class bound 2\n")],
     ids=["none", "8", "2"])
-def test_circ_inverse_needs_no_class_bound(capsys, tmp_path, class_bound, last):
+def test_circ_inverse_needs_no_class_bound(capsys, tmp_path, class_bound, rest):
     # the circ inverse iteration converges within dim + 1 steps whatever
-    # the file declares, so only the declared bound itself can fail
+    # the file declares, so only the declared bound itself can fail; a
+    # rejected brace prints no chain
     code, out, _ = run(capsys, "validate", _ring_brace_file(tmp_path, class_bound))
-    assert code == (0 if class_bound != 2 else 2)
-    assert "group laws: PASS\n" in out
-    assert out.endswith(last)
+    assert (code, out) == (0 if class_bound != 2 else 2, _RING_LAWS.format("Q") + rest)
 
 
 @pytest.mark.parametrize("class_bound", [None, 8], ids=["none", "8"])
 def test_brace_characteristic_must_exceed_strong_index(capsys, tmp_path, class_bound):
-    # over GF(3) the ring brace passes its laws and chains, but its strong
-    # index 8 is not below the characteristic: every command fails alike
+    # over GF(3) the ring brace passes its laws, but the class 8 of its
+    # L_1 is not below the characteristic: every command fails alike
     path = _ring_brace_file(tmp_path, class_bound)
     line = "FAIL: characteristic 3 must exceed the nilpotency class 8\n"
     code, out, _ = run(capsys, "to-prelie", path, "--field", "3",
                        "--out", str(tmp_path / "unused.json"))
     assert (code, out) == (2, line)
     code, out, _ = run(capsys, "validate", path, "--field", "3")
-    assert code == 2
-    assert out.endswith("strong: 7,6,5,4,3,2,1,0 strongly nilpotent index 8\n" + line)
+    assert (code, out) == (2, _RING_LAWS.format("GF(3)") + line)
     code, out, _ = run(capsys, "chains", path, "--field", "3")
     assert (code, out) == (2, line)
 
@@ -414,7 +430,7 @@ def test_fbrace_is_structural(capsys, tmp_path, monkeypatch, braces_q):
     code, out, _ = run(capsys, "validate",
                        _brace_file(tmp_path, braces_q["f4"], class_bound=2))
     assert (code, len(checked)) == (2, 1)
-    assert "group laws: PASS\nF-linearity: PASS\nleft: " in out
+    assert "group laws: PASS\nF-linearity: PASS\nFAIL: " in out
     assert brace.check_fbrace(braces_q["f4"]) is None
 
 

@@ -14,8 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from braceflow import brace, fileio, flows, sampling
 from braceflow.bch import verify_flows_bch
-from braceflow.brace import (GradedBrace, _checked_stages, radical_chains, table_difference,
-                             validation_stages)
+from braceflow.brace import GradedBrace, _checked_stages, table_difference, validation_stages
 from braceflow.corpus import corpus, corpus_dir, f4, n2, zero_algebra
 from braceflow.errors import ConvergenceFailure, PreconditionViolated, ValidationFailure
 from braceflow.flows import (_omega_fixed_point, circ, exp_L, omega, star,
@@ -489,9 +488,9 @@ def _reference_structures(generators):
 
 def _assert_admitted_and_checked(B, where):
     """Validation admits an unvalidated copy of B by reconstruction, and
-    the checked stages pass on another copy with the same lines; so does
+    the law stages pass on another copy with the same law lines; so does
     ``table_difference`` from to_brace(L_1), the reference of the int
-    comparison that admitted it; radical_chains of the brace is the
+    comparison that admitted it; the chain lines are those of the
     ChainReport read off L_1's table."""
     admitted, checked = (GradedBrace(B.field, B.dim, B.lambdas, class_bound=B.class_bound,
                                      basis_names=B.basis_names, validate=False)
@@ -499,8 +498,8 @@ def _assert_admitted_and_checked(B, where):
     lines = list(validation_stages(admitted))
     assert admitted.prelie is not None, where
     assert table_difference(B, to_brace(admitted.prelie)) is None, where
-    assert list(_checked_stages(checked)) == lines, where
-    assert radical_chains(checked) == admitted.chains, where
+    assert list(_checked_stages(checked)) + list(admitted.chains.lines()) == lines, where
+    assert admitted.chains == table_chains(admitted.prelie), where
     assert admitted.class_bound == admitted.chains.strong_index, where
 
 
@@ -524,7 +523,6 @@ def test_to_brace_output_passes_full_validation(field_of, bench_generators):
             B = to_brace(alg)
             assert B.chains is None and B.class_bound == alg.nilpotency_class
             _assert_admitted_and_checked(B, (s.name, field))
-            assert radical_chains(B) == table_chains(alg)
 
 
 @pytest.mark.parametrize("field_of", ["Q", "smallest prime", "GF(11)"])
@@ -591,14 +589,13 @@ def test_extraction_makes_no_multiply_call(trials):
     # and the chains are read off L_1's table
     assert _called(watched, lambda: list(validation_stages(B))) == []
     assert B.chains == table_chains(alg)
-    # the watch sees the checks, on the brace itself, when the
+    # the watch sees the law checks, on the brace itself, when the
     # reconstruction rejects it (a declared class bound below the class),
-    # and still no multiply, flows star or draw
+    # and still no chain, multiply, flows star or draw
     low = GradedBrace(Q, B.dim, B.lambdas, class_bound=B.class_bound - 1, validate=False)
     called = _called(watched, lambda: pytest.raises(
         ValidationFailure, list, validation_stages(low)))
-    assert {name for name, _ in called} == {
-        "check_left_brace", "check_group", "radical_chains"}
+    assert {name for name, _ in called} == {"check_left_brace", "check_group"}
     assert all(arg is low for _, arg in called)
     # the brace built with no multiply call is the flows brace of alg:
     # its star is the multiply-built flows star at `trials` seeded pairs

@@ -165,15 +165,18 @@ def test_roundtrip_brace(name, braces_q):
 def test_roundtrip_brace_names_the_first_differing_key(braces_q):
     # a brace that is not the flows brace of its L_1 fails at the first
     # key where the tables differ, as table_difference has it: an entry
-    # off at the top degree, or a map of a degree to_brace never gives
+    # off at the top degree, or a map of a degree to_brace never gives;
+    # the residual is the brace's value there minus the flows value
     v5 = braces_q["v5"]  # class 5, degrees 1..3
     top = {key: dict(pairs) for key, pairs in v5.lambdas[3].table.items()}
     key = min(top)
     top[key][min(top[key])] += 1
     off = GradedBrace(Q, 4, {**v5.lambdas, 3: top}, validate=False)
     above = GradedBrace(Q, 4, {**v5.lambdas, 4: {((0, 0, 0, 1), 0): {3: 1}}}, validate=False)
-    assert roundtrip_brace(off) == Violation("brace round trip", (3,) + key)
-    assert roundtrip_brace(above) == Violation("brace round trip", (4, (0, 0, 0, 1), 0))
+    assert roundtrip_brace(off) == Violation("brace round trip", (3,) + key,
+                                             Vec.basis(Q, 4, min(top[key])))
+    assert roundtrip_brace(above) == Violation("brace round trip", (4, (0, 0, 0, 1), 0),
+                                               Vec.basis(Q, 4, 3))
     for B in (off, above):
         assert roundtrip_brace(B) == table_difference(B, to_brace(to_prelie(B)))
 

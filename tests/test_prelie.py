@@ -274,8 +274,8 @@ def _stalling_table(field):
 
 @pytest.mark.parametrize("field", [Q, GF(13)], ids=str)
 def test_strong_chain_terms_match_dense_sweep(field, bench_generators):
-    # each pair of chain levels is counted once (the lefts of D_j that
-    # are not in D_{j+1} first), and spans what the sum over all pairs
+    # each pair of chain levels is counted once (only the lefts of D_j
+    # that are not in D_{j+1}), and spans what the sum over all pairs
     # of basis vectors spans, term by term, on deep and stalling chains
     cases = []
     for s in (bench_generators.v(10), bench_generators.trees(5), bench_generators.upper(5)):
@@ -285,7 +285,7 @@ def test_strong_chain_terms_match_dense_sweep(field, bench_generators):
         cases.append(PreLieAlgebra(field, s.dim, structure, validate=False))
     cases.append(_stalling_table(field))
     for alg in cases:
-        terms, index = strong_chain(field, alg.dim, map_products(field, [alg.product]), 12)
+        terms, index = strong_chain(field, alg.dim, map_products(alg.product), 12)
         chain = tuple(Subspace.of_echelon(field, alg.dim, t) for t in terms)
         assert chain == _dense_chain(alg, 12)
         assert index == len(chain)

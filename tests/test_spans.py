@@ -3,7 +3,6 @@ field-scalar Gauss-Jordan reference, subspaces that compare and hash by
 their echelon rows, and the chains whose terms stop at the previous
 term."""
 
-import itertools
 import random
 
 from fractions import Fraction
@@ -11,12 +10,12 @@ from fractions import Fraction
 import pytest
 
 from braceflow import brace, flows, prelie
-from braceflow.brace import (GradedBrace, SymmetricMap, map_products, map_span,
-                             radical_chains)
+from braceflow.brace import GradedBrace, SymmetricMap, map_products
 from braceflow.linalg import (Echelon, Mat, Subspace, Vec, polynomial_curve_coefficients,
                               span, strong_chain)
 from braceflow.prelie import PreLieAlgebra, nilpotency_index
 from braceflow.scalars import GF, Fp, Q
+from test_brace import _assert_reference_chains, _reference_strong_chain
 
 
 def _rref(field, rows):
@@ -51,51 +50,19 @@ def _reference_basis(field, vectors):
     return tuple(Vec(field, row) for row in rows)
 
 
-def _reference_map_span(maps, field, d, left, right):
-    """The canonical basis of map_span on field scalars, as it was before
-    the int echelon: the symmetric products of the ``left`` basis
-    vectors, pruned by the table's support, contracted with the table in
-    dense columns with each ``right`` basis vector, then reduced by
-    ``_rref``."""
-    lefts = [tuple((i, x) for i, x in enumerate(u.entries) if x) for u in left]
-    rights = [y.entries for y in right]
-    gens = []
-    for lam in maps:
-        k = lam.arity
-        by_left = {}
-        for (tup, j), pairs in lam.table.items():
-            by_left.setdefault(tup, []).append((j, pairs))
-        live = {sub for tup in by_left for m in range(k + 1)
-                for sub in itertools.combinations(tup, m)}
-        stack = [(0, 0, {(): field.one})]
-        while stack:
-            first, filled, poly = stack.pop()
-            if filled == k:
-                cols = {}
-                for t, c in poly.items():
-                    for j, out in by_left.get(t, ()):
-                        col = cols.setdefault(j, [field.zero] * d)
-                        for o, v in out:
-                            col[o] = col[o] + c * v
-                for y in rights:
-                    g = [field.zero] * d
-                    for j, col in cols.items():
-                        if y[j]:
-                            g = [a + y[j] * b for a, b in zip(g, col)]
-                    if any(g):
-                        gens.append(Vec._trusted(field, tuple(g)))
-                continue
-            for s in range(first, len(lefts)):
-                nxt = {}
-                for t, c in poly.items():
-                    for i, x in lefts[s]:
-                        u = tuple(sorted(t + (i,)))
-                        if u in live:
-                            nxt[u] = nxt[u] + c * x if u in nxt else c * x
-                nxt = {u: c for u, c in nxt.items() if c}
-                if nxt:
-                    stack.append((s, filled + 1, nxt))
-    return _reference_basis(field, gens)
+def _reference_products_span(lam, field, left, right):
+    """The canonical basis of the span of the products of an arity-1 map
+    on field scalars: lam(u; y) for every ``left`` basis vector u and
+    ``right`` basis vector y, by ``apply``, reduced by ``_rref``."""
+    return _reference_basis(field, [lam.apply([u], y) for u in left for y in right])
+
+
+def _products_span(products, field, d, left, right):
+    """The span that ``products`` (``map_products``) reduces from the
+    echelon rows of two subspaces."""
+    ech = Echelon(field.characteristic, d)
+    products(ech, left.rows, right.rows)
+    return Subspace.of_echelon(field, d, ech.rows)
 
 
 def _raw_scalar(field, rng):
@@ -107,16 +74,15 @@ def _raw_scalar(field, rng):
     return rng.randint(-2 * p, 2 * p)
 
 
-def _random_map(field, d, k, rng):
-    """A sparse table of arity k whose keys repeat indices often, so that
-    multinomials divisible by a small p occur."""
+def _random_product(field, d, rng):
+    """A sparse arity-1 table (a product e_i.e_j) whose left indices are
+    often 0 or 1, so that many products share a left index."""
     entries = {}
     for _ in range(rng.randint(1, 6)):
-        tup = tuple(rng.choice(range(min(d, 2)) if rng.random() < 0.5 else range(d))
-                    for _ in range(k))
+        i = rng.choice(range(min(d, 2)) if rng.random() < 0.5 else range(d))
         val = {rng.randrange(d): _raw_scalar(field, rng) for _ in range(rng.randint(1, 2))}
-        entries[(tuple(sorted(tup)), rng.randrange(d))] = val
-    return SymmetricMap(field, d, k, entries)
+        entries[((i,), rng.randrange(d))] = val
+    return SymmetricMap(field, d, 1, entries)
 
 
 def _random_subspace(field, d, rng):
@@ -140,16 +106,15 @@ def test_map_span_matches_field_scalar_reference(field):
     seen = set()
     for _ in range(150):
         d = rng.randint(1, 5)
-        maps = [_random_map(field, d, k, rng)
-                for k in sorted(rng.sample((1, 2, 3), rng.randint(1, 3)))]
-        products = map_products(field, maps)
+        lam = _random_product(field, d, rng)
+        products = map_products(lam)
         left, right = _random_subspace(field, d, rng), _random_subspace(field, d, rng)
-        want = _reference_map_span(maps, field, d, left.basis, right.basis)
-        got = map_span(products, left, right)
+        want = _reference_products_span(lam, field, left.basis, right.basis)
+        got = _products_span(products, field, d, left, right)
         assert got.basis == want and _canonical(got)
         # the echelon rows of a span feed the next span unchanged
-        assert map_span(products, got, got).basis == _reference_map_span(
-            maps, field, d, want, want)
+        assert _products_span(products, field, d, got, got).basis == _reference_products_span(
+            lam, field, want, want)
         seen.add((left.is_zero(), right.is_zero(), got.is_zero(), got.dim == d))
     assert {(True, False, True, False), (False, True, True, False)} <= seen
     assert any(not zero and not full for _, _, zero, full in seen)
@@ -314,52 +279,27 @@ _IDEMPOTENT = ((1, {(0, 0): {0: 1}}), (2, {(0, 1): {1: 1}}),
 
 @pytest.mark.parametrize("field", [Q, GF(7)], ids=str)
 def test_stalled_chains_keep_their_terms(field, braces_cache):
-    # chains that stall at a nonzero term: the early stop must return
-    # that term, and the strong chain must run to its 2*dim+3 cap; the
-    # lines are those `validate` and `chains` print
-    lines = {
-        "e1e1=e1": ["left: 1 not nilpotent", "right: 1 not nilpotent",
-                    "strong: 1,1,1,1,1 not strongly nilpotent"],
-        "e1e2=e2": ["left: 2,1 not nilpotent", "right: 2,1,0 nilpotent index 3",
-                    "strong: 2,1,1,1,1,1,1 not strongly nilpotent"],
-        "e1e2=e3,e3e1=e2": ["left: 3,2,1,0 nilpotent index 4",
-                            "right: 3,2,1,0 nilpotent index 4",
-                            "strong: 3,2,2,2,2,2,2,2,2 not strongly nilpotent"],
-        "f4 corrupt": ["left: 4,3,1 not nilpotent", "right: 4,3,1,0 nilpotent index 4",
-                       "strong: 4,3,2,2,2,2,2,2,2,2,2 not strongly nilpotent"],
-    }
-    braces = {}
-    for name, (dim, structure) in zip(lines, _IDEMPOTENT):
-        alg = PreLieAlgebra(field, dim, structure, validate=False)
-        assert nilpotency_index(alg) is None
-        braces[name] = GradedBrace(field, dim, {1: alg.product}, validate=False)
-    f4 = braces_cache("f4", field)
-    lam = f4.lambda_map(1)
+    # strong chains that stall at a nonzero term: the early stop must
+    # return that term, and the chain must run to its 2*dim+3 cap
+    dims = {"e1e1=e1": (1, 1, 1, 1, 1), "e1e2=e2": (2, 1, 1, 1, 1, 1, 1),
+            "e1e2=e3,e3e1=e2": (3, 2, 2, 2, 2, 2, 2, 2, 2),
+            "f4 corrupt": (4, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2)}
+    algs = {name: PreLieAlgebra(field, dim, structure, validate=False)
+            for name, (dim, structure) in zip(dims, _IDEMPOTENT)}
+    lam = braces_cache("f4", field).lambda_map(1)
     table = {key: lam.value(*key) for key in lam.table}
     table[((0,), 1)] = table[((0,), 1)] + Vec.basis(field, 4, 1)
-    braces["f4 corrupt"] = GradedBrace(field, 4, {**f4.lambdas, 1: table}, validate=False)
-    for name, B in braces.items():
-        report = radical_chains(B)
-        assert list(report.lines()) == lines[name], name
-        assert report.strong_index is None
-        assert len(report.strong) == 2 * B.dim + 3
+    algs["f4 corrupt"] = PreLieAlgebra(field, 4, SymmetricMap(field, 4, 1, table),
+                                       validate=False)
+    for name, alg in algs.items():
+        d = alg.dim
+        terms, index = strong_chain(field, d, map_products(alg.product), 2 * d + 3)
+        assert index is None and nilpotency_index(alg) is None, name
+        chain = tuple(Subspace.of_echelon(field, d, t) for t in terms)
+        assert tuple(t.dim for t in chain) == dims[name], name
         # each term is the span it names, not a stale copy of the one before
-        for chain in (report.left, report.right, report.strong):
-            for term in chain:
-                assert term == Subspace(field, B.dim, term.basis)
-
-
-
-def _multiset_products(lam):
-    """``map_products`` of one map through the multiset stack whatever
-    its arity: the reference for the arity-1 kernel."""
-    table, p = brace._compiled(lam), lam.field.characteristic
-
-    def products(ech, lefts, rights, fresh=None):
-        lefts = [tuple(u.items()) for u in lefts]
-        firsts = len(lefts) if fresh is None else fresh
-        return ech.extend(brace._multisets(lam.arity, table, lefts, firsts, rights, p))
-    return products
+        for term in chain:
+            assert term == Subspace(field, d, term.basis)
 
 
 def _prelie(field, s):
@@ -436,37 +376,38 @@ def _degree_one_inputs(g):
             yield (name, field, "dense"), _dense_basis(alg, rng)
 
 
-def test_degree_one_kernel_matches_multiset_stack(bench_generators, monkeypatch):
-    # the fused arity-1 kernel spans what the multiset stack spans: the
-    # same strong chain (every term an echelon, and its index), the same
-    # left and right chains, and the same span on every pair of strong
-    # terms, also in a dense basis, where the unit-row skip rarely fires,
-    # on a chain that stalls before it vanishes and on one that never does
+def test_degree_one_kernel_matches_written_out_spans(bench_generators):
+    # the fused arity-1 kernel spans what the products written out span:
+    # the strong chain (every term, and its index), the left and right
+    # chains read off a nilpotent table, and the span on every pair of
+    # strong terms, also in a dense basis, where the unit-row skip rarely
+    # fires, on a chain that stalls before it vanishes and on one that
+    # never does
     cases = list(_degree_one_inputs(bench_generators))
-    kernel = {where: radical_chains(GradedBrace(alg.field, alg.dim, {1: alg.product},
-                                                validate=False))
-              for where, alg in cases}
-    tables = {where: flows.table_chains(alg) for where, alg in cases
-              if nilpotency_index(alg) is not None}
-    monkeypatch.setattr(brace, "map_products",
-                        lambda field, maps: _multiset_products(*maps))
+    indices, dense, nilpotent = {}, [], 0
     for where, alg in cases:
         field, d = alg.field, alg.dim
-        want = radical_chains(GradedBrace(field, d, {1: alg.product}, validate=False))
-        assert kernel[where] == want, where
-        assert tables.get(where, want) == want, where
-        fast, ref = map_products(field, [alg.product]), _multiset_products(alg.product)
-        assert (strong_chain(field, d, fast, 2 * d + 3)
-                == strong_chain(field, d, ref, 2 * d + 3)), where
-        for left in want.strong:
-            for right in want.strong:
-                assert map_span(fast, left, right) == map_span(ref, left, right), where
-    assert len(cases) == 36 + 12 + 8 and len(tables) == 36 + 12
-    indices = {where[0]: kernel[where].strong_index for where in kernel}
+        B = GradedBrace(field, d, {1: alg.product}, validate=False)
+        products = map_products(alg.product)
+        terms, index = strong_chain(field, d, products, 2 * d + 3)
+        strong = tuple(Subspace.of_echelon(field, d, t) for t in terms)
+        assert strong == _reference_strong_chain(B), where
+        assert index == (len(strong) if strong[-1].is_zero() else None), where
+        indices[where[0]] = index
+        if nilpotency_index(alg) is not None:  # the stalling table's 9 is above d + 2
+            _assert_reference_chains(B, flows.table_chains(alg), where)
+            nilpotent += 1
+        for left in strong:
+            for right in strong:
+                assert (_products_span(products, field, d, left, right).basis
+                        == _reference_products_span(alg.product, field, left.basis,
+                                                    right.basis)), where
+        if where[2] == "dense":
+            dense.append(strong)
+    assert len(cases) == 36 + 12 + 8 and nilpotent == 36 + 12
     assert indices["stalling"] == 9 and indices["not nilpotent"] is None
-    dense = [kernel[where] for where in kernel if where[2] == "dense"]
-    assert all(len(row) > 1 for rep in dense for term in rep.strong[1:-1] for row in term.rows
-               if term.dim < rep.strong[0].dim), "a dense term is a coordinate subspace"
+    assert all(len(row) > 1 for strong in dense for term in strong[1:-1] for row in term.rows
+               if term.dim < strong[0].dim), "a dense term is a coordinate subspace"
 
 
 def test_each_left_row_gets_one_column_map(bench_generators, monkeypatch):
@@ -478,16 +419,16 @@ def test_each_left_row_gets_one_column_map(bench_generators, monkeypatch):
     built, passed = [], []
     column_map, real_products = brace._column_map, brace.map_products
 
-    def counted_map(by_left, u, p):
+    def counted_map(unit_maps, u, p):
         built.append(u)
-        return column_map(by_left, u, p)
+        return column_map(unit_maps, u, p)
 
-    def recorded(field, maps):
-        products = real_products(field, maps)
+    def recorded(lam):
+        products = real_products(lam)
 
-        def spy(ech, lefts, rights, fresh=None):
-            passed.extend(lefts if fresh is None else lefts[:fresh])
-            return products(ech, lefts, rights, fresh)
+        def spy(ech, lefts, rights):
+            passed.extend(lefts)
+            return products(ech, lefts, rights)
         return spy
 
     monkeypatch.setattr(brace, "_column_map", counted_map)
