@@ -7,8 +7,8 @@ star.  Everything is computed over the rationals or a sufficiently
 large prime field, with no floating point anywhere.
 """
 
-from .brace import (ChainReport, GradedBrace, SymmetricMap, check_fbrace,
-                    check_group, check_left_brace, radical_chains)
+from .brace import (GradedBrace, SymmetricMap, check_fbrace, check_group,
+                    check_left_brace, radical_chains)
 from .bch import verify_flows_bch
 from .errors import (AlgebraError, AlgebraFileError, CharacteristicTooSmall,
                      ConvergenceFailure, DimensionMismatch, FieldMismatch,
@@ -21,7 +21,7 @@ from .free_expansion import (StarExpr, StarWord, doubling_matrix, evaluate,
 from .limits import (check_associator_correction_identity, dot, limit_witness,
                      roundtrip_brace, roundtrip_prelie, to_prelie)
 from .linalg import Mat, Subspace, Vec, span
-from .prelie import PreLieAlgebra, check_prelie_identity, nilpotency_index
+from .prelie import ChainReport, PreLieAlgebra, check_prelie_identity, nilpotency_index
 from .scalars import GF, Fp, Q, ScalarField
 
 __version__ = "0.1.0"

@@ -5,18 +5,18 @@ multilinear maps: for each k >= 1 a map with k symmetric "left" slots
 and one "right" slot, so that star(a, b) = sum_k L_k(a, ..., a; b).
 This form is closed under both directions of the correspondence with
 pre-Lie algebras, and makes linearity of the star in its right argument
-(the F-brace axiom) structural.
+(the F-brace axiom) structural.  A brace is admitted as the flows
+brace of its L_1 (``validation_stages``); its radical chains are then
+the chains of L_1's product, spanned in ``prelie`` (``radical_chains``).
 """
 
 import itertools
 import math
 
-from dataclasses import dataclass
-
 from .errors import (CharacteristicTooSmall, ConvergenceFailure, DimensionMismatch,
                      FieldMismatch, PreconditionViolated, ValidationFailure,
                      Violation)
-from .linalg import Echelon, Subspace, Vec, nonzero
+from .linalg import Vec, nonzero
 
 
 def _multinomial(k, counts):
@@ -491,7 +491,7 @@ def validation_stages(B):
     ``to_brace(L_1)`` has B's tables exactly, compared on ints with no
     brace built (``flows.is_flows_brace``).  An admitted brace yields the
     three law lines, which every brace passes, then its chains, read off
-    L_1's table (``flows.table_chains``).
+    L_1's table (``prelie.chain_report``).
 
     A rejected brace runs the law stages (``_checked_stages``), to name
     a failing law.  Its law PASS lines then say only that no basis
@@ -551,7 +551,7 @@ def _reconstruction(B):
         return failure
     if B.class_bound is None:
         B.class_bound = s
-    B.chains, B.prelie = flows.table_chains(alg), alg
+    B.chains, B.prelie = prelie.chain_report(alg), alg
     return None
 
 
@@ -582,10 +582,12 @@ def table_difference(B, other):
 
 
 def class_bound_of(B):
-    """B's declared or proven class bound; an unvalidated brace that
-    declares none is validated first (``radical_chains``), which proves
-    it.  Raises PreconditionViolated if B is rejected."""
-    if B.class_bound is None:
+    """B's class bound, declared or proven, once B is admitted: an
+    unvalidated brace is validated first (``radical_chains``), which
+    checks a declared bound against the class of L_1 and proves one
+    where none is declared.  Raises PreconditionViolated if B is
+    rejected."""
+    if B.prelie is None:
         try:
             radical_chains(B)
         except ValidationFailure as exc:
@@ -593,177 +595,14 @@ def class_bound_of(B):
     return B.class_bound
 
 
-def map_products(lam):
-    """products(ech, lefts, rights): reduce into the ``Echelon`` ech the
-    int rows u.y of the arity-1 SymmetricMap ``lam`` (a pre-Lie product)
-    for the int rows u in ``lefts`` and y in ``rights`` (``Echelon`` or
-    ``Subspace`` rows), stopping once ech reaches its cap, and return
-    whether it did.  A span is unchanged when a generator is scaled, so
-    the products are taken on lam's compiled rows (at arity 1 every
-    multinomial is 1), grouped once by left index into column maps:
-    {i: {j: e_i.e_j as {out: n}}}.
-
-    ``_span_degree_one`` reduces each product u.y into ech where it is
-    made, from the column map j -> u.e_j of u.  The map of a row
-    u = {i: n} of one entry is e_i's, up to the scale n.  The map of any
-    other left row is built by ``_column_map`` and kept here, keyed by
-    the row object, for as long as ``products`` lives, so a row must not
-    change once passed.  Echelon rows never do, and a chain passes the
-    rows of its terms again at every later level, so each row's map is
-    built once per chain.
-    """
-    unit_maps = {}
-    for (i,), j, out in lam._rows[0]:
-        unit_maps.setdefault(i, {})[j] = dict(out)
-    row_maps = {}
-
-    def products(ech, lefts, rights):
-        return ech.at_cap() or _span_degree_one(ech, unit_maps, row_maps, lefts, rights)
-    return products
-
-
-def _span_degree_one(ech, unit_maps, row_maps, lefts, rights):
-    """Reduce the int rows u.y of an arity-1 table, given as the column
-    maps of its basis vectors (``map_products``), for the left rows u
-    ({i: n}) and the right rows y into the ``Echelon`` ech, each where
-    it is made; True once ech reaches its cap.
-
-    A product is y sent through the column map j -> u.e_j of u by y's
-    nonzero entries, and for y = {j: n} it is column j itself, as a span
-    is unchanged when a generator is scaled.  A product whose every
-    coordinate is the lead of a unit row of ech lies in its span, so it
-    is skipped before it is built.  ``row_maps`` {id(u): (u, map)} holds
-    the column maps of other rows built so far; keeping u keeps its id
-    from being reused by another row."""
-    p, units = ech.p, ech.units
-    singles = [j for y in rights if len(y) == 1 for j in y]
-    others = [y for y in rights if len(y) > 1]
-    for u in lefts:
-        if len(u) == 1:
-            (i,) = u
-            cols = unit_maps.get(i)
-        else:
-            hit = row_maps.get(id(u))
-            if hit is None:
-                hit = row_maps[id(u)] = (u, _column_map(unit_maps, u, p))
-            cols = hit[1]
-        if not cols:
-            continue
-        for j in singles:
-            col = cols.get(j)
-            if col is not None and not units.issuperset(col) and ech.add(dict(col)):
-                return True
-        for y in others:
-            parts = [(cols[j], w) for j, w in y.items() if j in cols]
-            if all(units.issuperset(col) for col, _ in parts):
-                continue
-            g = {}
-            for col, w in parts:
-                for o, v in col.items():
-                    g[o] = g.get(o, 0) + w * v
-            if ech.add(nonzero(g, p)):
-                return True
-    return False
-
-
-def _column_map(unit_maps, u, p):
-    """{j: u.e_j} of an arity-1 table, given as the column maps of its
-    basis vectors (``map_products``), for the int row u = {i: n}, each
-    column a sparse int row {out: n} with its entries nonzero and
-    reduced mod p, and no column empty."""
-    cols = {}
-    for i, x in u.items():
-        for j, out in unit_maps.get(i, {}).items():
-            col = cols.setdefault(j, {})
-            for o, n in out.items():
-                col[o] = col.get(o, 0) + x * n
-    return {j: col for j, c in cols.items() if (col := nonzero(c, p))}
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """The three descending radical chains of a brace, each listed from
-    the full space down to zero, plus the nilpotency indices (position
-    of the first zero term, 1-based)."""
-
-    left: tuple
-    right: tuple
-    strong: tuple
-    left_index: int
-    right_index: int
-    strong_index: int
-
-    def dims(self, chain):
-        return tuple(s.dim for s in chain)
-
-    def lines(self):
-        """One line per chain: its dimensions and its nilpotency index."""
-        rows = (("left", self.left, self.left_index, "nilpotent"),
-                ("right", self.right, self.right_index, "nilpotent"),
-                ("strong", self.strong, self.strong_index, "strongly nilpotent"))
-        for name, chain, index, label in rows:
-            dims = ",".join(str(d) for d in self.dims(chain))
-            yield f"{name}: {dims} {label} index {index}"
-
-
 def radical_chains(B):
     """B's left chain A^{i+1} = A * A^i, right chain A^(i+1) = A^(i) * A
     and strong chain A^[i] = sum of A^[j] * A^[i-j], with their indices:
     ``B.chains``, the report read off the table of L_1 when B was
-    admitted as its flows brace (``flows.table_chains``).  An
+    admitted as its flows brace (``prelie.chain_report``).  An
     unvalidated B is validated first (``validation_stages``), which
     raises if B is rejected."""
     if B.chains is None:
         for _ in validation_stages(B):
             pass
     return B.chains
-
-
-def chain_report(product, terms):
-    """The ChainReport of a nilpotent pre-Lie product (an arity-1
-    SymmetricMap): its left and right chains, computed here, and its
-    strong chain D_1, ..., D_s = 0, given as its ``Echelon`` terms
-    (``prelie.nilpotency_chain``).  These are the radical chains of its
-    flows brace (``flows.table_chains``).
-
-    Each one-sided step spans within the smaller of the term before and
-    the strong term of its index, and a span that reaches the dimension
-    of a subspace containing it is that subspace.  Proof that both
-    contain it.  The product span U.V is monotone in U and in V, and
-    D_{i+1} = sum_{0<j<i+1} D_j.D_{i+1-j} holds D_1.D_i (j = 1) and
-    D_i.D_1 (j = i).  So by induction on i, from A^1 = A^(1) = A = D_1:
-    A^{i+1} = A.A^i ⊆ D_1.D_i ⊆ D_{i+1}, and
-    A^(i+1) = A^(i).A ⊆ D_i.D_1 ⊆ D_{i+1}.  Each chain descends:
-    A^2 ⊆ A, and A^{i+1} ⊆ A^i gives A.A^{i+1} ⊆ A.A^i; likewise on
-    the right.  Where a one-sided chain coincides with the strong chain
-    its steps stop at D_{i+1}.  A chain is zero where the strong chain
-    is, so each one reaches zero within s terms, and a nonzero term has
-    a strong term after it.
-
-    The slot that runs over all of A takes first the rows X_1 of D_1
-    whose lead is no lead of D_2, then the rest, which span D_2.  The
-    products with D_2 lie in D_2.A^i or A^(i).D_2, inside D_{i+2}
-    (the j = 2 or j = i summand), which lies in D_{i+1}; so the products
-    with X_1 are the ones that reach a cap D_{i+1} first.  Every product
-    is still taken until a cap is reached.  Both one-sided chains span
-    from one ``map_products`` of the table, so a left row's column map
-    is built once for the report.
-    """
-    field, d = product.field, product.dim
-    strong = tuple(Subspace.of_echelon(field, d, t) for t in terms)
-    products = map_products(product)
-    # the unit rows of D_1, X_1 first
-    full = [row for _, row in sorted(terms[0].items(), key=lambda item: item[0] in terms[1])]
-
-    def one_sided(step):
-        chain = [strong[0]]
-        while not chain[-1].is_zero():
-            last, below = chain[-1], strong[len(chain)]
-            cap = below if below.dim < last.dim else last
-            ech = Echelon(field.characteristic, cap.dim)
-            chain.append(cap if step(ech, last.rows) else Subspace.of_echelon(field, d, ech.rows))
-        return tuple(chain)
-
-    left = one_sided(lambda ech, rows: products(ech, full, rows))
-    right = one_sided(lambda ech, rows: products(ech, rows, full))
-    return ChainReport(left, right, strong, len(left), len(right), len(strong))

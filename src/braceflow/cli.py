@@ -112,7 +112,7 @@ def cmd_roundtrip(args):
 
 def cmd_chains(args):
     obj = _load(args)
-    report = (flows.table_chains(obj) if isinstance(obj, PreLieAlgebra)
+    report = (prelie.chain_report(obj) if isinstance(obj, PreLieAlgebra)
               else obj.chains)  # a brace file's chains were proven while loading
     for line in report.lines():
         print(line)

@@ -22,14 +22,17 @@ whose degree reaches the cut; Omega is the pre-Lie Magnus expansion,
 each homogeneous product made once.  Its coefficients are ints:
 residues over GF(p), and over Q numerators over one fixed denominator
 per degree, so that 1/k! divides exactly and equality needs no gcd.
+
+The radical chains of the flows brace are the chains of the table,
+read off it with no brace built (``prelie.chain_report``).
 """
 
 import math
 
-from .brace import GradedBrace, SymmetricMap, _multinomial, chain_report
+from .brace import GradedBrace, SymmetricMap, _multinomial
 from .errors import ConvergenceFailure
 from .generic import GenericRing, _by_coord
-from .prelie import int_rows, nilpotency_chain
+from .prelie import int_rows
 
 
 def _series(alg, mul, a, b, offset):
@@ -157,49 +160,3 @@ def is_flows_brace(B, alg):
         if len(terms) != len(wj) or any(wj.get(key) != c * den for key, c in terms.items()):
             return False
     return True
-
-
-def table_chains(alg):
-    """The radical chains of ``to_brace(alg)``, read off alg's table: the
-    chains of the products a.b (``brace.chain_report``), which are the
-    chains of star(a, b).
-
-    Proof that the two ChainReports are equal, for alg nilpotent of class
-    s over a field of characteristic p = 0 or p > s.  Write U.V for the
-    span of the products u.v and U*V for the span of the stars star(u, v)
-    of the flows brace, u in U and v in V.  A product of k + 1 elements is
-    zero for k >= s - 1, so star(x, y) = exp_L(Omega(x), y) - y
-    = sum_{k=1}^{s-2} L_{Omega(x)}^k y / k!, and every k! here and in W
-    is a unit, as k < p.
-
-    Lemma.  If U, V are subspaces with U.U ⊆ U and U.V ⊆ V, then
-    U*V = U.V.  Every product of copies of an x in U lies in U: one of
-    m >= 2 factors is u.v, u and v products of fewer copies.  W(x) is x
-    plus a combination of such products, and so is Omega(x), the fixed
-    point of x' <- x - (W(x') - x') started at x; so both lie in U.
-    (⊆) L_{Omega(x)}^{k-1} y lies in V by U.V ⊆ V, so each term of
-    star(x, y) lies in Omega(x).V ⊆ U.V.  (⊇) For x in U, y in V and t in
-    F, W(tx) lies in U and Omega(W(tx)) = tx, so U*V holds
-    star(W(tx), y) = sum_{k=1}^{s-2} t^k c_k with c_k = L_x^k y / k!.
-    The s - 2 nodes t = 1, ..., s - 2 are distinct and nonzero, as
-    s - 2 < p, so the matrix (t^k) is t times a Vandermonde matrix,
-    invertible, and c_1 = x.y is a combination of the values.  (For
-    s <= 2 every product and every star is 0.)
-
-    The chains, by induction on the term, the brace's and the table's
-    terms being equal before it:
-    - left, A^{i+1} = A * A^i: U = A, V = A^i.  A.A ⊆ A, and
-      A.A^i = A^{i+1} ⊆ A^i, since A^2 ⊆ A^1 and A^{i+1} ⊆ A^i gives
-      A.A^{i+1} ⊆ A.A^i.
-    - right, A^(i+1) = A^(i) * A: U = A^(i), V = A.  U.V ⊆ A, and
-      U.U ⊆ U.A = A^(i+1) ⊆ U, by the same descent.
-    - strong, D_i = sum_{0<j<i} D_j * D_{i-j}: U = D_j, V = D_{i-j}.
-      D_j.D_j ⊆ D_{2j} ⊆ D_j and D_j.D_{i-j} ⊆ D_i ⊆ D_{i-j}, by the
-      definition and the descent of ``linalg.strong_chain``.
-    Each term is the span of products of the terms before it, and a
-    Subspace is its canonical echelon rows, so the two reports agree term
-    by term, indices included.  The strong chain is the one
-    ``prelie.nilpotency_index`` takes, so its index is s and its terms
-    are the ones validating alg kept (``nilpotency_chain``).
-    """
-    return chain_report(alg.product, nilpotency_chain(alg))

@@ -485,9 +485,9 @@ def _evaluate_word(word, bindings, B, cache):
 
 def scaling_matrix_check(B, a, b, n_max):
     """Verify 2^n V_{a/2^n, b} = (2 M^{-1})^n V_{a,b} exactly for
-    n = 1..n_max in the concrete brace B.  Without a class bound, B is
-    validated first, which proves one (``brace.class_bound_of``;
-    PreconditionViolated if B is rejected)."""
+    n = 1..n_max in the concrete brace B.  An unvalidated B is
+    validated first, which checks a declared class bound or proves one
+    (``brace.class_bound_of``; PreconditionViolated if B is rejected)."""
     bound = max(class_bound_of(B), 2)
     m, basis = doubling_matrix(bound)
     field = B.field

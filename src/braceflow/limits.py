@@ -93,9 +93,9 @@ def check_associator_correction_identity(B, trials=20, seed=None):
         x*(y*z) - (x*y)*z - y*(x*z) + (y*x)*z = d(y,x,z) - d(x,y,z)
 
     where d collects everything the expansion of (x+y)*z adds beyond
-    x*z + y*z + x*(y*z) - (x*y)*z.  Without a class bound, B is
-    validated first, which proves one (``brace.class_bound_of``;
-    PreconditionViolated if B is rejected)."""
+    x*z + y*z + x*(y*z) - (x*y)*z.  An unvalidated B is
+    validated first, which checks a declared class bound or proves one
+    (``brace.class_bound_of``; PreconditionViolated if B is rejected)."""
     bound = max(class_bound_of(B), 3)
     full = expand_sum_star(X, Y, Z, bound)
     display = (StarExpr.word(StarWord.product(X, Z))

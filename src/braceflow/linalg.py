@@ -22,7 +22,8 @@ Bareiss.  A ``Subspace`` is its reduced echelon rows and nothing else;
 the rows are canonical, so equal subspaces compare and hash equal, and
 the basis of field vectors is derived from them when read.  Matrix
 inversion and interpolation row-reduce their augmented matrix as a
-``Subspace``.
+``Subspace``.  The chains of a pre-Lie product reduce into capped
+``Echelon``s in ``prelie``.
 """
 
 import math
@@ -336,41 +337,6 @@ def span(vectors, field=None, dim=None):
     elif field is None or dim is None:
         raise ValueError("empty span needs explicit field and dim")
     return Subspace(field, dim, vectors)
-
-
-def strong_chain(field, dim, products, cap):
-    """The chain D_1 = F^dim, D_i = sum over 0 < j < i of the spans of
-    products(D_j, D_{i-j}), for i <= cap.  Terms are ``Echelon`` rows
-    {lead: row}, and ``products(ech, lefts, rights)`` reduces into the
-    ``Echelon`` ech int rows spanning the bilinear products of the left
-    and right rows, and returns whether ech reached its cap.  Each term
-    lies in the one before (D_2 is in D_1; by induction and monotonicity
-    D_j*D_{i-j} lies in D_j*D_{i-1-j} for j < i-1, and D_{i-1}*D_1 in
-    D_{i-2}*D_1), so all j reduce into one echelon capped at dim D_{i-1},
-    and a term that reaches it is D_{i-1}.
-
-    Each pair of levels is counted once.  For j < i-1 the rows X_j of
-    D_j whose lead is no lead of D_{j+1} span a complement of D_{j+1}
-    (the leads of a subspace are leads of every subspace containing it),
-    and a left from D_{j+1} gives products in D_{j+1}*D_{i-j}, inside
-    D_{j+1}*D_{i-j-1}: so the lefts are X_j alone.
-    Returns (terms, 1-based index of the first zero term or None)."""
-    chain = [{i: {i: 1} for i in range(dim)}]
-
-    def level(ech, i, j):
-        below = chain[j] if j < i - 1 else {}
-        lefts = [row for lead, row in chain[j - 1].items() if lead not in below]
-        return lefts and products(ech, lefts, chain[i - j - 1].values())
-
-    for i in range(2, cap + 1):
-        ech = Echelon(field.characteristic, len(chain[-1]))
-        if any(level(ech, i, j) for j in range(1, i)):
-            chain.append(chain[-1])
-        else:
-            chain.append(ech.rows)
-        if not chain[-1]:
-            return tuple(chain), i
-    return tuple(chain), None
 
 
 def polynomial_curve_coefficients(curve, field, degree_bound):

@@ -7,17 +7,19 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from braceflow import brace, to_brace
+from braceflow import brace, prelie, to_brace
 from braceflow.brace import (GradedBrace, SymmetricMap, _checked_stages, _reconstruction,
-                             check_fbrace, check_group, check_left_brace, radical_chains,
-                             table_difference, validation_stages)
+                             check_fbrace, check_group, check_left_brace, class_bound_of,
+                             radical_chains, table_difference, validation_stages)
 from braceflow.corpus import corpus
 from braceflow.errors import (AlgebraError, CharacteristicTooSmall, ConvergenceFailure,
-                              DimensionMismatch, FieldMismatch, ValidationFailure,
-                              Violation)
-from braceflow.flows import is_flows_brace, table_chains
-from braceflow.linalg import Subspace, Vec, span, strong_chain
-from braceflow.prelie import PreLieAlgebra
+                              DimensionMismatch, FieldMismatch, PreconditionViolated,
+                              ValidationFailure, Violation)
+from braceflow.flows import is_flows_brace
+from braceflow.free_expansion import scaling_matrix_check
+from braceflow.limits import check_associator_correction_identity
+from braceflow.linalg import Subspace, Vec, span
+from braceflow.prelie import PreLieAlgebra, chain_report, strong_chain
 from braceflow.sampling import random_vec, rng_from
 from braceflow.scalars import GF, Fp, Q
 from test_flows import _called, _generated, _reference_structures, _smallest_prime_above
@@ -195,6 +197,25 @@ def test_radical_chains_admit_an_unvalidated_brace(braces_q):
     assert low.chains is None and low.prelie is None and low.class_bound == 2
 
 
+def test_declared_class_bound_is_checked_before_it_is_used(braces_q):
+    # a declared class bound is trusted only once the brace is admitted:
+    # v5's flows brace (class 5) declared with bound 2 and left
+    # unvalidated is rejected, so nothing that works up to the bound runs
+    # on it, and nothing is set; a declared bound that holds is kept
+    B = braces_q["v5"]
+    rng = random.Random(1)
+    a, b = random_vec(Q, B.dim, rng), random_vec(Q, B.dim, rng)
+    for check in (class_bound_of, check_associator_correction_identity,
+                  lambda low: scaling_matrix_check(low, a, b, 2)):
+        low = GradedBrace(Q, B.dim, B.lambdas, class_bound=2, validate=False)
+        with pytest.raises(PreconditionViolated,
+                           match="nilpotency class 5 of L_1 exceeds declared class bound 2"):
+            check(low)
+        assert low.chains is None and low.prelie is None and low.class_bound == 2
+    high = GradedBrace(Q, B.dim, B.lambdas, class_bound=7, validate=False)
+    assert class_bound_of(high) == 7 and high.prelie is not None
+
+
 def _within(small, big):
     """Subspace containment: adding small's basis to big's spans big."""
     return span(small.basis + big.basis, field=big.field, dim=big.ambient_dim) == big
@@ -328,7 +349,7 @@ def test_one_sided_chains_are_capped_by_the_strong_chain(bench_generators, brace
             for (_, (i,), j, k), val in s.entries.items():
                 structure.setdefault((i, j), {})[k] = val
             alg = PreLieAlgebra(field, s.dim, structure)
-            rep = table_chains(alg)
+            rep = chain_report(alg)
             brace_1 = GradedBrace(field, s.dim, {1: alg.product}, validate=False)
             (coinciding if s.name[0] in "vU" else differing).append((s.name, brace_1, rep))
         f4 = _copy(braces_cache("f4", field))
@@ -367,26 +388,26 @@ def test_strong_chain_counts_each_pair_of_levels_once(field, bench_generators):
     stalling = {((0,), 0): {1: 1}, ((0,), 1): {2: 1}, ((1,), 1): {2: 1},
                 ((1,), 2): {3: 1}, ((2,), 2): {3: 1}}
     lam = SymmetricMap(field, 4, 1, stalling)
-    terms, index = strong_chain(field, 4, brace.map_products(lam), 2 * 4 + 3)
+    terms, index = strong_chain(PreLieAlgebra(field, 4, lam, validate=False), 2 * 4 + 3)
     strong = tuple(Subspace.of_echelon(field, 4, t) for t in terms)
     assert [t.dim for t in strong] == [4, 3, 2, 2, 1, 1, 1, 1, 0] and index == 9
     assert strong == _reference_strong_chain(GradedBrace(field, 4, {1: lam}, validate=False))
 
 
 def test_validation_compiles_products_once(braces_q):
-    # an admitted brace's chains come from two compiles of L_1's table
-    # (``map_products``): one for its strong chain, while L_1 is
-    # validated, and one for both one-sided chains; reading them off the
-    # admitted brace compiles nothing
+    # an admitted brace's chains come from one compile of L_1's table
+    # (``prelie._SpanKernel``), kept on L_1's algebra: its strong chain,
+    # spanned while L_1 is validated, and both one-sided chains share it;
+    # reading them off the admitted brace compiles nothing
     for name in ("f4", "v5"):
         B = braces_q[name]
         built = []
-        watched = {"map_products": brace.map_products}
+        watched = {"kernel": prelie._SpanKernel.__init__}
         assert len(_called(watched, lambda: built.append(
-            GradedBrace(B.field, B.dim, B.lambdas, class_bound=B.class_bound)))) == 2, name
+            GradedBrace(B.field, B.dim, B.lambdas, class_bound=B.class_bound)))) == 1, name
         assert len(B.lambdas) > 1
         assert _called(watched, lambda: radical_chains(built[0])) == [], name
-        assert built[0].chains == table_chains(PreLieAlgebra(Q, B.dim, B.lambda_map(1)))
+        assert built[0].chains == chain_report(PreLieAlgebra(Q, B.dim, B.lambda_map(1)))
 
 
 def _odd_degree_three_brace():

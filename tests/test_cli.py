@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from braceflow import brace, fileio, sampling
+from braceflow import brace, fileio, prelie, sampling
 from braceflow.cli import PARSER, main
 from braceflow.corpus import corpus, corpus_path
 from braceflow.scalars import Q
@@ -457,7 +457,7 @@ def test_chains_computes_chains_once(capsys, tmp_path, braces_q, kind):
     # one ChainReport is built (for both kinds it is read off f4's table,
     # whose strong chain validation kept) and no brace's chains are spanned
     result = []
-    assert _calls(brace.chain_report,
+    assert _calls(prelie.chain_report,
                   lambda: result.append(run(capsys, "chains", path))) == 1
     assert _calls(brace.radical_chains, lambda: run(capsys, "chains", path)) == 0
     assert result[0][:2] == (0, "left: 4,3,1,0 nilpotent index 4\n"

@@ -17,11 +17,10 @@ from braceflow.bch import verify_flows_bch
 from braceflow.brace import GradedBrace, _checked_stages, table_difference, validation_stages
 from braceflow.corpus import corpus, corpus_dir, f4, n2, zero_algebra
 from braceflow.errors import ConvergenceFailure, PreconditionViolated, ValidationFailure
-from braceflow.flows import (_omega_fixed_point, circ, exp_L, omega, star,
-                             table_chains, to_brace, w_map)
+from braceflow.flows import _omega_fixed_point, circ, exp_L, omega, star, to_brace, w_map
 from braceflow.limits import to_prelie
 from braceflow.linalg import Vec, span
-from braceflow.prelie import PreLieAlgebra
+from braceflow.prelie import PreLieAlgebra, chain_report
 from braceflow.sampling import random_vec
 from braceflow.scalars import GF, Q
 
@@ -499,7 +498,7 @@ def _assert_admitted_and_checked(B, where):
     assert admitted.prelie is not None, where
     assert table_difference(B, to_brace(admitted.prelie)) is None, where
     assert list(_checked_stages(checked)) + list(admitted.chains.lines()) == lines, where
-    assert admitted.chains == table_chains(admitted.prelie), where
+    assert admitted.chains == chain_report(admitted.prelie), where
     assert admitted.class_bound == admitted.chains.strong_index, where
 
 
@@ -588,7 +587,7 @@ def test_extraction_makes_no_multiply_call(trials):
     # validation admits it by reconstruction: no draw and no brace check,
     # and the chains are read off L_1's table
     assert _called(watched, lambda: list(validation_stages(B))) == []
-    assert B.chains == table_chains(alg)
+    assert B.chains == chain_report(alg)
     # the watch sees the law checks, on the brace itself, when the
     # reconstruction rejects it (a declared class bound below the class),
     # and still no chain, multiply, flows star or draw

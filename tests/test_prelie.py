@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from braceflow.corpus import corpus, f4, h3, n2, v5, zero_algebra
 from braceflow.errors import CharacteristicTooSmall, ValidationFailure, Violation
-from braceflow.brace import map_products
-from braceflow.linalg import Subspace, Vec, span, strong_chain
-from braceflow.prelie import (PreLieAlgebra, check_prelie_identity,
-                              nilpotency_index)
+from braceflow.linalg import Subspace, Vec, span
+from braceflow.prelie import (PreLieAlgebra, check_prelie_identity, nilpotency_index,
+                              strong_chain)
 from braceflow.sampling import random_ints, random_vec
 from braceflow.scalars import GF, Q, ScalarField
 
@@ -285,7 +284,7 @@ def test_strong_chain_terms_match_dense_sweep(field, bench_generators):
         cases.append(PreLieAlgebra(field, s.dim, structure, validate=False))
     cases.append(_stalling_table(field))
     for alg in cases:
-        terms, index = strong_chain(field, alg.dim, map_products(alg.product), 12)
+        terms, index = strong_chain(alg, 12)
         chain = tuple(Subspace.of_echelon(field, alg.dim, t) for t in terms)
         assert chain == _dense_chain(alg, 12)
         assert index == len(chain)

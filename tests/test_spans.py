@@ -9,11 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from braceflow import brace, flows, prelie
-from braceflow.brace import GradedBrace, SymmetricMap, map_products
+from braceflow.brace import GradedBrace, SymmetricMap
 from braceflow.linalg import (Echelon, Mat, Subspace, Vec, polynomial_curve_coefficients,
-                              span, strong_chain)
-from braceflow.prelie import PreLieAlgebra, nilpotency_index
+                              span)
+from braceflow.prelie import (PreLieAlgebra, _SpanKernel, chain_report, nilpotency_index,
+                              strong_chain)
 from braceflow.scalars import GF, Fp, Q
 from test_brace import _assert_reference_chains, _reference_strong_chain
 
@@ -57,11 +57,11 @@ def _reference_products_span(lam, field, left, right):
     return _reference_basis(field, [lam.apply([u], y) for u in left for y in right])
 
 
-def _products_span(products, field, d, left, right):
-    """The span that ``products`` (``map_products``) reduces from the
-    echelon rows of two subspaces."""
+def _products_span(kernel, field, d, left, right):
+    """The span that a ``_SpanKernel`` reduces from the echelon rows of
+    two subspaces."""
     ech = Echelon(field.characteristic, d)
-    products(ech, left.rows, right.rows)
+    kernel.reduce(ech, left.rows, right.rows)
     return Subspace.of_echelon(field, d, ech.rows)
 
 
@@ -107,7 +107,7 @@ def test_map_span_matches_field_scalar_reference(field):
     for _ in range(150):
         d = rng.randint(1, 5)
         lam = _random_product(field, d, rng)
-        products = map_products(lam)
+        products = _SpanKernel(PreLieAlgebra(field, d, lam, validate=False))
         left, right = _random_subspace(field, d, rng), _random_subspace(field, d, rng)
         want = _reference_products_span(lam, field, left.basis, right.basis)
         got = _products_span(products, field, d, left, right)
@@ -293,7 +293,7 @@ def test_stalled_chains_keep_their_terms(field, braces_cache):
                                        validate=False)
     for name, alg in algs.items():
         d = alg.dim
-        terms, index = strong_chain(field, d, map_products(alg.product), 2 * d + 3)
+        terms, index = strong_chain(alg, 2 * d + 3)
         assert index is None and nilpotency_index(alg) is None, name
         chain = tuple(Subspace.of_echelon(field, d, t) for t in terms)
         assert tuple(t.dim for t in chain) == dims[name], name
@@ -328,30 +328,43 @@ def _algebras(g):
                 yield (s.name, field, seed), PreLieAlgebra(field, s.dim, table)
 
 
-def _dense_basis(alg, rng):
-    """alg in the basis f_a = sum_i M[a][i] e_i of a random invertible
-    matrix M with few zero entries: an isomorphic algebra whose chain
-    terms are no coordinate subspaces, so that few products lie on unit
-    rows."""
-    field, d = alg.field, alg.dim
+def _dense_matrix(field, d, rng):
+    """(M, M^-1) for a random invertible d x d matrix M with few zero
+    entries."""
     while True:
         m = Mat(field, [[rng.choice((-3, -2, -1, 1, 2, 3, 5)) for _ in range(d)]
                         for _ in range(d)])
         try:
-            inv = m.inverse()
+            return m, m.inverse()
         except ZeroDivisionError:
             continue
-        break
-    f = [Vec(field, row) for row in m.rows]
+
+
+def _coordinates(w, inv):
+    """The coordinates x of w = x M in the basis of M's rows, as the
+    sparse {c: x_c} of w M^-1."""
+    field, d = w.field, w.dim
+    return {c: v for c in range(d)
+            if (v := sum((w[i] * inv.rows[i][c] for i in range(d)), field.zero))}
+
+
+def _in_basis(alg, m, inv):
+    """alg in the basis f_a = sum_i M[a][i] e_i, unvalidated."""
+    f = [Vec(alg.field, row) for row in m.rows]
     table = {}
-    for a in range(d):
-        for b in range(d):
-            w = alg.multiply(f[a], f[b])  # the coordinates x of w = x M are w M^-1
-            x = {c: v for c in range(d)
-                 if (v := sum((w[i] * inv.rows[i][c] for i in range(d)), field.zero))}
-            if x:
+    for a in range(alg.dim):
+        for b in range(alg.dim):
+            if x := _coordinates(alg.multiply(f[a], f[b]), inv):
                 table[(a, b)] = x
-    return PreLieAlgebra(field, d, table, validate=False)
+    return PreLieAlgebra(alg.field, alg.dim, table, validate=False)
+
+
+def _dense_basis(alg, rng):
+    """alg in the basis f_a = sum_i M[a][i] e_i of a random invertible
+    matrix M with few zero entries (``_dense_matrix``): an isomorphic
+    algebra whose chain terms are no coordinate subspaces, so that few
+    products lie on unit rows."""
+    return _in_basis(alg, *_dense_matrix(alg.field, alg.dim, rng))
 
 
 # the dim-4 table whose chain stalls: D_3 = D_4, D_5 = .. = D_8, D_9 = 0
@@ -388,14 +401,14 @@ def test_degree_one_kernel_matches_written_out_spans(bench_generators):
     for where, alg in cases:
         field, d = alg.field, alg.dim
         B = GradedBrace(field, d, {1: alg.product}, validate=False)
-        products = map_products(alg.product)
-        terms, index = strong_chain(field, d, products, 2 * d + 3)
+        products = _SpanKernel(alg)
+        terms, index = strong_chain(alg, 2 * d + 3)
         strong = tuple(Subspace.of_echelon(field, d, t) for t in terms)
         assert strong == _reference_strong_chain(B), where
         assert index == (len(strong) if strong[-1].is_zero() else None), where
         indices[where[0]] = index
         if nilpotency_index(alg) is not None:  # the stalling table's 9 is above d + 2
-            _assert_reference_chains(B, flows.table_chains(alg), where)
+            _assert_reference_chains(B, chain_report(alg), where)
             nilpotent += 1
         for left in strong:
             for right in strong:
@@ -413,39 +426,38 @@ def test_degree_one_kernel_matches_written_out_spans(bench_generators):
 def test_each_left_row_gets_one_column_map(bench_generators, monkeypatch):
     # a unit left row {i: 1} reads e_i's column map off the compiled
     # table; each other distinct left row that the kernel reaches builds
-    # its column map once per chain, although the strong chain passes
-    # each row of X_j again at every later level; the rows are kept
-    # here, so no id is reused
+    # its column map once per algebra, although the strong chain passes
+    # each row of X_j again at every later level and the one-sided
+    # chains share the kernel; the rows are kept on it, so no id is
+    # reused
     built, passed = [], []
-    column_map, real_products = brace._column_map, brace.map_products
+    column_map, reduce = _SpanKernel.column_map, _SpanKernel.reduce
 
-    def counted_map(unit_maps, u, p):
+    def counted_map(self, u, p):
         built.append(u)
-        return column_map(unit_maps, u, p)
+        return column_map(self, u, p)
 
-    def recorded(lam):
-        products = real_products(lam)
+    def spy(self, ech, lefts, rights):
+        passed.extend(lefts)
+        return reduce(self, ech, lefts, rights)
 
-        def spy(ech, lefts, rights):
-            passed.extend(lefts)
-            return products(ech, lefts, rights)
-        return spy
-
-    monkeypatch.setattr(brace, "_column_map", counted_map)
-    for module in (brace, prelie):
-        monkeypatch.setattr(module, "map_products", recorded)
+    monkeypatch.setattr(_SpanKernel, "column_map", counted_map)
+    monkeypatch.setattr(_SpanKernel, "reduce", spy)
     g, rng = bench_generators, random.Random(5)
     for s, p in ((g.v(10), 13), (g.trees(5), 7), (g.trees(4), 7), (g.upper(4), 5)):
         for field in (Q, GF(p)):
             plain = _prelie(field, s)
             algs = [plain] if s.dim > 8 else [plain, _dense_basis(plain, rng)]
             for alg in algs:
-                for chain in (nilpotency_index, flows.table_chains):
+                mapped = set()
+                for chain in (nilpotency_index, chain_report):
                     built.clear()
                     passed.clear()
                     chain(alg)
                     others = [u for u in passed if len(u) > 1]
                     assert all(len(u) > 1 for u in built)
+                    assert mapped.isdisjoint(id(u) for u in built)
+                    mapped.update(id(u) for u in built)
                     assert len({id(u) for u in built}) == len(built)
                     assert {id(u) for u in built} <= {id(u) for u in others}
                     if alg is plain:  # every term of these chains has unit rows
