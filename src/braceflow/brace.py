@@ -184,19 +184,13 @@ def _check_vec(owner, v):
 
 
 def _diagonal(field, dim, compiled, a, b):
-    """``_star_sum`` on the coordinates of the Vecs a and b, as a Vec."""
-    return _vec(field, _star_sum(dim, compiled, field.to_ints(a.entries),
-                                 field.to_ints(b.entries)))
-
-
-def _star_sum(dim, compiled, a, b):
     """sum over the compiled rows (tup, j, out) of b_j * prod_{i in tup} a_i
-    * out for a = ints / da and b = ints / db, as (ints, den), not reduced.
-    A row of arity k is scaled by da^(top - k), so every row shares the
+    * out for the Vecs a and b, as a Vec.  On a's and b's ints over da and
+    db, a row of arity k is scaled by da^(top - k), so every row shares the
     denominator den * db * da^top."""
     rows, den, top = compiled
-    a, da = a
-    b, db = b
+    a, da = field.to_ints(a.entries)
+    b, db = field.to_ints(b.entries)
     lift = [da ** (top - k) for k in range(top + 1)] if da != 1 else None
     acc = [0] * dim
     for tup, j, out in rows:
@@ -213,32 +207,7 @@ def _star_sum(dim, compiled, a, b):
                 coeff *= lift[len(tup)]
             for k, n in out:
                 acc[k] += coeff * n
-    return acc, den * db * da ** top
-
-
-def _canon(p, ints, den):
-    """The one (ints, den) pair of the vector ints / den, so equal vectors
-    give equal pairs: residues over GF(p), where every den here is 1, and
-    over Q divided by their gcd with den > 0."""
-    if p:
-        return [n % p for n in ints], 1
-    g = math.gcd(den, *ints)
-    return ([n // g for n in ints], den // g) if g != 1 else (ints, den)
-
-
-def _lincomb(p, *terms):
-    """sum of c * v over the terms (c int, v an (ints, den) pair), as ``_canon``."""
-    den = math.lcm(*(v[1] for _, v in terms))
-    acc = [0] * len(terms[0][1][0])
-    for c, (ints, d) in terms:
-        f = c * (den // d)
-        acc = [x + f * n for x, n in zip(acc, ints)]
-    return _canon(p, acc, den)
-
-
-def _vec(field, v):
-    """The Vec of an (ints, den) pair."""
-    return Vec._trusted(field, field.from_ints(*v))
+    return Vec._trusted(field, field.from_ints(acc, den * db * da ** top))
 
 
 def _merge_rows(maps):
@@ -316,30 +285,24 @@ class GradedBrace:
         _check_vec(self, b)
         return _diagonal(self.field, self.dim, self._rows, a, b)
 
-    def _star(self, a, b):
-        """The int star kernel: star(a, b) for (ints, den) pairs, as ``_canon``."""
-        return _canon(self.field.characteristic, *_star_sum(self.dim, self._rows, a, b))
-
     def circ_inverse(self, a):
         """The unique x with a∘x = 0, by the fixed-point iteration
-        x <- -a - star(a, x) on ints (``_star``).  Each step applies the
-        nilpotent map b -> -star(a, b) to the error, so dim + 2 steps find
-        the fixed point, a right inverse exactly (nxt == x is
-        a + x + a*x = 0); x∘a = 0 is checked after."""
+        x <- -a - star(a, x).  Each step applies the nilpotent map
+        b -> -star(a, b) to the error, so dim + 2 steps find the fixed
+        point, a right inverse exactly (nxt == x is a + x + a*x = 0);
+        x∘a = 0 is checked after."""
         _check_vec(self, a)
-        p = self.field.characteristic
-        a = self.field.to_ints(a.entries)  # lowest terms: the _canon form
-        x = _lincomb(p, (-1, a))
+        x = -a
         for _ in range(self.dim + 2):
-            nxt = _lincomb(p, (-1, a), (-1, self._star(a, x)))
+            nxt = -a - self.star(a, x)
             if nxt == x:
                 break
             x = nxt
         else:
             raise ConvergenceFailure("circ inverse iteration did not stabilize")
-        if any(_lincomb(p, (1, x), (1, a), (1, self._star(x, a)))[0]):
+        if not (x + a + self.star(x, a)).is_zero():
             raise ConvergenceFailure("circ inverse iteration did not stabilize")
-        return _vec(self.field, x)
+        return x
 
     def __eq__(self, other):
         return (isinstance(other, GradedBrace) and other.field == self.field
@@ -452,10 +415,10 @@ def check_group(B):
     ``check_left_brace`` decides it, on every basis pair (a, b) and all
     c at once as M_{a∘b} = M_a + M_b + M_a M_b.  0 is a two-sided
     identity because every L_k has k >= 1 and is linear in its right
-    slot.  An inverse (``circ_inverse``) takes at most dim + 3 ``_star``
-    passes.  Only the i that occur in some left tuple of the table are
-    visited: for any other i, star(±e_i, ·) = 0, so the inverse of e_i
-    is -e_i.
+    slot.  An inverse (``circ_inverse``) takes at most dim + 3 stars
+    (``GradedBrace.star``).  Only the i that occur in some left tuple of
+    the table are visited: for any other i, star(±e_i, ·) = 0, so the
+    inverse of e_i is -e_i.
     """
     for i in sorted({idx for tup, _, _ in B._rows[0] for idx in tup}):
         try:
@@ -468,10 +431,9 @@ def check_group(B):
 def check_fbrace(B):
     """Scalar linearity in the right slot, star(a, e*b) = e*star(a, b)
     and star(a, 0) = 0: structural, so nothing is evaluated.
-    ``_star_sum`` (also behind the Vec star ``_diagonal``) adds up
-    b_j * (row int) over the rows, over den * db * da^top, which does not
-    depend on b's ints; so both hold exactly for every GradedBrace,
-    whatever its table."""
+    The star ``_diagonal`` adds up b_j * (row int) over the rows, over
+    den * db * da^top, which does not depend on b's ints; so both hold
+    exactly for every GradedBrace, whatever its table."""
     return None
 
 

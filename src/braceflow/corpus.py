@@ -12,7 +12,7 @@ from .scalars import Q
 
 
 def zero_algebra(field=Q, dim=1):
-    """All products zero; nilpotency class 2."""
+    """All products zero; nilpotency class 2 (1 at dim 0)."""
     return PreLieAlgebra(field, dim, {})
 
 

@@ -216,18 +216,19 @@ def strong_chain(alg, _cap=None):
 
 
 def _descend(alg, chain, levels, stop, strong=None):
-    """``chain``, a list of ``Echelon`` terms {lead: row}, extended by at
-    least one term, up to its first zero term or its term number
-    ``stop``, as a tuple.  A new term is the span of the products u.y,
-    for the left rows u and right rows y of each pair (lefts, rights) in
-    ``levels(chain)``, made by alg's ``_SpanKernel``.  It lies in the
-    term before, and in the term of its index of ``strong`` when given,
-    so it is reduced into one echelon capped at the dimension of the
-    smaller, and a span that reaches it is that term, the same object."""
+    """``chain``, a list of ``Echelon`` terms {lead: row}, extended term
+    by term up to its first zero term or its term number ``stop``, as a
+    tuple; a chain that already ends there gains no term.  A new term is
+    the span of the products u.y, for the left rows u and right rows y of
+    each pair (lefts, rights) in ``levels(chain)``, made by alg's
+    ``_SpanKernel``.  It lies in the term before, and in the term of its
+    index of ``strong`` when given, so it is reduced into one echelon
+    capped at the dimension of the smaller, and a span that reaches it is
+    that term, the same object."""
     if alg._kernel is None:
         alg._kernel = _SpanKernel(alg)
     reduce = alg._kernel.reduce
-    while True:
+    while chain[-1] and len(chain) < stop:
         cap = chain[-1]
         if strong and len(strong[len(chain)]) < len(cap):
             cap = strong[len(chain)]
@@ -235,8 +236,7 @@ def _descend(alg, chain, levels, stop, strong=None):
         reached = ech.at_cap() or any(lefts and reduce(ech, lefts, rights)
                                       for lefts, rights in levels(chain))
         chain.append(cap if reached else ech.rows)
-        if not chain[-1] or len(chain) >= stop:
-            return tuple(chain)
+    return tuple(chain)
 
 
 class _SpanKernel:

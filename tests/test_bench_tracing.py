@@ -7,6 +7,7 @@ stages reach the traced checks."""
 import importlib
 import importlib.util
 import json
+import sys
 
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,8 @@ from braceflow import fileio, flows
 from braceflow.cli import main
 from braceflow.corpus import corpus_path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +113,23 @@ def test_roundtrip_of_an_admitted_brace_extracts_nothing(tracing, tmp_path, caps
         assert calls["prelie.nilpotency_index"] == 1, name
         assert len(kernel) == 1, name
     assert capsys.readouterr().out == "brace round trip: PASS\n" * 2
+
+
+def test_corrupted_certify_jobs_reach_no_group_check(tracing, tmp_path, capsys, monkeypatch,
+                                                     bench_generators):
+    # the benchmark's two corrupted certify jobs (the v_4/Q and U_5/Q
+    # braces whose first top-degree entry is off by one) fail at the
+    # left-brace law, so no benchmark job inverts a brace element
+    monkeypatch.setitem(sys.modules, "generators", bench_generators)  # as workloads names it
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    builder = workloads.Builder(tmp_path, 11, workloads.load_expected())
+    jobs = [job for job in workloads.certify(builder) if job.name.endswith("_corrupt")]
+    assert [job.name for job in jobs] == ["validate v4_Q_corrupt", "to-prelie U5_Q_corrupt"]
+    capsys.readouterr()
+    for job in jobs:
+        code, calls = _traced_calls(tracing, *job.argv)
+        assert (code, capsys.readouterr().out) == (job.code, job.stdout), job.name
+        assert calls["brace.check_left_brace"] == 1, job.name
+        assert calls["brace.check_group"] == 0, job.name

@@ -842,16 +842,15 @@ def test_left_brace_maps_match_per_triple_sweep(braces_cache, data):
 
 def test_law_checks_star_count(braces_q, monkeypatch):
     # the basis sweep of the left-brace law runs on left-multiplication
-    # maps and makes no pass of the star kernel; each basis inverse makes
-    # at most d + 3
+    # maps and evaluates no star; each basis inverse evaluates at most d + 3
     B = braces_q["f4"]
-    real, calls = GradedBrace._star, []
+    real, calls = GradedBrace.star, []
 
     def counted(self, a, b):
         calls.append(None)
         return real(self, a, b)
 
-    monkeypatch.setattr(GradedBrace, "_star", counted)
+    monkeypatch.setattr(GradedBrace, "star", counted)
     assert check_left_brace(B) is None
     assert calls == []
     assert check_group(B) is None

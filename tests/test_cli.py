@@ -423,7 +423,7 @@ def test_fbrace_is_structural(capsys, tmp_path, monkeypatch, braces_q):
     def check_group_then_refuse(B):
         viol = check_group(B)
         checked.append(B)
-        monkeypatch.setattr(brace.GradedBrace, "_star", refuse)
+        monkeypatch.setattr(brace.GradedBrace, "star", refuse)
         return viol
 
     monkeypatch.setattr(brace, "check_group", check_group_then_refuse)

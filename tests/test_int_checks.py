@@ -1,17 +1,16 @@
 """The brace checks of validation on ints, against field scalars.
 
-The basis sweep of ``check_left_brace`` and ``GradedBrace.circ_inverse``
-run on Python ints (``_left_map``, ``GradedBrace._star``).  The
-references below are the same laws on ``Vec``s of canonical scalars, one
-``GradedBrace.star`` per star, with any draws written out as
-``Fraction``s and ``field.of`` residues.  ``check_fbrace`` is
-structural and draws nothing; its reference still runs the F-linearity
-trials on every brace here, mutants included, as evidence that the
-structural claim holds.
+The basis sweep of ``check_left_brace`` runs on Python ints
+(``_left_map``), and ``GradedBrace.circ_inverse`` on ``GradedBrace.star``,
+whose ``Vec`` values are summed on ints.  The references below are the
+same laws on ``Vec``s of canonical scalars, one ``GradedBrace.star`` per
+star, with any draws written out as ``Fraction``s and ``field.of``
+residues.  ``check_fbrace`` is structural and draws nothing; its
+reference still runs the F-linearity trials on every brace here, mutants
+included, as evidence that the structural claim holds.
 """
 
 import itertools
-import math
 import random
 
 from fractions import Fraction
@@ -198,23 +197,6 @@ def test_circ_inverse_matches_field_scalars(int_check_braces):
         assert check_group(B) == viol, where
     assert outcomes.count(False) >= 500
     assert outcomes.count(True) >= 50
-
-
-def test_star_kernel_returns_one_form(int_check_braces):
-    # over Q the kernel's (ints, den) is in lowest terms with den > 0,
-    # over GF(p) it is residues over 1; either way it is B.star's value
-    for where, B in int_check_braces[::5]:
-        field, p = B.field, B.field.characteristic
-        rng = random.Random(1)
-        for _ in range(3):
-            a, b = random_ints(field, B.dim, rng), random_ints(field, B.dim, rng)
-            ints, den = B._star(a, b)
-            if p:
-                assert den == 1 and all(0 <= n < p for n in ints), where
-            else:
-                assert den > 0 and math.gcd(den, *ints) == 1, where
-            want = B.star(Vec(field, field.from_ints(*a)), Vec(field, field.from_ints(*b)))
-            assert field.from_ints(ints, den) == want.entries, where
 
 
 @pytest.mark.parametrize("field", [Q, GF(2), GF(7), GF(101)], ids=str)

@@ -5,6 +5,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from braceflow import radical_chains, to_brace, verify_flows_bch
 from braceflow.corpus import corpus, f4, h3, n2, v5, zero_algebra
 from braceflow.errors import CharacteristicTooSmall, ValidationFailure, Violation
 from braceflow.linalg import Subspace, Vec, span
@@ -216,6 +217,22 @@ def test_nilpotency_index(make, expected):
     assert nilpotency_index(make()) == expected
 
 
+@pytest.mark.parametrize("field", [Q, GF(2)], ids=str)
+def test_zero_dimensional_algebra_has_class_one(field):
+    # D_1 = 0, so every product of one element is zero: the strong chain
+    # stops at its first term, the one-sided chains with it, and class
+    # 1 < 2 is allowed over GF(2)
+    alg = PreLieAlgebra(field, 0, {})
+    assert strong_chain(alg) == (({},), 1)
+    assert alg.nilpotency_class == _dense_nilpotency_index(alg) == 1
+    B = to_brace(alg)
+    assert (B.class_bound, B.lambdas) == (1, {})
+    assert list(radical_chains(B).lines()) == [
+        "left: 0 nilpotent index 1", "right: 0 nilpotent index 1",
+        "strong: 0 strongly nilpotent index 1"]
+    assert verify_flows_bch(alg) is None
+
+
 def test_nilpotency_index_not_nilpotent():
     bad = PreLieAlgebra(Q, 2, {(0, 0): {0: 1}}, validate=False)
     assert nilpotency_index(bad) is None
@@ -227,11 +244,11 @@ def _dense_chain(alg, cap):
     pairs of basis vectors of D_j and D_{i-j}, 0 < j < i."""
     chain = [Subspace.full(alg.field, alg.dim)]
     for i in range(2, cap + 1):
+        if chain[-1].is_zero():
+            break
         gens = [alg.multiply(u, v) for j in range(1, i)
                 for u in chain[j - 1].basis for v in chain[i - j - 1].basis]
         chain.append(span(gens, field=alg.field, dim=alg.dim))
-        if chain[-1].is_zero():
-            break
     return tuple(chain)
 
 
