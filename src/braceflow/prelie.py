@@ -11,7 +11,9 @@ broken fixtures in tests).
 Every chain the package spans is a chain of one product table, spanned
 here: the strong chain, whose index is the class, and the left and
 right chains, which with it are the radical chains of the flows brace
-(``chain_report``), each term by one descent loop on one span kernel.
+(``chain_report``), each term by one descent loop on one span kernel,
+except the strong terms after D_2 of a table graded by its support,
+which are read off its weights (``strong_chain``).
 """
 
 from dataclasses import dataclass
@@ -163,12 +165,16 @@ def nilpotency_index(alg):
     """Smallest s with every product of s elements zero, or None: the
     index of the strong chain D_1 = A, D_i = span of all products
     D_j.D_{i-j} (0 < j < i), i.e. the span of all products of exactly i
-    elements with any bracketing (``strong_chain``).  Each D_i lies in
-    D_{i-1}, but the chain can stall and fall later, so building it up
-    to D_{d+2} is a budget, not a theorem: the unvalidated table e1e1 =
-    e2, e1e2 = e2e2 = e3, e2e3 = e3e3 = e4 has D_9 = 0 (class 9) and gets
-    None.  A sound stop is the stall rule of ROADMAP.md (item 4).  The
-    terms of a chain that vanishes are kept on alg
+    elements with any bracketing (``strong_chain``), built up to D_{d+2}.
+    On a table graded by its support with D_2 its part of degree >= 2
+    the terms are read off the weights and the index is one more than
+    the top weight, a theorem; the cap only cuts a chain longer than it.
+    On a table the grading rejects the cap is a budget: each D_i lies in
+    D_{i-1}, but the chain can stall and fall later, and the unvalidated
+    table e1e1 = e2, e1e2 = e2e2 = e3, e2e3 = e3e3 = e4 (no grading: e3
+    would weigh 3 and 4) has D_9 = 0 (class 9) and gets None.  A sound
+    stop for those is the stall rule of ROADMAP.md (item 4).  The terms
+    of a chain that vanishes are kept on alg
     (``nilpotency_chain``); the brace's radical chains are read off them
     (``chain_report``).
     """
@@ -180,7 +186,7 @@ def nilpotency_index(alg):
 
 def nilpotency_chain(alg):
     """The terms D_1, ..., D_s = 0 of ``nilpotency_index``'s chain, as
-    ``Echelon`` rows {lead: row}: spanned once and kept on alg.
+    ``Echelon`` rows {lead: row}: made once and kept on alg.
     PreconditionViolated if alg is not nilpotent."""
     if alg._chain is None and nilpotency_index(alg) is None:
         raise PreconditionViolated("algebra is not nilpotent")
@@ -193,6 +199,26 @@ def strong_chain(alg, _cap=None):
     (tests pass ``_cap`` as c to look further).  Terms are ``Echelon`` rows
     {lead: row}.  Returns (terms, 1-based index of the first zero term
     or None).
+
+    D_2 is spanned.  If the table is graded by its support with D_2 its
+    part of degree >= 2 (``_weights``), every later term is read off the
+    weights: D_n holds the unit rows {j: 1} of the coordinates of weight
+    >= n.  Any other table (one in a
+    dense basis, say, or one with a product whose outs would take two
+    weights) spans its later terms as D_2 was (``_descend``).
+
+    Lemma.  Let A = sum of the A_n, n >= 1, be positively graded, each
+    basis vector homogeneous and A_a.A_b in A_{a+b}.  If D_2 = A_{>=2},
+    then D_n = A_{>=n} for every n.  (⊆) D_n is spanned by products of n
+    elements, and a product of n homogeneous elements has degree >= n.
+    (⊇) A_n lies in D_n, by induction on n: for n <= 2 by D_1 = A and
+    D_2 = A_{>=2}.  For n > 2, A_n lies in D_2, which is spanned by
+    products u.v, so A_n is spanned by the degree-n parts of products
+    u.v; that part is the sum of u_a.v_{n-a}, 0 < a < n, and each term
+    lies in A_a.A_{n-a}, in D_a.D_{n-a} by induction, and so in D_n.
+    Then A_{>=n} lies in the sum of the D_m, m >= n, which is D_n, as
+    the chain descends.  The span of a coordinate subspace is its unit
+    rows, so the terms read are the ones the elimination gives.
 
     Each term lies in the one before (D_2 is in D_1; by induction and
     monotonicity D_j.D_{i-j} lies in D_j.D_{i-1-j} for j < i-1, and
@@ -211,8 +237,52 @@ def strong_chain(alg, _cap=None):
             yield ([row for lead, row in chain[j - 1].items() if lead not in below],
                    chain[i - j - 1].values())
 
-    chain = _descend(alg, [{i: {i: 1} for i in range(alg.dim)}], levels, _cap or alg.dim + 2)
+    stop = _cap or alg.dim + 2
+    chain = _descend(alg, [{i: {i: 1} for i in range(alg.dim)}], levels, 2)
+    weights = chain[-1] and _weights(alg._kernel.rows, chain[-1])
+    if weights:
+        term = chain[-1]
+        while term and len(chain) < stop:
+            term = {j: row for j, row in term.items() if weights[j] > len(chain)}
+            chain += (term,)
+    else:
+        chain = _descend(alg, list(chain), levels, stop)
     return chain, (None if chain[-1] else len(chain))
+
+
+def _weights(rows, d2):
+    """{j: w(j)}, the grading of the table by its support in which D_2
+    is the part of degree >= 2, or None if there is none.  w(j) = 1 off
+    the leads of D_2, and w(out) = w(i) + w(j) for each out of each
+    nonzero e_i.e_j, read off the span kernel's ``rows``.  None when a
+    coordinate gets no weight or a product's out already has another;
+    the pass stops at the first such out.  A product is read once both
+    its factors have a weight: when its left comes off the queue if its
+    right has one, else when its right does.
+
+    D_2 is then the span of the coordinates of weight >= 2, so its rows
+    are unit rows: it lies in that span, as every product's outs weigh
+    2 or more, and both have the leads of D_2 for dimension, as a lead
+    gets a weight only as an out.  In a dense basis a product soon has
+    an out of weight 1, and the pass stops there."""
+    w = {j: 1 for j in range(len(rows)) if j not in d2}
+    queue, waiting = list(w), {}
+    for i in queue:
+        wi = w[i]
+        fired = [(wk + wi, col) for wk, col in waiting.pop(i, ())]
+        for j, col in rows[i].items():
+            if j in w:
+                fired.append((wi + w[j], col))
+            else:
+                waiting.setdefault(j, []).append((wi, col))
+        for n, col in fired:
+            for out in col:
+                if out not in w:
+                    w[out] = n
+                    queue.append(out)
+                elif w[out] != n:
+                    return None
+    return w if len(w) == len(rows) else None
 
 
 def _descend(alg, chain, levels, stop, strong=None):

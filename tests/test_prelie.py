@@ -9,10 +9,11 @@ from braceflow import radical_chains, to_brace, verify_flows_bch
 from braceflow.corpus import corpus, f4, h3, n2, v5, zero_algebra
 from braceflow.errors import CharacteristicTooSmall, ValidationFailure, Violation
 from braceflow.linalg import Subspace, Vec, span
-from braceflow.prelie import (PreLieAlgebra, check_prelie_identity, nilpotency_index,
-                              strong_chain)
+from braceflow.prelie import (PreLieAlgebra, _SpanKernel, _weights, check_prelie_identity,
+                              nilpotency_index, strong_chain)
 from braceflow.sampling import random_ints, random_vec
 from braceflow.scalars import GF, Q, ScalarField
+from test_spans import _dense_basis
 
 
 def _random_scalar(field, rng):
@@ -306,6 +307,95 @@ def test_strong_chain_terms_match_dense_sweep(field, bench_generators):
         assert chain == _dense_chain(alg, 12)
         assert index == len(chain)
     assert [t.dim for t in chain] == [4, 3, 2, 2, 1, 1, 1, 1, 0]
+
+
+def _relabelled(g, s, field, seed):
+    """The bench Structure s over field, unvalidated, in the basis of
+    ``generators.relabelling(s.dim, seed)`` or as it is for seed None."""
+    entries = s.entries if seed is None else g.relabel(
+        s.entries, *g.relabelling(s.dim, seed), field.characteristic)
+    table = {}
+    for (_, (i,), j, k), val in entries.items():
+        table.setdefault((i, j), {})[k] = val
+    return PreLieAlgebra(field, s.dim, table, validate=False)
+
+
+def _chain_of(alg, cap=None):
+    """strong_chain(alg, cap) with its terms as Subspaces."""
+    terms, index = strong_chain(alg, cap)
+    return tuple(Subspace.of_echelon(alg.field, alg.dim, t) for t in terms), index
+
+
+@pytest.mark.parametrize("field", [Q, GF(101)], ids=str)
+def test_graded_chain_spans_nothing_after_d2(field, bench_generators, monkeypatch):
+    # every bench generator, relabelled, is graded by its support with
+    # D_2 its part of degree >= 2: the chain spans D_2 and reads the rest
+    # off the weights, so it makes as many reduce calls as D_2 alone
+    g = bench_generators
+    calls = []
+    reduce = _SpanKernel.reduce
+    monkeypatch.setattr(_SpanKernel, "reduce",
+                        lambda self, *args: calls.append(None) or reduce(self, *args))
+    structures = ([g.h3(), g.f4()] + [g.v(n) for n in range(2, 11)]
+                  + [g.trees(n) for n in range(2, 6)] + [g.upper(m) for m in range(3, 6)])
+    for s in structures:
+        for seed in (1, 11):
+            calls.clear()
+            strong_chain(_relabelled(g, s, field, seed), 2)
+            at_d2 = len(calls)
+            calls.clear()
+            terms, index = strong_chain(_relabelled(g, s, field, seed))
+            assert (len(calls), index) == (at_d2, s.nil_class), (s.name, seed)
+            assert at_d2 and len(terms) == index
+
+
+def _fallback_inputs(g, field):
+    """Tables whose chain is spanned past D_2: graded by their support
+    but with constants that disagree (e1e1 = e2 + e3, e1e2 = e3, class
+    4), the stalling table, and v_6 and T_4 in a dense basis, where D_2
+    has rows of several entries."""
+    rng = random.Random(7)
+    yield PreLieAlgebra(field, 3, {(0, 0): {1: 1, 2: 1}, (0, 1): {2: 1}}, validate=False)
+    yield _stalling_table(field)
+    for s in (g.v(6), g.trees(4)):
+        yield _dense_basis(_relabelled(g, s, field, None), rng)
+
+
+@pytest.mark.parametrize("field", [Q, GF(11)], ids=str)
+def test_fallback_chains_match_dense_sweep(field, bench_generators):
+    # a table the weights reject spans every term, and one whose chain
+    # ends by D_2 needs no weights: either way the terms and the index
+    # are the dense sweep's
+    rejected = list(_fallback_inputs(bench_generators, field))
+    for alg in rejected:
+        chain, index = _chain_of(alg, 12)
+        assert _weights(alg._kernel.rows, strong_chain(alg)[0][1]) is None
+        assert chain == _dense_chain(alg, 12)
+        assert index == len(chain)
+    assert [len(_chain_of(alg, 12)[0]) for alg in rejected] == [4, 9, 7, 5]
+    assert all(any(len(row) > 1 for row in strong_chain(alg)[0][1].values())
+               for alg in rejected[2:])
+    # dim 0 (D_1 = 0), dim 1 and dim 3 with class 2 (D_2 = 0), and dim 1
+    # with e1e1 = e1 (D_2 = D_1, no coordinate of weight 1)
+    for alg in (PreLieAlgebra(field, 0, {}), PreLieAlgebra(field, 1, {}), zero_algebra(field, 3),
+                PreLieAlgebra(field, 1, {(0, 0): {0: 1}}, validate=False)):
+        chain, index = _chain_of(alg)
+        assert chain == _dense_chain(alg, alg.dim + 2)
+        assert index == nilpotency_index(alg) == _dense_nilpotency_index(alg)
+
+
+@pytest.mark.parametrize("field", [Q, GF(13)], ids=str)
+def test_graded_chain_respects_cap(field, bench_generators):
+    # a graded chain read off its weights stops at D_cap, with no index
+    # while D_cap is nonzero, as a spanned one does
+    g = bench_generators
+    for s in (g.v(10), g.trees(5)):
+        alg = _relabelled(g, s, field, 11)
+        for cap in range(2, 6):
+            chain, index = _chain_of(alg, cap)
+            assert chain == _dense_chain(alg, cap), (s.name, cap)
+            assert len(chain) == cap and index is None
+        assert _chain_of(alg)[1] == s.nil_class
 
 
 def _products_of(alg, factors):
